@@ -9,16 +9,12 @@ conditions and an exhaustive search oracle.
 from .chain import ChainInterval, ChainJunctionError, ChainPlan, chain_plan, evaluate_chain
 from .dynamics import (
     AdjointTrajectory,
-    AmbiguousRootError,
     PiecewiseExpFn,
-    SampledTrajectory,
     Trajectory,
     TrajectorySegment,
     Violation,
     adjoint_backward,
-    find_zero_crossing,
     integrate_exact,
-    integrate_rk4,
 )
 from .model import (
     ControlBoundsError,
@@ -38,11 +34,9 @@ from .model import (
     validate_params,
 )
 from .solver import (
-    ClosedFormTrajectory,
     EventTime,
     SwitchingTimes,
     SynthesisResult,
-    closed_form_trajectory,
     debt_clearance_time,
     initial_jump,
     objective_value,
@@ -69,14 +63,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjointTrajectory",
-    "AmbiguousRootError",
     "BruteForceGrid",
     "CertReport",
     "Certification",
     "ChainInterval",
     "ChainJunctionError",
     "ChainPlan",
-    "ClosedFormTrajectory",
     "ControlBoundsError",
     "ControlSegment",
     "ControlValue",
@@ -88,7 +80,6 @@ __all__ = [
     "PiecewiseControl",
     "PiecewiseExpFn",
     "PolicyInfeasibleError",
-    "SampledTrajectory",
     "ScenarioKind",
     "State",
     "SwitchingTimes",
@@ -107,15 +98,12 @@ __all__ = [
     "check_slackness",
     "check_transversality",
     "classify_scenario",
-    "closed_form_trajectory",
     "cost_rate",
     "debt_clearance_time",
     "evaluate_chain",
-    "find_zero_crossing",
     "hamiltonian",
     "initial_jump",
     "integrate_exact",
-    "integrate_rk4",
     "multiplier_set_for_scenario",
     "objective_value",
     "stock_depletion_time",

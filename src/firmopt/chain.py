@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import solver
-from .dynamics import Trajectory, TrajectorySegment, integrate_exact
+from .dynamics import Trajectory, TrajectorySegment
 from .model import (
     JumpRecord,
     ModelParams,
@@ -39,7 +39,7 @@ class ChainJunctionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainInterval:
-    """One solved subinterval; policy and switching times use the local
+    """One solved subinterval; policy, times and trajectory use the local
     clock (0 at t_start), the jump is stamped with the global time."""
 
     t_start: float
@@ -50,6 +50,7 @@ class ChainInterval:
     policy: PiecewiseControl
     times: solver.SwitchingTimes
     exit_state: State
+    trajectory: Trajectory
 
 
 @dataclass(frozen=True)
@@ -70,25 +71,6 @@ def _snap_state(state: State, scale: float) -> State:
         N=0.0 if abs(state.N) < tol else state.N,
         D=0.0 if abs(state.D) < tol else state.D,
         S=0.0 if abs(state.S) < tol else state.S,
-    )
-
-
-def _expected_zeros(times: solver.SwitchingTimes) -> list[tuple[float, str]]:
-    zeros = []
-    if times.t_s_within_horizon and times.t_s > 0.0:
-        zeros.append((times.t_s, "S"))
-    if times.t_d is not None and times.t_d_within_horizon and times.t_d > 0.0:
-        zeros.append((times.t_d, "D"))
-    return zeros
-
-
-def _integrate_interval(
-    params: ModelParams, iv: ChainInterval
-) -> Trajectory:
-    local = replace(params, T=iv.t_end - iv.t_start)
-    start = iv.jump.post_state if iv.jump is not None else iv.entry_state
-    return integrate_exact(
-        local, start, iv.policy, expected_zeros=_expected_zeros(iv.times)
     )
 
 
@@ -132,10 +114,9 @@ def chain_plan(
             jump=jump,
             policy=synth.policy,
             times=synth.times,
-            exit_state=entry,  # placeholder, replaced below
+            exit_state=synth.trajectory.terminal_state(),
+            trajectory=synth.trajectory,
         )
-        traj = _integrate_interval(params, interval)
-        interval = replace(interval, exit_state=traj.terminal_state())
         intervals.append(interval)
         entry = interval.exit_state
         scale = max(scale, entry.N, entry.D, entry.S)
@@ -153,7 +134,7 @@ def evaluate_chain(params: ModelParams, plan: ChainPlan) -> tuple[Trajectory, fl
     jumps: list[JumpRecord] = []
     violations = []
     for iv in plan.intervals:
-        traj = _integrate_interval(params, iv)
+        traj = iv.trajectory
         if iv.jump is not None:
             jumps.append(iv.jump)
         for seg in traj.segments:

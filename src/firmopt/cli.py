@@ -16,12 +16,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import chain as chain_mod
 from . import solver, verify
-from .dynamics import Trajectory, integrate_exact
+from .dynamics import Trajectory
 from .model import (
     ModelParams,
     PolicyInfeasibleError,
@@ -46,7 +46,7 @@ _PARAM_KEYS = (
     "u_max", "v_max", "w_max", "S_max", "T",
 )
 _INIT_KEYS = ("N0", "D0", "S0")
-_OPTION_KEYS = ("rk4_step", "brute_nt", "brute_levels", "chain_breakpoints", "out_dir")
+_OPTION_KEYS = ("brute_nt", "brute_levels", "chain_breakpoints", "out_dir")
 
 
 class ConfigError(ValueError):
@@ -55,7 +55,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunOptions:
-    rk4_step: float = 1e-3
     brute_nt: int = 200
     brute_levels: dict | None = None
     chain_breakpoints: tuple[float, ...] | None = None
@@ -130,11 +129,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("options: expected an object")
     _reject_unknown(opt, _OPTION_KEYS, "options")
     kwargs = {}
-    if "rk4_step" in opt:
-        step = _expect_number(opt["rk4_step"], "options.rk4_step")
-        if step <= 0.0:
-            raise ConfigError("options.rk4_step: must be positive")
-        kwargs["rk4_step"] = step
     if "brute_nt" in opt:
         nt = opt["brute_nt"]
         if isinstance(nt, bool) or not isinstance(nt, int) or nt < 1:
@@ -235,7 +229,8 @@ def _trajectory_csv(traj: Trajectory) -> str:
     times = set(traj.breakpoints)
     if T > 0.0:
         for k in range(CSV_GRID_POINTS):
-            times.add(k * T / (CSV_GRID_POINTS - 1))
+            # k*T/(n-1) can round above T at k = n-1
+            times.add(min(T, k * T / (CSV_GRID_POINTS - 1)))
     grid = sorted(times)
     jump_at = {j.t: j for j in traj.jumps}
     scale = max(1.0, traj.params.S_max)
@@ -291,20 +286,26 @@ def _synthesize(config: RunConfig):
     return kind, synth
 
 
-def _solve_trajectory(config: RunConfig, synth) -> Trajectory:
-    start = synth.jump.post_state if synth.jump is not None else config.init
-    zeros = chain_mod._expected_zeros(synth.times)
-    return integrate_exact(
-        config.params, start, synth.policy, jump=synth.jump, expected_zeros=zeros
+def _brute_force(config: RunConfig, synth: solver.SynthesisResult):
+    """The exhaustive search from the synthesized policy's post-jump state."""
+    if config.params.T <= 0.0:
+        raise ConfigError("params.T: the brute-force search needs a positive horizon")
+    levels = config.options.brute_levels or {}
+    grid = verify.BruteForceGrid(
+        n_t=config.options.brute_nt,
+        u_levels=levels.get("u"),
+        v_levels=levels.get("v"),
+        w_levels=levels.get("w"),
     )
+    start = synth.jump.post_state if synth.jump is not None else config.init
+    return verify.brute_force_best(config.params, start, grid)
 
 
 def cmd_solve(config: RunConfig) -> tuple[int, str]:
     kind, synth = _synthesize(config)
-    objective = solver.objective_value(config.params, config.init, kind)
     lines = [f"scenario = {kind.value}"]
     lines += _times_lines(synth.times)
-    lines.append(f"objective = {_fmt(objective)}")
+    lines.append(f"objective = {_fmt(synth.objective)}")
     lines += _jump_lines(synth.jump)
     lines += _policy_lines(synth.policy)
     text = "\n".join(lines) + "\n"
@@ -323,26 +324,16 @@ def cmd_simulate(config: RunConfig) -> tuple[int, str]:
         csv_text = "\n".join(lines) + "\n"
     else:
         _, synth = _synthesize(config)
-        traj = _solve_trajectory(config, synth)
-        csv_text = _trajectory_csv(traj)
+        csv_text = _trajectory_csv(synth.trajectory)
     _write(config.options.out_dir, "trajectory.csv", csv_text)
     return EXIT_OK, csv_text
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, str]:
-    kind, synth = _synthesize(config)
+    kind = classify_scenario(config.params, config.init, config.jump_mode)
     cert = verify.certify_policy(config.params, config.init, kind)
-    closed = solver.objective_value(config.params, config.init, kind)
-    start = synth.jump.post_state if synth.jump is not None else config.init
-    grid = verify.BruteForceGrid(n_t=config.options.brute_nt)
-    if config.options.brute_levels:
-        grid = verify.BruteForceGrid(
-            n_t=config.options.brute_nt,
-            u_levels=config.options.brute_levels.get("u"),
-            v_levels=config.options.brute_levels.get("v"),
-            w_levels=config.options.brute_levels.get("w"),
-        )
-    _, best = verify.brute_force_best(config.params, start, grid)
+    closed = cert.synthesis.objective
+    _, best = _brute_force(config, cert.synthesis)
     gap = max(0.0, best - closed)
     brute_ok = gap <= 1e-4
 
@@ -372,12 +363,17 @@ def cmd_verify(config: RunConfig) -> tuple[int, str]:
 
 
 def cmd_chain(config: RunConfig) -> tuple[int, str]:
+    if config.params.T <= 0.0:
+        raise ConfigError("params.T: a chain needs a positive horizon")
     breakpoints = config.options.chain_breakpoints
     if breakpoints is None:
         breakpoints = (0.0, config.params.T)
-    plan = chain_mod.chain_plan(
-        config.params, config.init, list(breakpoints), config.jump_mode
-    )
+    try:
+        plan = chain_mod.chain_plan(
+            config.params, config.init, list(breakpoints), config.jump_mode
+        )
+    except ValueError as exc:  # junction failures raise ChainJunctionError
+        raise ConfigError(f"options.chain_breakpoints: {exc}") from exc
     traj, objective = chain_mod.evaluate_chain(config.params, plan)
     lines = [f"objective = {_fmt(objective)}"]
     for idx, iv in enumerate(plan.intervals):
@@ -402,17 +398,8 @@ def cmd_chain(config: RunConfig) -> tuple[int, str]:
 
 def cmd_brute_force(config: RunConfig) -> tuple[int, str]:
     kind, synth = _synthesize(config)
-    closed = solver.objective_value(config.params, config.init, kind)
-    start = synth.jump.post_state if synth.jump is not None else config.init
-    grid = verify.BruteForceGrid(n_t=config.options.brute_nt)
-    if config.options.brute_levels:
-        grid = verify.BruteForceGrid(
-            n_t=config.options.brute_nt,
-            u_levels=config.options.brute_levels.get("u"),
-            v_levels=config.options.brute_levels.get("v"),
-            w_levels=config.options.brute_levels.get("w"),
-        )
-    policy, best = verify.brute_force_best(config.params, start, grid)
+    closed = synth.objective
+    policy, best = _brute_force(config, synth)
     lines = [
         f"scenario = {kind.value}",
         f"closed_form = {_fmt(closed)}",

@@ -2,10 +2,8 @@
 
 The dynamics are linear with piecewise-constant inputs, so each policy
 segment has a closed-form solution; the exact integrator chains those
-solutions and is the primary evaluation path.  A classical fixed-step
-RK4 integrator is kept alongside purely as an independent oracle.  The
-adjoint (costate) system is likewise linear and is integrated backward
-in closed form.
+solutions and is the only evaluation path.  The adjoint (costate)
+system is likewise linear and is integrated backward in closed form.
 
 Per segment with constant control (u, v, w), entry state (N1, D1, S1)
 at t1 and tau = t - t1:
@@ -37,13 +35,6 @@ from .model import (
 #: Relative tolerance used to accept an analytically expected zero and to
 #: flag state-constraint violations.
 ZERO_SNAP_RTOL = 1e-9
-
-#: Bisection stops once |value| < 1e-12 * scale.
-ROOT_VALUE_RTOL = 1e-12
-
-
-class AmbiguousRootError(RuntimeError):
-    """A component has multiple zero crossings inside the search window."""
 
 
 class Violation(NamedTuple):
@@ -225,102 +216,6 @@ def integrate_exact(
         segments=traj_segments,
         jumps=jumps,
         feasibility_report=tuple(violations),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fixed-step RK4 oracle
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SampledTrajectory:
-    """Grid-sampled trajectory produced by the RK4 oracle."""
-
-    params: ModelParams
-    times: tuple[float, ...]
-    states: tuple[State, ...]
-    jumps: tuple[JumpRecord, ...] = ()
-
-    @property
-    def t_final(self) -> float:
-        return self.times[-1]
-
-    def sample(self, t: float) -> State:
-        """Linear interpolation between grid points (oracle-grade)."""
-        if not self.times[0] <= t <= self.times[-1]:
-            raise ValueError(f"t = {t} outside sampled range")
-        i = bisect.bisect_left(self.times, t)
-        if i < len(self.times) and self.times[i] == t:
-            return self.states[i]
-        a, b = self.times[i - 1], self.times[i]
-        wgt = (t - a) / (b - a)
-        sa, sb = self.states[i - 1], self.states[i]
-        return State(
-            N=sa.N + wgt * (sb.N - sa.N),
-            D=sa.D + wgt * (sb.D - sa.D),
-            S=sa.S + wgt * (sb.S - sa.S),
-        )
-
-    def terminal_state(self) -> State:
-        return self.states[-1]
-
-
-def _deriv(params: ModelParams, state: tuple[float, float, float], c: ControlValue):
-    n, d, s = state
-    return (
-        params.p * c.w - c.v - params.K * c.u - params.B,
-        params.r * d + params.A * c.u - c.v,
-        c.u - c.w - params.alpha * s,
-    )
-
-
-def integrate_rk4(
-    params: ModelParams,
-    init: State,
-    policy: PiecewiseControl,
-    step: float,
-    jump: JumpRecord | None = None,
-) -> SampledTrajectory:
-    """Classical 4th-order fixed-step integration, breakpoint-aligned.
-
-    Each policy segment is cut into ceil(len/step) equal steps so every
-    breakpoint lands on the grid; global error is O(step^4).  Raises if
-    `step` exceeds the shortest segment (the grid could then skip a
-    whole control regime).
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    shortest = min(s.t_end - s.t_start for s in policy.segments)
-    if shortest > 0.0 and step > shortest:
-        raise ValueError(
-            f"step {step} exceeds shortest policy segment {shortest}"
-        )
-    state = jump.post_state if jump is not None else init
-    y = (state.N, state.D, state.S)
-    times = [0.0]
-    states = [State(*y)]
-    for seg in policy.segments:
-        length = seg.t_end - seg.t_start
-        if length == 0.0:
-            continue
-        n = max(1, math.ceil(length / step))
-        h = length / n
-        c = seg.value
-        for k in range(n):
-            k1 = _deriv(params, y, c)
-            k2 = _deriv(params, tuple(y[i] + 0.5 * h * k1[i] for i in range(3)), c)
-            k3 = _deriv(params, tuple(y[i] + 0.5 * h * k2[i] for i in range(3)), c)
-            k4 = _deriv(params, tuple(y[i] + h * k3[i] for i in range(3)), c)
-            y = tuple(
-                y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-                for i in range(3)
-            )
-            times.append(seg.t_start + (k + 1) * h)
-            states.append(State(*y))
-    jumps = (jump,) if jump is not None else ()
-    return SampledTrajectory(
-        params=params, times=tuple(times), states=tuple(states), jumps=jumps
     )
 
 
@@ -590,74 +485,3 @@ def _combine_forcing(
     terms = list(s3.terms) + [ExpTerm(-t.coef, t.rate, t.anchor) for t in s4.terms]
     return ExpSegment(a, b, tuple(terms))
 
-
-# ---------------------------------------------------------------------------
-# Event detection
-# ---------------------------------------------------------------------------
-
-
-def find_zero_crossing(
-    traj: Trajectory,
-    component: str,
-    window: tuple[float, float],
-) -> float | None:
-    """Locate the zero of a state component inside `window` by bisection.
-
-    Relies on per-segment monotonicity: each segment overlapping the
-    window contributes at most one crossing.  Two or more crossings
-    raise AmbiguousRootError; a component identically zero from the
-    window start returns the window start; no crossing returns None.
-    """
-    if component not in ("N", "D", "S"):
-        raise ValueError(f"unknown component {component!r}")
-    t_a, t_b = window
-    if not (0.0 <= t_a < t_b <= traj.t_final):
-        raise ValueError(f"window {window} outside [0, {traj.t_final}]")
-    scale = max(1.0, abs(getattr(traj.sample(t_a), component)))
-    ztol = ROOT_VALUE_RTOL * scale
-
-    def val(t: float) -> float:
-        return getattr(traj.sample(t), component)
-
-    if abs(val(t_a)) <= ztol:
-        return t_a
-
-    crossings: list[float] = []
-
-    def record(t: float) -> None:
-        crossings.append(t)
-        if len(crossings) > 1:
-            raise AmbiguousRootError(
-                f"multiple zero crossings of {component} in {window}"
-            )
-
-    for seg in traj.segments:
-        lo = max(seg.t_start, t_a)
-        hi = min(seg.t_end, t_b)
-        if hi <= lo:
-            continue
-        va, vb = val(lo), val(hi)
-        if va > ztol and vb > ztol:
-            continue
-        if va < -ztol and vb < -ztol:
-            continue
-        if abs(va) <= ztol:
-            # entering the segment already on the zero boundary: by
-            # continuity the crossing itself happened earlier and was
-            # recorded then (or the window started on it)
-            continue
-        a, b = lo, hi
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            vm = val(mid)
-            if abs(vm) <= ztol:
-                a = b = mid
-                break
-            if (vm > 0.0) == (va > 0.0):
-                a = mid
-            else:
-                b = mid
-        record(0.5 * (a + b))
-    if not crossings:
-        return None
-    return crossings[0]

@@ -41,7 +41,6 @@ from .model import (
     PolicyInfeasibleError,
     ScenarioKind,
     State,
-    UncoveredInitialConditionError,
     check_initial_state,
     classify_scenario,
     validate_params,
@@ -84,9 +83,18 @@ class SwitchingTimes:
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """A synthesized policy with its exact trajectory and objective.
+
+    The trajectory starts from the post-jump state and records the jump;
+    the objective N(T) - D(T) is the closed form where one applies, else
+    read from the trajectory.
+    """
+
     policy: PiecewiseControl
     times: SwitchingTimes
     jump: JumpRecord | None
+    trajectory: dynamics.Trajectory
+    objective: float
 
 
 def stock_depletion_time(params: ModelParams, S0: float) -> EventTime:
@@ -278,8 +286,7 @@ def synthesize_policy(
                 policy = _build_policy(params, [], [0.0], [0.0], [w])
         else:
             policy = _build_policy(params, cuts_s, [0.0, w], [0.0, aw], [w, w])
-        zeros = [(t_s, "S")] if cuts_s else []
-        return _post_check(params, start, policy, times, jump, zeros)
+        return _post_check(params, kind, start, policy, times, jump)
 
     if kind is ScenarioKind.S3_DEBT_NO_STOCK:
         td_ev = debt_clearance_time(params, start.D, 0.0, kind)
@@ -287,15 +294,13 @@ def synthesize_policy(
         times = SwitchingTimes(0.0, True, t_d, td_ev.within_horizon)
         if td_ev.within_horizon and t_d > 0.0:
             policy = _build_policy(params, [t_d], [w, w], [params.v_max, aw], [w, w])
-            zeros = [(t_d, "D")]
         else:
             policy = _build_policy(params, [], [w], [params.v_max], [w])
-            zeros = []
-        return _post_check(params, start, policy, times, jump, zeros)
+        return _post_check(params, kind, start, policy, times, jump)
 
     if kind is ScenarioKind.S2_DEBT_WITH_STOCK:
         td_ev = debt_clearance_time(params, start.D, t_s, kind)
-        repay_before, repay_after = params.v_max, None  # after t_D: A*u(t)
+        repay_before = params.v_max
     else:  # A2 after the jump
         if params.p * w - params.B > params.v_max:
             raise PolicyInfeasibleError(
@@ -304,7 +309,7 @@ def synthesize_policy(
         td_ev = debt_clearance_time(
             params, start.D, t_s, ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
         )
-        repay_before, repay_after = None, None  # before t_D: p*w - K*u - B
+        repay_before = None  # before t_D: p*w - K*u - B
 
     t_d = td_ev.time
     td_in = td_ev.within_horizon
@@ -332,91 +337,43 @@ def synthesize_policy(
         v_levels.append(v_post(after_ts) if after_td else v_pre(after_ts))
         w_levels.append(w)
     policy = _build_policy(params, cuts, u_levels, v_levels, w_levels)
-    zeros = []
-    if ts_in and t_s > 0.0:
-        zeros.append((t_s, "S"))
-    if td_in and t_d > 0.0:
-        zeros.append((t_d, "D"))
-    return _post_check(params, start, policy, times, jump, zeros)
+    return _post_check(params, kind, start, policy, times, jump)
 
 
 def _post_check(
     params: ModelParams,
+    kind: ScenarioKind,
     start: State,
     policy: PiecewiseControl,
     times: SwitchingTimes,
     jump: JumpRecord | None,
-    zeros: list[tuple[float, str]],
 ) -> SynthesisResult:
-    traj = dynamics.integrate_exact(params, start, policy, expected_zeros=zeros)
+    """Integrate the policy exactly, reject it if infeasible, and value it.
+
+    The stock empties at t_S and the debt clears at t_D by construction,
+    so both are snapped to exact zeros when they fall inside (0, T).
+    """
+    zeros = []
+    if times.t_s_within_horizon and times.t_s > 0.0:
+        zeros.append((times.t_s, "S"))
+    if times.t_d is not None and times.t_d_within_horizon and times.t_d > 0.0:
+        zeros.append((times.t_d, "D"))
+    traj = dynamics.integrate_exact(
+        params, start, policy, jump=jump, expected_zeros=zeros
+    )
     if not traj.feasible:
         first = traj.feasibility_report[0]
         raise PolicyInfeasibleError(
             f"synthesized policy violates {first.constraint} from t = {first.time:.6g} "
             f"(magnitude {first.magnitude:.3g}) for these inputs"
         )
-    return SynthesisResult(policy=policy, times=times, jump=jump)
-
-
-@dataclass(frozen=True)
-class ComponentCoefficients:
-    """One state component on one segment: c0 + c1*tau + c2*exp(r*tau)
-    + c3*exp(-alpha*tau), with tau measured from the segment start."""
-
-    c0: float
-    c1: float
-    c2: float
-    c3: float
-
-
-@dataclass(frozen=True)
-class ClosedFormTrajectory:
-    """Trajectory with explicit per-segment closed-form coefficients."""
-
-    trajectory: dynamics.Trajectory
-    initial_jump: JumpRecord | None
-
-    @property
-    def segments(self) -> tuple[dynamics.TrajectorySegment, ...]:
-        return self.trajectory.segments
-
-    def coefficients(self, index: int, component: str) -> ComponentCoefficients:
-        seg = self.trajectory.segments[index]
-        p = self.trajectory.params
-        c = seg.control
-        if component == "N":
-            slope = p.p * c.w - c.v - p.K * c.u - p.B
-            return ComponentCoefficients(seg.entry.N, slope, 0.0, 0.0)
-        if component == "D":
-            inflow = p.A * c.u - c.v
-            return ComponentCoefficients(
-                -inflow / p.r, 0.0, seg.entry.D + inflow / p.r, 0.0
-            )
-        if component == "S":
-            net = c.u - c.w
-            return ComponentCoefficients(
-                net / p.alpha, 0.0, 0.0, seg.entry.S - net / p.alpha
-            )
-        raise ValueError(f"unknown component {component!r}")
-
-
-def closed_form_trajectory(
-    params: ModelParams,
-    init: State,
-    policy: PiecewiseControl,
-    jump: JumpRecord | None = None,
-    expected_zeros: tuple[tuple[float, str], ...] = (),
-) -> ClosedFormTrajectory:
-    """Exact trajectory of a policy with its closed-form coefficients.
-
-    No discretization anywhere: every sample is evaluated from the
-    segment formulas.
-    """
-    start = jump.post_state if jump is not None else init
-    traj = dynamics.integrate_exact(
-        params, start, policy, jump=jump, expected_zeros=expected_zeros
+    return SynthesisResult(
+        policy=policy,
+        times=times,
+        jump=jump,
+        trajectory=traj,
+        objective=_objective(params, kind, start.N, times, traj),
     )
-    return ClosedFormTrajectory(trajectory=traj, initial_jump=jump)
 
 
 # ---------------------------------------------------------------------------
@@ -496,39 +453,35 @@ def _objective_partial_repayment(params: ModelParams, t_d: float, t_s: float) ->
     return surplus * (params.T - t_d)
 
 
-def objective_value(params: ModelParams, init: State, kind: ScenarioKind) -> float:
-    """Optimal objective N(T) - D(T) for a scenario, in closed form.
+def _objective(
+    params: ModelParams,
+    kind: ScenarioKind,
+    cash0: float,
+    times: SwitchingTimes,
+    traj: dynamics.Trajectory,
+) -> float:
+    """N(T) - D(T) in closed form, from the post-jump cash cash0.
 
-    Falls back to exact trajectory evaluation whenever a switching time
+    Read from the exact trajectory instead whenever a switching time
     lies at or beyond the horizon (unsold stock or unpaid debt at T),
     where no closed-form expression applies.
     """
-    synth = synthesize_policy(params, init, kind)
-    times = synth.times
-    if kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
+    if kind in (ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP, ScenarioKind.S3_DEBT_NO_STOCK):
         # the partial-repayment table covers t_S beyond the horizon too
-        formula_applies = times.t_d_within_horizon
-    elif kind is ScenarioKind.S3_DEBT_NO_STOCK:
         formula_applies = times.t_d_within_horizon
     else:
         formula_applies = times.t_s_within_horizon and times.t_d_within_horizon
     if not formula_applies:
-        start = synth.jump.post_state if synth.jump is not None else init
-        zeros = []
-        if times.t_s_within_horizon and times.t_s > 0.0:
-            zeros.append((times.t_s, "S"))
-        if times.t_d is not None and times.t_d_within_horizon and times.t_d > 0.0:
-            zeros.append((times.t_d, "D"))
-        traj = dynamics.integrate_exact(
-            params, start, synth.policy, jump=synth.jump, expected_zeros=zeros
-        )
         return traj.objective()
-    if kind is ScenarioKind.S1_NO_DEBT_WITH_STOCK:
-        return _objective_no_debt(params, init.N, times.t_s)
-    if kind is ScenarioKind.A1_TOTAL_REPAYMENT_JUMP:
-        return _objective_no_debt(params, init.N - init.D, times.t_s)
+    if kind in (ScenarioKind.S1_NO_DEBT_WITH_STOCK, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP):
+        return _objective_no_debt(params, cash0, times.t_s)
     if kind is ScenarioKind.S2_DEBT_WITH_STOCK:
-        return _objective_debt_with_stock(params, init.N, times.t_d, times.t_s)
+        return _objective_debt_with_stock(params, cash0, times.t_d, times.t_s)
     if kind is ScenarioKind.S3_DEBT_NO_STOCK:
-        return _objective_debt_no_stock(params, init.N, times.t_d)
+        return _objective_debt_no_stock(params, cash0, times.t_d)
     return _objective_partial_repayment(params, times.t_d, times.t_s)
+
+
+def objective_value(params: ModelParams, init: State, kind: ScenarioKind) -> float:
+    """Optimal objective N(T) - D(T) for a scenario (see _objective)."""
+    return synthesize_policy(params, init, kind).objective

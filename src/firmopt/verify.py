@@ -33,14 +33,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .dynamics import (
     AdjointTrajectory,
     ExpTerm,
     PiecewiseExpFn,
     Trajectory,
-    integrate_exact,
+    adjoint_backward,
     piecewise_from_spans,
 )
 from .model import (
@@ -52,7 +50,7 @@ from .model import (
     ScenarioKind,
     State,
 )
-from .solver import SwitchingTimes
+from .solver import SwitchingTimes, SynthesisResult, synthesize_policy
 
 #: Default absolute tolerance for certification checks.
 CERT_TOL = 1e-9
@@ -432,6 +430,8 @@ def brute_force_best(
     switch, then lexicographic levels.  Raises NoFeasibleCandidateError
     when nothing feasible exists.
     """
+    import numpy as np  # only the search needs it; keeps `import firmopt` light
+
     if grid.n_t < 1:
         raise ValueError("n_t must be at least 1")
     T = params.T
@@ -524,6 +524,7 @@ class Certification:
     transversality: CertReport
     hamiltonian_argmax: CertReport
     multipliers_nonnegative: bool
+    synthesis: SynthesisResult
 
     @property
     def passed(self) -> bool:
@@ -542,23 +543,7 @@ def certify_policy(
     tol: float = CERT_TOL,
 ) -> Certification:
     """Run the full maximum-principle certification for a scenario."""
-    from . import solver
-    from .dynamics import adjoint_backward
-
-    synth = solver.synthesize_policy(params, init, kind)
-    start = synth.jump.post_state if synth.jump is not None else init
-    zeros = []
-    if synth.times.t_s_within_horizon and synth.times.t_s > 0.0:
-        zeros.append((synth.times.t_s, "S"))
-    if (
-        synth.times.t_d is not None
-        and synth.times.t_d_within_horizon
-        and synth.times.t_d > 0.0
-    ):
-        zeros.append((synth.times.t_d, "D"))
-    traj = integrate_exact(
-        params, start, synth.policy, jump=synth.jump, expected_zeros=zeros
-    )
+    synth = synthesize_policy(params, init, kind)
     mults = multiplier_set_for_scenario(params, kind, synth.times)
     adjoint = adjoint_backward(params, mults)
     grid = _check_grid(params.T, mults.breakpoints)
@@ -567,8 +552,9 @@ def certify_policy(
         for lam in (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
     ) and all(mu >= 0.0 for mu in mults.mus)
     return Certification(
-        slackness=check_slackness(mults, traj, tol),
+        slackness=check_slackness(mults, synth.trajectory, tol),
         transversality=check_transversality(mults, adjoint),
         hamiltonian_argmax=check_control_maximizes(params, adjoint, synth.policy, tol),
         multipliers_nonnegative=nonneg,
+        synthesis=synth,
     )

@@ -1,19 +1,34 @@
 """Independent reference oracles used to derive expected test values.
 
-These deliberately avoid the package's own integrators: trajectories are
-integrated with scipy's adaptive RK at tight tolerances and event times
-located by plain bisection, so agreement with the closed forms is a
-genuine two-sided check.
+The scipy reference and `bisect_root` deliberately avoid the package's
+own integrators: trajectories are integrated with scipy's adaptive RK at
+tight tolerances and event times located by plain bisection, so
+agreement with the closed forms is a genuine two-sided check.
+
+The fixed-step RK4 integrator, the bisection event finder over an exact
+`Trajectory` and the closed-form coefficient view of one are the
+package-shaped oracles the tests compare the exact integrator against.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from firmopt import ModelParams, State
+from firmopt import (
+    ControlValue,
+    JumpRecord,
+    ModelParams,
+    PiecewiseControl,
+    State,
+    Trajectory,
+    dynamics,
+)
 
 
 def reference_integrate(
@@ -88,3 +103,245 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float, tol: float =
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-step RK4 oracle
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SampledTrajectory:
+    """Grid-sampled trajectory produced by the RK4 oracle."""
+
+    params: ModelParams
+    times: tuple[float, ...]
+    states: tuple[State, ...]
+    jumps: tuple[JumpRecord, ...] = ()
+
+    @property
+    def t_final(self) -> float:
+        return self.times[-1]
+
+    def sample(self, t: float) -> State:
+        """Linear interpolation between grid points (oracle-grade)."""
+        if not self.times[0] <= t <= self.times[-1]:
+            raise ValueError(f"t = {t} outside sampled range")
+        i = bisect.bisect_left(self.times, t)
+        if i < len(self.times) and self.times[i] == t:
+            return self.states[i]
+        a, b = self.times[i - 1], self.times[i]
+        wgt = (t - a) / (b - a)
+        sa, sb = self.states[i - 1], self.states[i]
+        return State(
+            N=sa.N + wgt * (sb.N - sa.N),
+            D=sa.D + wgt * (sb.D - sa.D),
+            S=sa.S + wgt * (sb.S - sa.S),
+        )
+
+    def terminal_state(self) -> State:
+        return self.states[-1]
+
+
+def _deriv(params: ModelParams, state: tuple[float, float, float], c: ControlValue):
+    n, d, s = state
+    return (
+        params.p * c.w - c.v - params.K * c.u - params.B,
+        params.r * d + params.A * c.u - c.v,
+        c.u - c.w - params.alpha * s,
+    )
+
+
+def integrate_rk4(
+    params: ModelParams,
+    init: State,
+    policy: PiecewiseControl,
+    step: float,
+    jump: JumpRecord | None = None,
+) -> SampledTrajectory:
+    """Classical 4th-order fixed-step integration, breakpoint-aligned.
+
+    Each policy segment is cut into ceil(len/step) equal steps so every
+    breakpoint lands on the grid; global error is O(step^4).  Raises if
+    `step` exceeds the shortest segment (the grid could then skip a
+    whole control regime).
+    """
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    shortest = min(s.t_end - s.t_start for s in policy.segments)
+    if shortest > 0.0 and step > shortest:
+        raise ValueError(
+            f"step {step} exceeds shortest policy segment {shortest}"
+        )
+    state = jump.post_state if jump is not None else init
+    y = (state.N, state.D, state.S)
+    times = [0.0]
+    states = [State(*y)]
+    for seg in policy.segments:
+        length = seg.t_end - seg.t_start
+        if length == 0.0:
+            continue
+        n = max(1, math.ceil(length / step))
+        h = length / n
+        c = seg.value
+        for k in range(n):
+            k1 = _deriv(params, y, c)
+            k2 = _deriv(params, tuple(y[i] + 0.5 * h * k1[i] for i in range(3)), c)
+            k3 = _deriv(params, tuple(y[i] + 0.5 * h * k2[i] for i in range(3)), c)
+            k4 = _deriv(params, tuple(y[i] + h * k3[i] for i in range(3)), c)
+            y = tuple(
+                y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+                for i in range(3)
+            )
+            times.append(seg.t_start + (k + 1) * h)
+            states.append(State(*y))
+    jumps = (jump,) if jump is not None else ()
+    return SampledTrajectory(
+        params=params, times=tuple(times), states=tuple(states), jumps=jumps
+    )
+
+
+# ---------------------------------------------------------------------------
+# Event detection
+# ---------------------------------------------------------------------------
+
+#: Bisection stops once |value| < 1e-12 * scale.
+ROOT_VALUE_RTOL = 1e-12
+
+
+class AmbiguousRootError(RuntimeError):
+    """A component has multiple zero crossings inside the search window."""
+
+
+
+def find_zero_crossing(
+    traj: Trajectory,
+    component: str,
+    window: tuple[float, float],
+) -> float | None:
+    """Locate the zero of a state component inside `window` by bisection.
+
+    Relies on per-segment monotonicity: each segment overlapping the
+    window contributes at most one crossing.  Two or more crossings
+    raise AmbiguousRootError; a component identically zero from the
+    window start returns the window start; no crossing returns None.
+    """
+    if component not in ("N", "D", "S"):
+        raise ValueError(f"unknown component {component!r}")
+    t_a, t_b = window
+    if not (0.0 <= t_a < t_b <= traj.t_final):
+        raise ValueError(f"window {window} outside [0, {traj.t_final}]")
+    scale = max(1.0, abs(getattr(traj.sample(t_a), component)))
+    ztol = ROOT_VALUE_RTOL * scale
+
+    def val(t: float) -> float:
+        return getattr(traj.sample(t), component)
+
+    if abs(val(t_a)) <= ztol:
+        return t_a
+
+    crossings: list[float] = []
+
+    def record(t: float) -> None:
+        crossings.append(t)
+        if len(crossings) > 1:
+            raise AmbiguousRootError(
+                f"multiple zero crossings of {component} in {window}"
+            )
+
+    for seg in traj.segments:
+        lo = max(seg.t_start, t_a)
+        hi = min(seg.t_end, t_b)
+        if hi <= lo:
+            continue
+        va, vb = val(lo), val(hi)
+        if va > ztol and vb > ztol:
+            continue
+        if va < -ztol and vb < -ztol:
+            continue
+        if abs(va) <= ztol:
+            # entering the segment already on the zero boundary: by
+            # continuity the crossing itself happened earlier and was
+            # recorded then (or the window started on it)
+            continue
+        a, b = lo, hi
+        for _ in range(200):
+            mid = 0.5 * (a + b)
+            vm = val(mid)
+            if abs(vm) <= ztol:
+                a = b = mid
+                break
+            if (vm > 0.0) == (va > 0.0):
+                a = mid
+            else:
+                b = mid
+        record(0.5 * (a + b))
+    if not crossings:
+        return None
+    return crossings[0]
+
+
+# ---------------------------------------------------------------------------
+# Closed-form coefficient view
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ComponentCoefficients:
+    """One state component on one segment: c0 + c1*tau + c2*exp(r*tau)
+    + c3*exp(-alpha*tau), with tau measured from the segment start."""
+
+    c0: float
+    c1: float
+    c2: float
+    c3: float
+
+
+@dataclass(frozen=True)
+class ClosedFormTrajectory:
+    """Trajectory with explicit per-segment closed-form coefficients."""
+
+    trajectory: dynamics.Trajectory
+    initial_jump: JumpRecord | None
+
+    @property
+    def segments(self) -> tuple[dynamics.TrajectorySegment, ...]:
+        return self.trajectory.segments
+
+    def coefficients(self, index: int, component: str) -> ComponentCoefficients:
+        seg = self.trajectory.segments[index]
+        p = self.trajectory.params
+        c = seg.control
+        if component == "N":
+            slope = p.p * c.w - c.v - p.K * c.u - p.B
+            return ComponentCoefficients(seg.entry.N, slope, 0.0, 0.0)
+        if component == "D":
+            inflow = p.A * c.u - c.v
+            return ComponentCoefficients(
+                -inflow / p.r, 0.0, seg.entry.D + inflow / p.r, 0.0
+            )
+        if component == "S":
+            net = c.u - c.w
+            return ComponentCoefficients(
+                net / p.alpha, 0.0, 0.0, seg.entry.S - net / p.alpha
+            )
+        raise ValueError(f"unknown component {component!r}")
+
+
+def closed_form_trajectory(
+    params: ModelParams,
+    init: State,
+    policy: PiecewiseControl,
+    jump: JumpRecord | None = None,
+    expected_zeros: tuple[tuple[float, str], ...] = (),
+) -> ClosedFormTrajectory:
+    """Exact trajectory of a policy with its closed-form coefficients.
+
+    No discretization anywhere: every sample is evaluated from the
+    segment formulas.
+    """
+    start = jump.post_state if jump is not None else init
+    traj = dynamics.integrate_exact(
+        params, start, policy, jump=jump, expected_zeros=expected_zeros
+    )
+    return ClosedFormTrajectory(trajectory=traj, initial_jump=jump)

@@ -41,9 +41,6 @@ from firmopt import (
     State,
     brute_force_best,
     certify_policy,
-    find_zero_crossing,
-    integrate_exact,
-    integrate_rk4,
     objective_value,
     synthesize_policy,
 )
@@ -52,6 +49,7 @@ from firmopt.solver import _objective_debt_no_stock, _objective_debt_with_stock
 from firmopt import debt_clearance_time
 
 from conftest import ALL_KINDS, BASELINE, draw_scenario_case
+from oracles import find_zero_crossing, integrate_rk4
 
 S1 = ScenarioKind.S1_NO_DEBT_WITH_STOCK
 S2 = ScenarioKind.S2_DEBT_WITH_STOCK
@@ -75,20 +73,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 def synthesized_trajectory(params, init, kind):
     synth = synthesize_policy(params, init, kind)
-    start = synth.jump.post_state if synth.jump else init
-    zeros = []
-    if synth.times.t_s_within_horizon and synth.times.t_s > 0:
-        zeros.append((synth.times.t_s, "S"))
-    if (
-        synth.times.t_d is not None
-        and synth.times.t_d_within_horizon
-        and synth.times.t_d > 0
-    ):
-        zeros.append((synth.times.t_d, "D"))
-    traj = integrate_exact(
-        params, start, synth.policy, jump=synth.jump, expected_zeros=zeros
-    )
-    return synth, traj
+    return synth, synth.trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +323,8 @@ def test_c07_partial_repayment_value_positive():
 
 
 def _sup_error(params, init, kind, step):
-    synth = synthesize_policy(params, init, kind)
+    synth, exact = synthesized_trajectory(params, init, kind)
     start = synth.jump.post_state if synth.jump else init
-    zeros = []
-    if synth.times.t_s_within_horizon and synth.times.t_s > 0:
-        zeros.append((synth.times.t_s, "S"))
-    if (
-        synth.times.t_d is not None
-        and synth.times.t_d_within_horizon
-        and synth.times.t_d > 0
-    ):
-        zeros.append((synth.times.t_d, "D"))
-    exact = integrate_exact(params, start, synth.policy, expected_zeros=zeros)
     rk = integrate_rk4(params, start, synth.policy, step=step)
     return max(
         max(

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+import firmopt
+from firmopt import chain, cli, dynamics, solver, verify
 from firmopt.cli import (
+    CSV_FMT,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -39,7 +42,6 @@ class TestParseConfig:
     def test_minimal_document_gets_defaults(self):
         config = parse_config(json.dumps(BASE_DOC))
         assert config.jump_mode is False
-        assert config.options.rk4_step == 1e-3
         assert config.options.brute_nt == 200
         assert config.options.out_dir == "."
 
@@ -63,6 +65,9 @@ class TestParseConfig:
         doc2 = json.loads(json.dumps(BASE_DOC))
         doc2["options"] = {"plot": True}
         with pytest.raises(ConfigError, match=r"options\.plot"):
+            parse_config(json.dumps(doc2))
+        doc2["options"] = {"rk4_step": 1e-3}
+        with pytest.raises(ConfigError, match=r"unknown key options\.rk4_step"):
             parse_config(json.dumps(doc2))
 
     def test_missing_required_key(self):
@@ -202,6 +207,48 @@ class TestCommands:
     def test_missing_config_file_exit_two(self, tmp_path, capsys):
         assert run_cli("solve", tmp_path / "absent.json") == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command, T, breakpoints, key",
+        [
+            ("verify", 0, None, "params.T"),
+            ("brute-force", 0, None, "params.T"),
+            ("chain", 0, None, "params.T"),
+            ("chain", 10, [0, 5, 5, 10], "options.chain_breakpoints"),
+            ("chain", 10, [0, 5], "options.chain_breakpoints"),
+            ("chain", 10, [1, 10], "options.chain_breakpoints"),
+        ],
+    )
+    def test_unusable_horizon_or_breakpoints_exit_two(
+        self, tmp_path, capsys, command, T, breakpoints, key
+    ):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["params"]["T"] = T
+        doc["options"] = {"out_dir": str(tmp_path / "out"), "brute_nt": 10}
+        if breakpoints is not None:
+            doc["options"]["chain_breakpoints"] = breakpoints
+        code = run_cli(command, make_config(tmp_path, doc))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, csv_name", [("simulate", "trajectory.csv"), ("chain", "chain_trajectory.csv")]
+    )
+    def test_last_csv_row_at_horizon_whose_grid_rounds_above_it(
+        self, tmp_path, capsys, command, csv_name
+    ):
+        # 999 * T / 999 rounds to the float above T at this horizon
+        T = 4.57920600019801
+        assert 999 * T / 999 > T
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["params"]["T"] = T
+        doc["init"] = {"N0": 20, "D0": 10, "S0": 10}
+        doc["options"] = {"out_dir": str(tmp_path / "out")}
+        assert run_cli(command, make_config(tmp_path, doc)) == EXIT_OK
+        rows = (tmp_path / "out" / csv_name).read_text().strip().split("\n")
+        assert rows[-1].split(",")[0] == CSV_FMT % T
+
     def test_console_entry_point(self, tmp_path):
         config = make_config(tmp_path, BASE_DOC)
         doc_dir = tmp_path / "out"
@@ -215,3 +262,57 @@ class TestCommands:
         )
         assert proc.returncode == 0
         assert "scenario = S1_NoDebtWithStock" in proc.stdout
+
+    def test_solve_does_not_import_numpy(self, tmp_path):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["options"] = {"out_dir": str(tmp_path / "out")}
+        config = make_config(tmp_path, doc)
+        script = (
+            "import sys, firmopt, firmopt.cli\n"
+            f"assert firmopt.cli.main(['solve', {str(config)!r}]) == 0\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().endswith("False")
+
+
+class TestSinglePass:
+    """Each command synthesizes once and integrates each policy once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"synthesize_policy": 0, "integrate_exact": 0}
+        for owner, name in ((solver, "synthesize_policy"), (dynamics, "integrate_exact")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (firmopt, chain, cli, dynamics, solver, verify):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "command, synthesized, integrated",
+        [("solve", 1, 1), ("simulate", 1, 1), ("verify", 1, 1), ("chain", 3, 3)],
+    )
+    def test_calls_per_command(
+        self, tmp_path, capsys, counts, command, synthesized, integrated
+    ):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["init"] = {"N0": 20, "D0": 10, "S0": 10}
+        doc["options"] = {
+            "out_dir": str(tmp_path / "out"),
+            "brute_nt": 10,
+            "chain_breakpoints": [0, 2, 5, 10],
+        }
+        assert run_cli(command, make_config(tmp_path, doc)) == EXIT_OK
+        assert counts == {
+            "synthesize_policy": synthesized,
+            "integrate_exact": integrated,
+        }

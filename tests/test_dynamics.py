@@ -7,22 +7,20 @@ from dataclasses import replace
 import pytest
 
 from firmopt import (
-    AmbiguousRootError,
     ControlSegment,
     ControlValue,
     PiecewiseControl,
     ScenarioKind,
     State,
     adjoint_backward,
-    find_zero_crossing,
     integrate_exact,
-    integrate_rk4,
     multiplier_set_for_scenario,
     synthesize_policy,
 )
 from firmopt.dynamics import ExpSegment, ExpTerm, PiecewiseExpFn
 
 from conftest import ALL_KINDS, BASELINE, draw_scenario_case
+from oracles import AmbiguousRootError, find_zero_crossing, integrate_rk4
 from test_solver import T_D_S3, T_S_BASE
 
 

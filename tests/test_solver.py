@@ -12,7 +12,6 @@ from firmopt import (
     ScenarioKind,
     State,
     classify_scenario,
-    closed_form_trajectory,
     debt_clearance_time,
     initial_jump,
     integrate_exact,
@@ -27,7 +26,7 @@ from firmopt.solver import (
 )
 
 from conftest import BASELINE, draw_profitable_params, draw_scenario_case
-from oracles import bisect_root, reference_integrate
+from oracles import bisect_root, closed_form_trajectory, reference_integrate
 
 # Frozen values, confirmed against the scipy reference oracle (see
 # test_switching_times_match_reference below): the stock of the baseline
@@ -435,6 +434,42 @@ class TestObjectiveValue:
             )
             value = objective_value(params, init, kind)
             assert value == pytest.approx(traj.objective(), rel=1e-12, abs=1e-12)
+
+    def test_synthesis_carries_its_objective_and_trajectory(self):
+        rng = random.Random(59)
+        from conftest import ALL_KINDS
+
+        S1, S2, A1, A2 = (
+            ScenarioKind.S1_NO_DEBT_WITH_STOCK,
+            ScenarioKind.S2_DEBT_WITH_STOCK,
+            ScenarioKind.A1_TOTAL_REPAYMENT_JUMP,
+            ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP,
+        )
+        short = replace(BASELINE, T=2.0)  # the stock of S0 = 20 outlasts it
+        slow = replace(BASELINE, v_max=20.0)  # the debt of D0 = 100 outlasts it
+        cases = [
+            (short, State(20.0, 0.0, 20.0), S1),
+            (short, State(20.0, 10.0, 20.0), S2),
+            (short, State(20.0, 10.0, 20.0), A1),
+            (short, State(20.0, 30.0, 20.0), A2),
+            (slow, State(20.0, 100.0, 10.0), S2),
+            (BASELINE, State(20.0, 500.0, 10.0), A2),
+        ]
+        for params, init, kind in cases:
+            times = synthesize_policy(params, init, kind).times
+            assert not (times.t_s_within_horizon and times.t_d_within_horizon)
+        for trial in range(100):
+            kind = ALL_KINDS[trial % len(ALL_KINDS)]
+            cases.append((*draw_scenario_case(rng, kind), kind))
+        for params, init, kind in cases:
+            synth = synthesize_policy(params, init, kind)
+            assert synth.objective == objective_value(params, init, kind)
+            assert synth.objective == pytest.approx(
+                synth.trajectory.objective(), rel=1e-9
+            )
+            assert synth.trajectory.jumps == (
+                (synth.jump,) if synth.jump is not None else ()
+            )
 
     def test_debt_states_vanish_after_clearance(self):
         rng = random.Random(43)
