@@ -144,6 +144,7 @@ def evaluate_chain(params: ModelParams, plan: ChainPlan) -> tuple[Trajectory, fl
                     t_end=seg.t_end + iv.t_start,
                     control=seg.control,
                     entry=seg.entry,
+                    exit=seg.exit,
                 )
             )
         for v in traj.feasibility_report:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .model import (
     ControlValue,
@@ -60,14 +60,18 @@ def advance_state(params: ModelParams, state: State, control: ControlValue, dt: 
 
 @dataclass(frozen=True)
 class TrajectorySegment:
-    """One constant-control stretch with its exact entry state."""
+    """One constant-control stretch with its exact entry and exit states;
+    `exit` is what the next segment enters with, snapped zeros included."""
 
     t_start: float
     t_end: float
     control: ControlValue
     entry: State
+    exit: State
 
     def state_at(self, params: ModelParams, t: float) -> State:
+        if t == self.t_end:
+            return self.exit
         return advance_state(params, self.entry, self.control, t - self.t_start)
 
 
@@ -101,11 +105,14 @@ class Trajectory:
     def feasible(self) -> bool:
         return not self.feasibility_report
 
+    def segment_at(self, t: float) -> TrajectorySegment:
+        """The segment in force at t (right-continuous, t = T in the last)."""
+        return self.segments[bisect.bisect_right(self._starts, t) - 1]
+
     def sample(self, t: float) -> State:
         if not 0.0 <= t <= self.t_final:
             raise ValueError(f"t = {t} outside [0, {self.t_final}]")
-        i = bisect.bisect_right(self._starts, t) - 1
-        return self.segments[i].state_at(self.params, t)
+        return self.segment_at(t).state_at(self.params, t)
 
     def terminal_state(self) -> State:
         return self.segments[-1].state_at(self.params, self.t_final)
@@ -150,7 +157,6 @@ def _segment_violations(
     params: ModelParams, seg: TrajectorySegment, tol: float
 ) -> list[Violation]:
     out: list[Violation] = []
-    exit_state = seg.state_at(params, seg.t_end)
     checks = (
         ("N", 0.0, False, "N>=0"),
         ("D", 0.0, False, "D>=0"),
@@ -159,7 +165,7 @@ def _segment_violations(
     )
     for comp, bound, above, label in checks:
         lo_val = getattr(seg.entry, comp)
-        hi_val = getattr(exit_state, comp)
+        hi_val = getattr(seg.exit, comp)
         worst = max(v - bound if above else bound - v for v in (lo_val, hi_val))
         if worst > tol:
             t0 = _violation_start(params, seg, comp, bound, above, tol)
@@ -192,7 +198,7 @@ def integrate_exact(
     violations: list[Violation] = []
     segments: list[TrajectorySegment] = []
     for seg in policy.segments:
-        segments.append(TrajectorySegment(seg.t_start, seg.t_end, seg.value, state))
+        entry = state
         state = advance_state(params, state, seg.value, seg.t_end - seg.t_start)
         snapped = {}
         for comp in ("N", "D", "S"):
@@ -205,6 +211,7 @@ def integrate_exact(
                 snapped[comp] = 0.0
         if snapped:
             state = State(**{c: snapped.get(c, getattr(state, c)) for c in ("N", "D", "S")})
+        segments.append(TrajectorySegment(seg.t_start, seg.t_end, seg.value, entry, state))
     traj_segments = tuple(segments)
     tol = ZERO_SNAP_RTOL * scale
     for s in traj_segments:
@@ -252,6 +259,49 @@ class ExpSegment:
         return out
 
 
+def extrema(
+    a: float, b: float, *parts: tuple[float, ExpSegment]
+) -> tuple[float, float, float, float]:
+    """(min, t_min, max, t_max) of sum(weight * seg(t)) over [a, b].
+
+    Equal rates merge into f(tau) = c + sum_k a_k*exp(k*tau), tau = t - a.
+    With at most two nonzero rates f' has at most one zero, in closed
+    form, so the endpoints and that point decide both extrema exactly.
+    A linear part alone is monotone; a linear part beside exponentials,
+    or three rates, raise NotImplementedError.
+    """
+    const = lin = 0.0
+    amps: dict[float, float] = {}
+    for weight, seg in parts:
+        lin += weight * seg.lin
+        const += weight * seg.lin * (a - seg.t_start)
+        for term in seg.terms:
+            if term.rate == 0.0:
+                const += weight * term.coef
+            else:
+                amp = weight * term.coef * math.exp(term.rate * (a - term.anchor))
+                amps[term.rate] = amps.get(term.rate, 0.0) + amp
+    live = [(k, c) for k, c in amps.items() if c != 0.0]
+    if len(live) > 2 or (live and lin != 0.0):
+        raise NotImplementedError("extrema need at most two rates and no linear part")
+    times = [a, b]
+    if len(live) == 2:
+        (k1, c1), (k2, c2) = live
+        ratio = -(c2 * k2) / (c1 * k1)
+        if ratio > 0.0:
+            t = a + math.log(ratio) / (k1 - k2)
+            if a < t < b:
+                times.append(t)
+    values = []
+    for t in times:
+        value = const + lin * (t - a)
+        for k, c in live:
+            value += c * math.exp(k * (t - a))
+        values.append((value, t))
+    (lo, t_lo), (hi, t_hi) = min(values), max(values)
+    return lo, t_lo, hi, t_hi
+
+
 @dataclass(frozen=True)
 class PiecewiseExpFn:
     """Piecewise sum-of-exponentials function of time on [0, T].
@@ -282,14 +332,14 @@ class PiecewiseExpFn:
     def breakpoints(self) -> tuple[float, ...]:
         return self._starts + (self.t_final,)
 
+    def segment_at(self, t: float) -> ExpSegment:
+        """The segment in force at t (right-continuous, t = T in the last)."""
+        return self.segments[bisect.bisect_right(self._starts, t) - 1]
+
     def value(self, t: float) -> float:
         if not self.segments[0].t_start <= t <= self.t_final:
             raise ValueError(f"t = {t} outside function domain")
-        i = bisect.bisect_right(self._starts, t) - 1
-        return self.segments[i].value(t)
-
-    def nonnegative_on_grid(self, times: Iterable[float], tol: float = 0.0) -> bool:
-        return all(self.value(t) >= -tol for t in times)
+        return self.segment_at(t).value(t)
 
 
 def piecewise_from_spans(

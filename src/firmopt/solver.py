@@ -70,16 +70,6 @@ class SwitchingTimes:
     t_d: float | None
     t_d_within_horizon: bool
 
-    @property
-    def ordering(self) -> str:
-        if self.t_d is None:
-            return "not-applicable"
-        if self.t_d < self.t_s:
-            return "t_D<t_S"
-        if self.t_d == self.t_s:
-            return "t_D=t_S"
-        return "t_D>t_S"
-
 
 @dataclass(frozen=True)
 class SynthesisResult:

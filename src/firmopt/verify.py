@@ -21,6 +21,11 @@ its switching value; where a switching value vanishes identically the
 component is singular (any admissible value maximizes H) and is flagged
 rather than failed.
 
+Every check is exact per segment, not sampled: between breakpoints each
+multiplier and switching value has closed-form extrema (dynamics.extrema)
+and each state component is monotone.  Each report also carries its
+worst margin: the time, check and slack of the point closest to failing.
+
 An independent exhaustive search over gridded bang-bang policies
 (brute_force_best) provides the final dominance check: no feasible
 candidate may beat the closed-form optimum.
@@ -39,6 +44,7 @@ from .dynamics import (
     PiecewiseExpFn,
     Trajectory,
     adjoint_backward,
+    extrema,
     piecewise_from_spans,
 )
 from .model import (
@@ -105,11 +111,46 @@ class SingularSegment(NamedTuple):
     t_end: float
 
 
+class CertMargin(NamedTuple):
+    """Slack of a check inside its tolerance; negative means violated."""
+
+    time: float
+    check: str
+    margin: float
+
+
 @dataclass(frozen=True)
 class CertReport:
     passed: bool
     violations: tuple[CertViolation, ...] = ()
     singular_segments: tuple[SingularSegment, ...] = ()
+    worst_margin: CertMargin | None = None
+
+
+class _Findings:
+    """Every checked slack, and a violation wherever one is negative."""
+
+    def __init__(self) -> None:
+        self.margins: list[CertMargin] = []
+        self.bad: list[CertViolation] = []
+
+    def note(self, t: float, check: str, slack: float, magnitude: float) -> None:
+        self.margins.append(CertMargin(t, check, slack))
+        if slack < 0.0:
+            self.bad.append(CertViolation(t, check, magnitude))
+
+    def report(self, singular: tuple[SingularSegment, ...] = ()) -> CertReport:
+        worst = min(self.margins, key=lambda m: m.margin, default=None)
+        return CertReport(not self.bad, tuple(self.bad), singular, worst)
+
+
+def _switching_weights(params: ModelParams) -> dict[str, tuple[float, float, float]]:
+    """theta_c = w1*psi1 + w2*psi2 + w3*psi3 for each control component c."""
+    return {
+        "u": (-params.K, params.A, 1.0),
+        "v": (-1.0, -1.0, 0.0),
+        "w": (params.p, 0.0, -1.0),
+    }
 
 
 def switching_from_psi(
@@ -117,9 +158,10 @@ def switching_from_psi(
 ) -> SwitchingValues:
     psi1, psi2, psi3 = psi
     return SwitchingValues(
-        theta_u=-params.K * psi1 + params.A * psi2 + psi3,
-        theta_v=-psi1 - psi2,
-        theta_w=params.p * psi1 - psi3,
+        *(
+            w1 * psi1 + w2 * psi2 + w3 * psi3
+            for w1, w2, w3 in _switching_weights(params).values()
+        )
     )
 
 
@@ -148,22 +190,10 @@ def hamiltonian(
     )
 
 
-def _check_grid(T: float, breakpoints: Sequence[float]) -> list[float]:
-    """Dense uniform grid plus breakpoints nudged to either side.
-
-    All certified functions are piecewise exponential with few
-    breakpoints, so a coarse uniform grid refined at the breakpoints is
-    exhaustive in practice.
-    """
-    pts = {0.0, T}
-    n = 10 * max(1, math.ceil(T))
-    for k in range(n + 1):
-        pts.add(min(T, k * T / n) if n else 0.0)
-    for b in breakpoints:
-        for t in (b - 1e-9, b, b + 1e-9):
-            if 0.0 <= t <= T:
-                pts.add(t)
-    return sorted(pts)
+def _pieces(T: float, *cut_lists: Sequence[float]) -> list[tuple[float, float]]:
+    """Consecutive [a, b] between 0, T and every cut strictly inside."""
+    cuts = sorted({0.0, T, *(c for cuts in cut_lists for c in cuts if 0.0 < c < T)})
+    return list(zip(cuts[:-1], cuts[1:])) or [(0.0, T)]
 
 
 def multiplier_set_for_scenario(
@@ -253,40 +283,36 @@ def check_slackness(
 ) -> CertReport:
     """Verify complementary slackness and multiplier nonnegativity.
 
-    Checked on a dense grid plus all breakpoints: lambda1*N, lambda2*D,
-    lambda3*S and lambda4*(S - S_max) must vanish within tol, as must
-    the four terminal products; every lambda value and mu must be
-    nonnegative.
+    Per piece between multiplier and trajectory breakpoints: each lambda's
+    exact minimum must be >= -tol, and as each constraint value g is
+    monotone there, sup|lambda| * sup|g| from the piece's ends soundly
+    bounds |lambda*g|, which must stay within tol * scale.  Every mu must
+    be nonnegative and mu_i * g_i(X(T)) vanish within tol * scale.
     """
     T = traj.t_final
-    grid = _check_grid(T, tuple(mults.breakpoints) + traj.breakpoints)
-    scale = max(
-        1.0,
-        abs(traj.sample(0.0).N),
-        abs(traj.sample(0.0).D),
-        abs(traj.sample(0.0).S),
-        traj.params.S_max,
-    )
-    bad: list[CertViolation] = []
+    params = traj.params
+    x0 = traj.segments[0].entry
+    scale = max(1.0, abs(x0.N), abs(x0.D), abs(x0.S), params.S_max)
+    limit = tol * scale
+    found = _Findings()
     lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
-    for t in grid:
-        st = traj.sample(t)
-        gvals = (st.N, st.D, st.S, st.S - traj.params.S_max)
-        for i, (lam, g) in enumerate(zip(lams, gvals), start=1):
-            lv = lam.value(t)
-            if lv < -tol:
-                bad.append(CertViolation(t, f"lambda{i}>=0", -lv))
-            prod = lv * g
-            if abs(prod) > tol * scale:
-                bad.append(CertViolation(t, f"lambda{i}*g{i}=0", abs(prod)))
+    for a, b in _pieces(T, mults.breakpoints, traj.breakpoints):
+        for i, lam in enumerate(lams):
+            lo, t_lo, hi, t_hi = extrema(a, b, (1.0, lam.segment_at(a)))
+            found.note(t_lo, f"lambda{i + 1}>=0", lo + tol, -lo)
+            lam_sup, t_sup = (hi, t_hi) if hi >= -lo else (-lo, t_lo)
+            if lam_sup == 0.0:  # lambda*g = 0: its slack exceeds the one just noted
+                continue
+            seg = traj.segment_at(a)
+            ends = (seg.state_at(params, a), seg.state_at(params, b))
+            bound = lam_sup * max(abs((x.N, x.D, x.S, x.S - params.S_max)[i]) for x in ends)
+            found.note(t_sup, f"lambda{i + 1}*g{i + 1}=0", limit - bound, bound)
     final = traj.terminal_state()
-    gfin = (final.N, final.D, final.S, final.S - traj.params.S_max)
+    gfin = (final.N, final.D, final.S, final.S - params.S_max)
     for i, (mu, g) in enumerate(zip(mults.mus, gfin), start=1):
-        if mu < 0.0:
-            bad.append(CertViolation(T, f"mu{i}>=0", -mu))
-        if abs(mu * g) > tol * scale:
-            bad.append(CertViolation(T, f"mu{i}*g{i}(T)=0", abs(mu * g)))
-    return CertReport(passed=not bad, violations=tuple(bad))
+        found.note(T, f"mu{i}>=0", mu, -mu)
+        found.note(T, f"mu{i}*g{i}(T)=0", limit - abs(mu * g), abs(mu * g))
+    return found.report()
 
 
 def check_transversality(
@@ -312,45 +338,55 @@ def check_control_maximizes(
 ) -> CertReport:
     """Check the policy against the box argmax of the Hamiltonian.
 
-    At each grid time and for each component: a positive switching value
-    demands the upper bound, a negative one demands zero, and
-    |theta| <= tol * max(1, p) leaves the component singular there
-    (any admissible value maximizes H).  Consecutive singular times are
-    merged into reported singular segments.
+    Per piece between costate and policy breakpoints, from each switching
+    value's exact extrema: a max above theta_tol = tol * max(1, p) demands
+    the upper bound, a min below -theta_tol demands zero, and |theta| <=
+    theta_tol on the whole piece leaves the component singular (any
+    admissible value maximizes H); contiguous singular pieces merge, and
+    where theta only touches the band at a breakpoint, that instant is a
+    singular segment.  A violation is reported once per piece, at its
+    worst time.
     """
-    T = policy.horizon
-    grid = _check_grid(
-        T, tuple(adjoint.breakpoints) + tuple(policy.breakpoints)
-    )
     theta_tol = tol * max(1.0, params.p)
-    spacing = T / (10 * max(1, math.ceil(T))) if T > 0.0 else 1.0
     bounds = {"u": params.u_max, "v": params.v_max, "w": params.w_max}
-    bad: list[CertViolation] = []
+    weights = _switching_weights(params)
+    found = _Findings()
     singular: dict[str, list[list[float]]] = {"u": [], "v": [], "w": []}
-    for t in grid:
-        theta = switching_values(params, adjoint, t)
-        control = policy.value_at(t)
-        for comp, th, actual in (
-            ("u", theta.theta_u, control.u),
-            ("v", theta.theta_v, control.v),
-            ("w", theta.theta_w, control.w),
-        ):
-            if abs(th) <= theta_tol:
-                runs = singular[comp]
-                if runs and t - runs[-1][1] <= 2.0 * spacing + 1e-9:
-                    runs[-1][1] = t
-                else:
-                    runs.append([t, t])
+
+    def mark_singular(comp: str, t0: float, t1: float) -> None:
+        runs = singular[comp]
+        if runs and runs[-1][1] == t0:
+            runs[-1][1] = t1
+        else:
+            runs.append([t0, t1])
+
+    T = policy.horizon
+    for a, b in _pieces(T, adjoint.breakpoints, policy.breakpoints):
+        segs = [psi.segment_at(a) for psi in (adjoint.psi1, adjoint.psi2, adjoint.psi3)]
+        control = policy.value_at(a)
+        for comp, bound in bounds.items():
+            parts = [(w, seg) for w, seg in zip(weights[comp], segs) if w != 0.0]
+            lo, t_lo, hi, t_hi = extrema(a, b, *parts)
+            if -theta_tol <= lo and hi <= theta_tol:
+                mark_singular(comp, a, b)
                 continue
-            target = bounds[comp] if th > 0.0 else 0.0
-            if abs(actual - target) > 1e-9 * max(1.0, bounds[comp]):
-                bad.append(CertViolation(t, f"argmax_{comp}", abs(actual - target)))
+            if lo <= theta_tol and hi >= -theta_tol:
+                for t in (a, b) if b == T else (a,):
+                    if abs(sum(w * seg.value(t) for w, seg in parts)) <= theta_tol:
+                        mark_singular(comp, t, t)
+            actual = getattr(control, comp)
+            ctol = 1e-9 * max(1.0, bound)
+            # theta above theta_tol demands the bound, below -theta_tol zero
+            if abs(actual - bound) > ctol:
+                found.note(t_hi, "argmax_" + comp, theta_tol - hi, abs(actual - bound))
+            if abs(actual) > ctol:
+                found.note(t_lo, "argmax_" + comp, lo + theta_tol, abs(actual))
     segs = tuple(
         SingularSegment(comp, run[0], run[1])
         for comp in ("u", "v", "w")
         for run in singular[comp]
     )
-    return CertReport(passed=not bad, violations=tuple(bad), singular_segments=segs)
+    return found.report(segs)
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +582,10 @@ def certify_policy(
     synth = synthesize_policy(params, init, kind)
     mults = multiplier_set_for_scenario(params, kind, synth.times)
     adjoint = adjoint_backward(params, mults)
-    grid = _check_grid(params.T, mults.breakpoints)
     nonneg = all(
-        lam.nonnegative_on_grid(grid)
+        extrema(seg.t_start, seg.t_end, (1.0, seg))[0] >= 0.0
         for lam in (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
+        for seg in lam.segments
     ) and all(mu >= 0.0 for mu in mults.mus)
     return Certification(
         slackness=check_slackness(mults, synth.trajectory, tol),

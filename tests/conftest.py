@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from firmopt import (
     ModelParams,
@@ -16,6 +19,14 @@ from firmopt import (
     synthesize_policy,
     validate_params,
 )
+
+# derandomized and without an example database: property tests draw the
+# same examples on every run; hypothesis's own caches go to a directory
+# removed at exit, so a test run leaves no .hypothesis/ behind
+settings.register_profile("firmopt", derandomize=True, database=None, deadline=None)
+settings.load_profile("firmopt")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="firmopt-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 BASELINE = ModelParams(
     p=10.0, r=0.1, A=2.0, alpha=0.5, K=3.0, B=5.0,

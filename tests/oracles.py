@@ -8,6 +8,9 @@ agreement with the closed forms is a genuine two-sided check.
 The fixed-step RK4 integrator, the bisection event finder over an exact
 `Trajectory` and the closed-form coefficient view of one are the
 package-shaped oracles the tests compare the exact integrator against.
+The grid certificate samples the maximum-principle checks at about
+10 points per unit of time plus the breakpoints nudged to either side;
+the exact per-segment certificate is cross-checked against it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from firmopt import (
     State,
     Trajectory,
     dynamics,
+    verify,
 )
 
 
@@ -345,3 +349,101 @@ def closed_form_trajectory(
         params, start, policy, jump=jump, expected_zeros=expected_zeros
     )
     return ClosedFormTrajectory(trajectory=traj, initial_jump=jump)
+
+
+# ---------------------------------------------------------------------------
+# Grid-sampled certificate (cross-check for the exact per-segment checks)
+# ---------------------------------------------------------------------------
+
+
+def check_grid(T: float, breakpoints: Sequence[float]) -> list[float]:
+    """Uniform grid of 10 points per unit time plus breakpoints nudged
+    by 1e-9 to either side."""
+    pts = {0.0, T}
+    n = 10 * max(1, math.ceil(T))
+    for k in range(n + 1):
+        pts.add(min(T, k * T / n) if n else 0.0)
+    for b in breakpoints:
+        for t in (b - 1e-9, b, b + 1e-9):
+            if 0.0 <= t <= T:
+                pts.add(t)
+    return sorted(pts)
+
+
+def grid_check_slackness(mults, traj: Trajectory, tol: float = verify.CERT_TOL):
+    """Slackness and multiplier signs sampled on `check_grid`."""
+    T = traj.t_final
+    grid = check_grid(T, tuple(mults.breakpoints) + traj.breakpoints)
+    x0 = traj.sample(0.0)
+    scale = max(1.0, abs(x0.N), abs(x0.D), abs(x0.S), traj.params.S_max)
+    bad = []
+    lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
+    for t in grid:
+        st = traj.sample(t)
+        gvals = (st.N, st.D, st.S, st.S - traj.params.S_max)
+        for i, (lam, g) in enumerate(zip(lams, gvals), start=1):
+            lv = lam.value(t)
+            if lv < -tol:
+                bad.append(verify.CertViolation(t, f"lambda{i}>=0", -lv))
+            prod = lv * g
+            if abs(prod) > tol * scale:
+                bad.append(verify.CertViolation(t, f"lambda{i}*g{i}=0", abs(prod)))
+    final = traj.terminal_state()
+    gfin = (final.N, final.D, final.S, final.S - traj.params.S_max)
+    for i, (mu, g) in enumerate(zip(mults.mus, gfin), start=1):
+        if mu < 0.0:
+            bad.append(verify.CertViolation(T, f"mu{i}>=0", -mu))
+        if abs(mu * g) > tol * scale:
+            bad.append(verify.CertViolation(T, f"mu{i}*g{i}(T)=0", abs(mu * g)))
+    return verify.CertReport(passed=not bad, violations=tuple(bad))
+
+
+def grid_check_control_maximizes(
+    params: ModelParams, adjoint, policy: PiecewiseControl, tol: float = verify.CERT_TOL
+):
+    """Box argmax sampled on `check_grid`; singular grid times closer
+    than two grid steps merge into one reported segment."""
+    T = policy.horizon
+    grid = check_grid(T, tuple(adjoint.breakpoints) + tuple(policy.breakpoints))
+    theta_tol = tol * max(1.0, params.p)
+    spacing = T / (10 * max(1, math.ceil(T))) if T > 0.0 else 1.0
+    bounds = {"u": params.u_max, "v": params.v_max, "w": params.w_max}
+    bad = []
+    singular: dict[str, list[list[float]]] = {"u": [], "v": [], "w": []}
+    for t in grid:
+        theta = verify.switching_values(params, adjoint, t)
+        control = policy.value_at(t)
+        for comp, th, actual in (
+            ("u", theta.theta_u, control.u),
+            ("v", theta.theta_v, control.v),
+            ("w", theta.theta_w, control.w),
+        ):
+            if abs(th) <= theta_tol:
+                runs = singular[comp]
+                if runs and t - runs[-1][1] <= 2.0 * spacing + 1e-9:
+                    runs[-1][1] = t
+                else:
+                    runs.append([t, t])
+                continue
+            target = bounds[comp] if th > 0.0 else 0.0
+            if abs(actual - target) > 1e-9 * max(1.0, bounds[comp]):
+                bad.append(
+                    verify.CertViolation(t, f"argmax_{comp}", abs(actual - target))
+                )
+    segs = tuple(
+        verify.SingularSegment(comp, run[0], run[1])
+        for comp in ("u", "v", "w")
+        for run in singular[comp]
+    )
+    return verify.CertReport(
+        passed=not bad, violations=tuple(bad), singular_segments=segs
+    )
+
+
+def grid_multipliers_nonnegative(mults, T: float) -> bool:
+    """Every lambda >= 0 on `check_grid` and every mu >= 0."""
+    grid = check_grid(T, mults.breakpoints)
+    lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
+    return all(lam.value(t) >= 0.0 for lam in lams for t in grid) and all(
+        mu >= 0.0 for mu in mults.mus
+    )

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from firmopt import (
     ChainJunctionError,
@@ -11,9 +12,10 @@ from firmopt import (
     chain_plan,
     evaluate_chain,
     objective_value,
+    synthesize_policy,
 )
 
-from conftest import BASELINE
+from conftest import ALL_KINDS, BASELINE, draw_scenario_case
 from test_solver import J_A2, J_S3, T_S_BASE
 
 
@@ -125,3 +127,20 @@ class TestEvaluateChain:
         plan = chain_plan(BASELINE, State(20.0, 10.0, 0.0), [0.0, 10.0])
         _, value = evaluate_chain(BASELINE, plan)
         assert value == pytest.approx(J_S3, rel=1e-12)
+
+    @given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
+    def test_one_interval_chain_matches_a_single_solve(self, kind, seed):
+        params, init = draw_scenario_case(random.Random(seed), kind)
+        jump_mode = kind in (
+            ScenarioKind.A1_TOTAL_REPAYMENT_JUMP,
+            ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP,
+        )
+        synth = synthesize_policy(params, init, kind)
+        plan = chain_plan(params, init, [0.0, params.T], jump_mode=jump_mode)
+        (interval,) = plan.intervals
+        assert interval.kind is kind
+        assert interval.policy == synth.policy
+        traj, value = evaluate_chain(params, plan)
+        assert traj.terminal_state() == synth.trajectory.terminal_state()
+        assert value == synth.trajectory.objective()
+        assert value == pytest.approx(synth.objective, rel=1e-9, abs=1e-9)

@@ -1,14 +1,18 @@
 """Config parsing, command execution, artifacts and exit codes."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import firmopt
 from firmopt import chain, cli, dynamics, solver, verify
 from firmopt.cli import (
+    COMMANDS,
     CSV_FMT,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -316,3 +320,72 @@ class TestSinglePass:
             "synthesize_policy": synthesized,
             "integrate_exact": integrated,
         }
+
+
+# JSON-ish characters; a fixed alphabet also spares building a unicode table
+JSONISH = st.text(alphabet='{}[]":,.-0123456789eETNnul ', max_size=20)
+# values no numeric field, flag or option accepts
+NOT_A_NUMBER = st.one_of(
+    st.none(),
+    st.booleans(),
+    JSONISH,
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(JSONISH, st.integers(), max_size=1),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+
+
+@st.composite
+def malformed_documents(draw):
+    """Config text that must be refused before any command runs."""
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc["options"] = {"brute_nt": 10}
+    section = draw(st.sampled_from(["params", "init"]))
+    key = draw(st.sampled_from(sorted(doc[section])))
+    fault = draw(
+        st.sampled_from(
+            ["text", "top", "value", "missing", "unknown", "jump_mode", "option"]
+        )
+    )
+    if fault == "text":
+        text = draw(JSONISH)
+        return text if text.strip() else "{"
+    if fault == "top":
+        doc = draw(st.one_of(st.none(), st.integers(), st.lists(st.integers())))
+    elif fault == "value":
+        doc[section][key] = draw(NOT_A_NUMBER)
+    elif fault == "missing":
+        del doc[section][key]
+    elif fault == "unknown":
+        where = draw(st.sampled_from([doc, doc["params"], doc["init"], doc["options"]]))
+        where[draw(st.sampled_from(["q", "rk4_step", "T0", "n"]))] = 1
+    elif fault == "jump_mode":
+        doc["jump_mode"] = draw(NOT_A_NUMBER.filter(lambda v: not isinstance(v, bool)))
+    else:
+        name, bad = draw(
+            st.sampled_from(
+                [
+                    ("brute_nt", 0),
+                    ("brute_nt", 2.5),
+                    ("brute_nt", True),
+                    ("chain_breakpoints", [1.0]),
+                    ("chain_breakpoints", [0.0, "T"]),
+                    ("brute_levels", {"x": [1.0]}),
+                    ("brute_levels", {"u": []}),
+                    ("out_dir", 3),
+                ]
+            )
+        )
+        doc["options"][name] = bad
+    return json.dumps(doc)
+
+
+@given(text=malformed_documents(), command=st.sampled_from(COMMANDS))
+def test_fuzzed_configs_exit_two_never_a_traceback(tmp_path_factory, text, command):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, str(path)])
+    assert code == EXIT_CONFIG
+    assert err.getvalue().startswith("config error: ")

@@ -12,6 +12,7 @@ from firmopt import (
     ControlValue,
     NoFeasibleCandidateError,
     PiecewiseControl,
+    PolicyInfeasibleError,
     ScenarioKind,
     State,
     adjoint_backward,
@@ -19,6 +20,7 @@ from firmopt import (
     certify_policy,
     check_control_maximizes,
     check_slackness,
+    classify_scenario,
     hamiltonian,
     integrate_exact,
     multiplier_set_for_scenario,
@@ -26,9 +28,15 @@ from firmopt import (
     switching_values,
     synthesize_policy,
 )
-from firmopt.verify import switching_from_psi
+from firmopt.dynamics import extrema
+from firmopt.verify import CERT_TOL, SingularSegment, switching_from_psi
 
-from conftest import BASELINE, draw_scenario_case
+from conftest import ALL_KINDS, BASELINE, draw_profitable_params, draw_scenario_case
+from oracles import (
+    grid_check_control_maximizes,
+    grid_check_slackness,
+    grid_multipliers_nonnegative,
+)
 from test_solver import J_S1, J_S3, T_D_A2, T_D_S3, T_S_BASE
 
 
@@ -150,7 +158,9 @@ class TestMultiplierSets:
                 mults = multiplier_set_for_scenario(params, kind, synth.times)
                 grid = [i * params.T / 200 for i in range(201)]
                 for lam in (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4):
-                    assert lam.nonnegative_on_grid(min(g, params.T) for g in grid)
+                    assert all(lam.value(min(g, params.T)) >= 0.0 for g in grid)
+                    for seg in lam.segments:
+                        assert extrema(seg.t_start, seg.t_end, (1.0, seg))[0] >= 0.0
                 assert all(mu >= 0.0 for mu in mults.mus)
 
 
@@ -247,26 +257,37 @@ class TestControlMaximizes:
         no_sales = PiecewiseControl(
             (ControlSegment(0.0, BASELINE.T, ControlValue(0.0, 0.0, 0.0)),)
         )
+        # the grid oracle flags every one of its sample times
+        grid_report = grid_check_control_maximizes(BASELINE, adjoint, no_sales)
+        grid_w = [v for v in grid_report.violations if v.check == "argmax_w"]
+        grid_size = 10 * math.ceil(BASELINE.T) + 1
+        assert len(grid_w) >= grid_size
+        # the exact check reports once per piece, so every piece of [0, T]
+        # must carry an argmax_w violation timed inside it
         report = check_control_maximizes(BASELINE, adjoint, no_sales)
         assert not report.passed
-        w_violations = [v for v in report.violations if v.check == "argmax_w"]
-        grid_size = 10 * math.ceil(BASELINE.T) + 1
-        assert len(w_violations) >= grid_size
+        w_times = [v.time for v in report.violations if v.check == "argmax_w"]
+        cuts = sorted(
+            {0.0, BASELINE.T}
+            | {t for t in adjoint.breakpoints + no_sales.breakpoints if 0 < t < BASELINE.T}
+        )
+        for a, b in zip(cuts, cuts[1:]):
+            assert any(a <= t <= b for t in w_times)
+
+
+BASELINE_CASES = [
+    (State(20.0, 0.0, 10.0), False, ScenarioKind.S1_NO_DEBT_WITH_STOCK),
+    (State(20.0, 10.0, 10.0), False, ScenarioKind.S2_DEBT_WITH_STOCK),
+    (State(100.0, 100.0, 10.0), False, ScenarioKind.S2_DEBT_WITH_STOCK),
+    (State(20.0, 10.0, 0.0), False, ScenarioKind.S3_DEBT_NO_STOCK),
+    (State(20.0, 10.0, 10.0), True, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP),
+    (State(20.0, 30.0, 10.0), True, ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP),
+    (State(20.0, 85.0, 10.0), True, ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP),
+]
 
 
 class TestCertifyPolicy:
-    @pytest.mark.parametrize(
-        "init,jump,kind",
-        [
-            (State(20.0, 0.0, 10.0), False, ScenarioKind.S1_NO_DEBT_WITH_STOCK),
-            (State(20.0, 10.0, 10.0), False, ScenarioKind.S2_DEBT_WITH_STOCK),
-            (State(100.0, 100.0, 10.0), False, ScenarioKind.S2_DEBT_WITH_STOCK),
-            (State(20.0, 10.0, 0.0), False, ScenarioKind.S3_DEBT_NO_STOCK),
-            (State(20.0, 10.0, 10.0), True, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP),
-            (State(20.0, 30.0, 10.0), True, ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP),
-            (State(20.0, 85.0, 10.0), True, ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP),
-        ],
-    )
+    @pytest.mark.parametrize("init,jump,kind", BASELINE_CASES)
     def test_baseline_scenarios_certify(self, init, jump, kind):
         cert = certify_policy(BASELINE, init, kind)
         assert cert.passed
@@ -304,6 +325,219 @@ class TestCertifyPolicy:
         )
         assert traj.feasible
         assert traj.objective() > objective_value(params, init, kind) + 1.0
+
+
+def assert_argmax_agrees(params, adjoint, policy):
+    """The exact argmax check against the grid oracle.
+
+    Verdicts and singular-segment counts must agree, except that the
+    exact check may find a violation the grid missed; then every exact
+    violation is re-derived from the switching value at its time.
+    """
+    exact = check_control_maximizes(params, adjoint, policy)
+    grid = grid_check_control_maximizes(params, adjoint, policy)
+    assert len(exact.singular_segments) == len(grid.singular_segments)
+    if exact.passed != grid.passed:
+        assert grid.passed and not exact.passed
+        theta_tol = CERT_TOL * max(1.0, params.p)
+        bounds = {"u": params.u_max, "v": params.v_max, "w": params.w_max}
+        for v in exact.violations:
+            comp = v.check[-1]
+            theta = getattr(switching_values(params, adjoint, v.time), f"theta_{comp}")
+            actual = getattr(policy.value_at(v.time), comp)
+            assert abs(theta) > theta_tol
+            target = bounds[comp] if theta > 0.0 else 0.0
+            assert v.magnitude == pytest.approx(abs(actual - target), rel=1e-12)
+    return exact
+
+
+def assert_certificate_agrees(params, init, kind):
+    synth = synthesize_policy(params, init, kind)
+    mults = multiplier_set_for_scenario(params, kind, synth.times)
+    adjoint = adjoint_backward(params, mults)
+    slack = check_slackness(mults, synth.trajectory)
+    assert slack.passed == grid_check_slackness(mults, synth.trajectory).passed
+    assert_argmax_agrees(params, adjoint, synth.policy)
+    cert = certify_policy(params, init, kind)
+    assert cert.multipliers_nonnegative == grid_multipliers_nonnegative(mults, params.T)
+    return cert
+
+
+class TestExactAgainstGrid:
+    """The exact per-segment certificate decides as the grid oracle does."""
+
+    def test_random_draws_all_scenarios(self):
+        rng = random.Random(20240501)
+        for kind in ALL_KINDS:
+            for _ in range(100):
+                params, init = draw_scenario_case(rng, kind)
+                assert assert_certificate_agrees(params, init, kind).passed
+
+    @pytest.mark.parametrize("init,jump,kind", BASELINE_CASES)
+    def test_baseline_cases(self, init, jump, kind):
+        cert = assert_certificate_agrees(BASELINE, init, kind)
+        assert cert.passed
+
+    @pytest.mark.parametrize(
+        "changes,init,jump",
+        [
+            ({"T": 2.0}, State(20.0, 0.0, 20.0), False),  # t_S >= T
+            ({"T": 2.0}, State(20.0, 10.0, 20.0), False),
+            ({"T": 2.0}, State(20.0, 10.0, 20.0), True),
+            ({"T": 2.0}, State(20.0, 30.0, 20.0), True),
+            ({"v_max": 20.0}, State(20.0, 100.0, 10.0), False),  # t_D >= T
+            ({"v_max": 20.0}, State(20.0, 100.0, 0.0), False),
+            ({}, State(20.0, 500.0, 10.0), True),  # A2 clearance past T
+        ],
+    )
+    def test_events_beyond_the_horizon(self, changes, init, jump):
+        params = replace(BASELINE, **changes)
+        kind = classify_scenario(params, init, jump)
+        assert assert_certificate_agrees(params, init, kind).passed
+
+    def test_open_debt_leaves_repayment_singular_at_the_horizon_only(self):
+        # psi1(T) = 1 and psi2(T) = -1 make theta_v(T) = 0: with debt still
+        # open, theta_v > 0 before T, so T alone is a singular instant
+        params = replace(BASELINE, v_max=20.0)
+        init = State(20.0, 100.0, 10.0)
+        cert = certify_policy(params, init, ScenarioKind.S2_DEBT_WITH_STOCK)
+        v_segments = [
+            s for s in cert.hamiltonian_argmax.singular_segments if s.component == "v"
+        ]
+        assert v_segments == [SingularSegment("v", params.T, params.T)]
+
+    def test_random_draws_with_events_beyond_the_horizon(self):
+        rng = random.Random(7)
+        checked = 0
+        while checked < 300:
+            params = draw_profitable_params(rng)
+            stock_cap = params.w_max * math.expm1(params.alpha * params.T) / params.alpha
+            debt_cap = (params.v_max - params.A * params.w_max) / params.r
+            init = State(
+                rng.uniform(1.0, 200.0),
+                rng.choice([0.0, rng.uniform(0.5, 3.0) * debt_cap]),
+                rng.choice([0.0, min(params.S_max, rng.uniform(0.5, 3.0) * stock_cap)]),
+            )
+            try:
+                kind = classify_scenario(params, init, rng.random() < 0.3)
+                synthesize_policy(params, init, kind)
+            except (ValueError, PolicyInfeasibleError):
+                continue
+            assert_certificate_agrees(params, init, kind)
+            checked += 1
+
+    def test_expensive_credit(self):
+        params = replace(BASELINE, r=0.8, B=1.0, T=6.0)
+        cert = assert_certificate_agrees(
+            params, State(40.0, 40.0, 0.0), ScenarioKind.S3_DEBT_NO_STOCK
+        )
+        assert not cert.hamiltonian_argmax.passed
+
+    def test_perturbed_policies(self):
+        # every baseline policy with its switches moved, levels swapped or
+        # a component held off its bound, checked against the true costates
+        flagged = 0
+        for init, _, kind in BASELINE_CASES:
+            synth = synthesize_policy(BASELINE, init, kind)
+            mults = multiplier_set_for_scenario(BASELINE, kind, synth.times)
+            adjoint = adjoint_backward(BASELINE, mults)
+            segs = synth.policy.segments
+            variants = []
+            for shift in (-0.3, -0.01, 0.01, 0.3):
+                if len(segs) > 1:
+                    cut = min(max(segs[1].t_start + shift, 0.05), BASELINE.T - 0.05)
+                    variants.append(
+                        PiecewiseControl(
+                            (
+                                replace(segs[0], t_end=cut),
+                                ControlSegment(cut, BASELINE.T, segs[-1].value),
+                            )
+                        )
+                    )
+            for value in (
+                ControlValue(0.0, 0.0, 0.0),
+                ControlValue(BASELINE.w_max, BASELINE.v_max, BASELINE.w_max),
+                ControlValue(2.5, 12.5, 2.5),
+            ):
+                variants.append(
+                    PiecewiseControl((ControlSegment(0.0, BASELINE.T, value),))
+                )
+            for policy in variants:
+                flagged += not assert_argmax_agrees(BASELINE, adjoint, policy).passed
+        assert flagged > 0
+
+    def test_spurious_multipliers(self):
+        from firmopt.dynamics import PiecewiseExpFn
+
+        synth = synthesize_policy(
+            BASELINE, State(20.0, 0.0, 10.0), ScenarioKind.S1_NO_DEBT_WITH_STOCK
+        )
+        mults = multiplier_set_for_scenario(
+            BASELINE, ScenarioKind.S1_NO_DEBT_WITH_STOCK, synth.times
+        )
+        for broken in (
+            replace(mults, lambda4=PiecewiseExpFn.constant(1.0, 0.0, BASELINE.T)),
+            replace(mults, lambda2=PiecewiseExpFn.constant(-1.0, 0.0, BASELINE.T)),
+            replace(mults, lambda3=PiecewiseExpFn.constant(0.5, 0.0, BASELINE.T)),
+        ):
+            exact = check_slackness(broken, synth.trajectory)
+            assert not exact.passed
+            assert not grid_check_slackness(broken, synth.trajectory).passed
+            assert {v.check for v in exact.violations} <= {
+                v.check for v in grid_check_slackness(broken, synth.trajectory).violations
+            }
+
+
+class TestWorstMargin:
+    def baseline_s1(self):
+        return certify_policy(
+            BASELINE, State(20.0, 0.0, 10.0), ScenarioKind.S1_NO_DEBT_WITH_STOCK
+        )
+
+    def test_argmax_margin_sits_at_the_production_start(self):
+        theta_tol = CERT_TOL * BASELINE.p
+        report = self.baseline_s1().hamiltonian_argmax
+        worst = report.worst_margin
+        assert worst.time == pytest.approx(T_S_BASE, abs=1e-12)
+        # theta_u reaches zero at t_S from below while u = 0: the policy
+        # switches exactly where the maximum condition is tight
+        assert worst.check == "argmax_u"
+        assert worst.margin == pytest.approx(theta_tol, abs=1e-12)
+        # sales are closest to switching off at t_S as well, where
+        # theta_w = p*psi1 - psi3 falls to p - (A + K) and stays there
+        synth = synthesize_policy(
+            BASELINE, State(20.0, 0.0, 10.0), ScenarioKind.S1_NO_DEBT_WITH_STOCK
+        )
+        mults = multiplier_set_for_scenario(
+            BASELINE, ScenarioKind.S1_NO_DEBT_WITH_STOCK, synth.times
+        )
+        adjoint = adjoint_backward(BASELINE, mults)
+        lo, t_lo = min(
+            extrema(
+                seg.t_start,
+                seg.t_end,
+                (BASELINE.p, adjoint.psi1.segment_at(seg.t_start)),
+                (-1.0, seg),
+            )[:2]
+            for seg in adjoint.psi3.segments
+        )
+        assert t_lo == pytest.approx(T_S_BASE, abs=1e-12)
+        assert lo == pytest.approx(BASELINE.p - BASELINE.A - BASELINE.K, rel=1e-12)
+
+    def test_failing_report_margin_is_negative_at_a_violation(self):
+        params = replace(BASELINE, r=0.8, B=1.0, T=6.0)
+        cert = certify_policy(params, State(40.0, 40.0, 0.0), ScenarioKind.S3_DEBT_NO_STOCK)
+        worst = cert.hamiltonian_argmax.worst_margin
+        assert worst.margin < 0.0
+        assert any(
+            v.time == worst.time and v.check == worst.check
+            for v in cert.hamiltonian_argmax.violations
+        )
+
+    def test_passing_slackness_margin_is_nonnegative(self):
+        cert = self.baseline_s1()
+        assert cert.slackness.worst_margin.margin >= 0.0
+        assert cert.transversality.worst_margin is None
 
 
 class TestBruteForce:
