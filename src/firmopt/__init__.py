@@ -48,15 +48,12 @@ from .verify import (
     CertReport,
     Certification,
     MultiplierSet,
-    SwitchingValues,
     brute_force_best,
     certify_policy,
     check_control_maximizes,
     check_slackness,
     check_transversality,
-    hamiltonian,
     multiplier_set_for_scenario,
-    switching_values,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +80,6 @@ __all__ = [
     "ScenarioKind",
     "State",
     "SwitchingTimes",
-    "SwitchingValues",
     "SynthesisResult",
     "Trajectory",
     "TrajectorySegment",
@@ -101,13 +97,11 @@ __all__ = [
     "cost_rate",
     "debt_clearance_time",
     "evaluate_chain",
-    "hamiltonian",
     "initial_jump",
     "integrate_exact",
     "multiplier_set_for_scenario",
     "objective_value",
     "stock_depletion_time",
-    "switching_values",
     "synthesize_policy",
     "validate_params",
 ]

@@ -237,13 +237,13 @@ def _trajectory_csv(traj: Trajectory) -> str:
     lines = ["t,N,D,S,u,v,w,feasible"]
 
     def row(t: float, state: State) -> str:
-        control = _control_at(traj, t)
+        c = traj.segment_at(t).control
         feasible = (
             state.N >= -1e-9 * scale
             and state.D >= -1e-9 * scale
             and -1e-9 * scale <= state.S <= traj.params.S_max + 1e-9 * scale
         )
-        cells = [CSV_FMT % x for x in (t, state.N, state.D, state.S, *control)]
+        cells = [CSV_FMT % x for x in (t, state.N, state.D, state.S, c.u, c.v, c.w)]
         cells.append("true" if feasible else "false")
         return ",".join(cells)
 
@@ -258,18 +258,6 @@ def _trajectory_csv(traj: Trajectory) -> str:
             lines.append(row(t, pre))
         lines.append(row(t, traj.sample(t)))
     return "\n".join(lines) + "\n"
-
-
-def _control_at(traj: Trajectory, t: float) -> tuple[float, float, float]:
-    i = 0
-    for k, seg in enumerate(traj.segments):
-        if t < seg.t_end:
-            i = k
-            break
-    else:
-        i = len(traj.segments) - 1
-    c = traj.segments[i].control
-    return (c.u, c.v, c.w)
 
 
 def _write(out_dir: str, name: str, text: str) -> Path:

@@ -355,7 +355,7 @@ def piecewise_from_spans(
 
 @dataclass(frozen=True)
 class AdjointTrajectory:
-    """Costate trajectories (psi1, psi2, psi3) with their terminal data.
+    """Costate trajectories (psi1, psi2, psi3).
 
     Terminal conditions: psi1(T) = mu1 + 1, psi2(T) = mu2 - 1,
     psi3(T) = mu3 - mu4.  Each component is absolutely continuous.
@@ -364,7 +364,6 @@ class AdjointTrajectory:
     psi1: PiecewiseExpFn
     psi2: PiecewiseExpFn
     psi3: PiecewiseExpFn
-    terminal: tuple[float, float, float]
 
     def value_at(self, t: float) -> tuple[float, float, float]:
         return (self.psi1.value(t), self.psi2.value(t), self.psi3.value(t))
@@ -443,11 +442,7 @@ def _restrict(fn: PiecewiseExpFn, a: float, b: float) -> ExpSegment:
     return seg
 
 
-def adjoint_backward(
-    params: ModelParams,
-    multipliers,
-    extra_breakpoints: Sequence[float] = (),
-) -> AdjointTrajectory:
+def adjoint_backward(params: ModelParams, multipliers) -> AdjointTrajectory:
     """Integrate the costate system backward from its terminal conditions.
 
         dpsi1/dt = -lambda1(t)
@@ -468,17 +463,14 @@ def adjoint_backward(
         multipliers.lambda4,
     ):
         cuts.update(b for b in lam.breakpoints if 0.0 <= b <= T)
-    cuts.update(b for b in extra_breakpoints if 0.0 < b < T)
     grid = sorted(cuts)
-
-    psi1_T = multipliers.mu1 + 1.0
-    psi2_T = multipliers.mu2 - 1.0
-    psi3_T = multipliers.mu3 - multipliers.mu4
 
     segs1: list[ExpSegment] = []
     segs2: list[ExpSegment] = []
     segs3: list[ExpSegment] = []
-    v1, v2, v3 = psi1_T, psi2_T, psi3_T
+    v1 = multipliers.mu1 + 1.0
+    v2 = multipliers.mu2 - 1.0
+    v3 = multipliers.mu3 - multipliers.mu4
 
     def pinned(seg: ExpSegment, b: float, target: float) -> ExpSegment:
         # particular-solution terms need not cancel to the last ulp at the
@@ -518,12 +510,7 @@ def adjoint_backward(
             ordered = (ExpSegment(0.0, T, ()),)
         return PiecewiseExpFn(ordered)
 
-    return AdjointTrajectory(
-        psi1=rebase(segs1),
-        psi2=rebase(segs2),
-        psi3=rebase(segs3),
-        terminal=(psi1_T, psi2_T, psi3_T),
-    )
+    return AdjointTrajectory(psi1=rebase(segs1), psi2=rebase(segs2), psi3=rebase(segs3))
 
 
 def _combine_forcing(

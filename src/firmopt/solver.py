@@ -10,10 +10,16 @@ Stock depletion is policy-independent while no production runs:
 
     t_S = (1/alpha) * ln((alpha*S0 + w_max) / w_max)
 
-Debt clearance depends on the repayment regime and on whether the stock
-empties before or after the debt does; the formulas below give t_D per
-regime and branch, with a threshold splitting the two branches and the
-tie landing exactly on t_D = t_S.
+Debt clearance follows one threshold/log rule in the repayment rate R,
+the purchase rate c paid from t_S on and the net gain R - c (see
+debt_clearance_time).  S3 is S2 at t_S = 0, and A2 uses the same rule
+with the sales surplus p*w_max - B as its rate.  A threshold splits the
+two branches and the tie lands exactly on t_D = t_S.
+
+The five scenarios differ only in data: t_S (0 for S3), t_D (none for
+the debt-free S1/A1) and the repayment rate before clearance (v_max, or
+the sales surplus less production cost for A2).  From t_S on u = w_max,
+and from t_D on v = A*u.
 
 Post-clearance repayment note.  Once D hits zero the only repayment rate
 that keeps D = 0 is v = A*u (paying exactly for current raw-material
@@ -114,24 +120,25 @@ def debt_clearance_time(
 ) -> EventTime:
     """Time of full debt repayment for the given repayment regime.
 
-    Regimes, with d = debt0 and rates per unit time:
+    Every regime repays at a rate R while idle and at R - c once
+    production starts at t_S, where c is the purchase rate:
 
-    S2 (repay at v_max, production from t_S):
-        threshold  Theta = v_max*(1 - exp(-r*t_S))/r
-        d < Theta: t_D = (1/r)*ln(v_max/(v_max - r*d))           (< t_S)
-        d > Theta: t_D = (1/r)*ln((v_max - A*w_max)
-                         / (v_max - r*d - A*w_max*exp(-r*t_S)))  (> t_S)
+        threshold  Theta = R*(1 - exp(-r*t_S))/r
+        d < Theta: t_D = (1/r)*ln(R/(R - r*d))                      (< t_S)
+        d > Theta: t_D = (1/r)*ln((R - c)/(R - r*d - c*exp(-r*t_S)))  (> t_S)
         d = Theta: t_D = t_S exactly (single switching point).
 
-    S3 (no stock, production from 0): requires t_s == 0;
+    with d = debt0 and, per regime:
+
+    S2 (repay at v_max, production from t_S): R = v_max, c = A*w_max.
+
+    S3 (no stock, production from 0): S2 at t_S = 0, so requires t_s == 0;
         t_D = (1/r)*ln((v_max - A*w_max)/(v_max - r*d - A*w_max)).
 
     A2 (all sales profit to debt, so the repayment rate is
         p*w_max - K*u - B): d is the post-jump debt D0 - N0,
-        threshold Theta' = (p*w_max - B)*(1 - exp(-r*t_S))/r
-        d < Theta': t_D = (1/r)*ln((p*w_max - B)/(p*w_max - B - r*d))
-        d > Theta': t_D = (1/r)*ln((w_max*(p - A - K) - B)
-                          / (p*w_max - B - r*d - (A + K)*w_max*exp(-r*t_S)))
+        R = p*w_max - B, c = (A + K)*w_max, and R - c is the profit
+        rate (p - A - K)*w_max - B.
 
     A nonpositive log argument means the repayment rate can never outpace
     interest plus purchases; that and t_D >= T both map to
@@ -140,44 +147,25 @@ def debt_clearance_time(
     if debt0 <= 0.0:
         raise ValueError(f"debt0 must be positive, got {debt0}")
     r = params.r
-    if regime is ScenarioKind.S2_DEBT_WITH_STOCK:
-        theta = params.v_max * (-math.expm1(-r * t_s)) / r
-        if debt0 == theta:
-            t_d = t_s
-        elif debt0 < theta:
-            t_d = -math.log1p(-r * debt0 / params.v_max) / r
-        else:
-            t_d = _log_branch(
-                params.v_max - params.A * params.w_max,
-                params.v_max - r * debt0 - params.A * params.w_max * math.exp(-r * t_s),
-                r,
-            )
-    elif regime is ScenarioKind.S3_DEBT_NO_STOCK:
-        if t_s != 0.0:
-            raise ValueError("S3 regime requires t_s = 0")
-        # written to reduce exactly (bitwise) from the S2 branch at t_s = 0
-        t_d = _log_branch(
-            params.v_max - params.A * params.w_max,
-            params.v_max - r * debt0 - params.A * params.w_max,
-            r,
-        )
+    if regime is ScenarioKind.S3_DEBT_NO_STOCK and t_s != 0.0:
+        raise ValueError("S3 regime requires t_s = 0")
+    if regime in (ScenarioKind.S2_DEBT_WITH_STOCK, ScenarioKind.S3_DEBT_NO_STOCK):
+        repay = params.v_max
+        purchase = params.A * params.w_max
+        gain = params.v_max - purchase
     elif regime is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
-        sales_surplus = params.p * params.w_max - params.B
-        theta = sales_surplus * (-math.expm1(-r * t_s)) / r
-        if debt0 == theta:
-            t_d = t_s
-        elif debt0 < theta:
-            t_d = -math.log1p(-r * debt0 / sales_surplus) / r
-        else:
-            t_d = _log_branch(
-                params.w_max * (params.p - params.A - params.K) - params.B,
-                sales_surplus
-                - r * debt0
-                - (params.A + params.K) * params.w_max * math.exp(-r * t_s),
-                r,
-            )
+        repay = params.p * params.w_max - params.B
+        purchase = (params.A + params.K) * params.w_max
+        gain = params.profit_rate()
     else:
         raise ValueError(f"no debt-clearance regime for {regime}")
+    theta = repay * (-math.expm1(-r * t_s)) / r
+    if debt0 == theta:
+        t_d = t_s
+    elif debt0 < theta:
+        t_d = -math.log1p(-r * debt0 / repay) / r
+    else:
+        t_d = _log_branch(gain, repay - r * debt0 - purchase * math.exp(-r * t_s), r)
     return EventTime(time=t_d, within_horizon=t_d < params.T)
 
 
@@ -207,23 +195,6 @@ def _require_solvable(params: ModelParams) -> None:
         )
 
 
-def _build_policy(
-    params: ModelParams,
-    cuts: list[float],
-    u_of: list[float],
-    v_of: list[float],
-    w_of: list[float],
-) -> PiecewiseControl:
-    """Assemble and canonicalize a policy from per-interval control levels."""
-    segs = []
-    bounds = [0.0, *cuts, params.T]
-    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        segs.append(ControlSegment(a, b, ControlValue(u_of[i], v_of[i], w_of[i])))
-    if params.T == 0.0:
-        segs = [ControlSegment(0.0, 0.0, segs[-1].value)]
-    return PiecewiseControl(tuple(segs)).merged()
-
-
 def synthesize_policy(
     params: ModelParams, init: State, kind: ScenarioKind
 ) -> SynthesisResult:
@@ -237,6 +208,9 @@ def synthesize_policy(
     A1:  jump, then the S1 policy on the remaining cash N0 - D0.
     A2:  jump, then u* as S1 and v* = p*w_max - K*u*(t) - B until t_D
          (all sales profit goes to the debt, N stays at 0), then A*u*(t).
+
+    One rule builds all five: u* = w_max from t_S and v* = A*u* from t_D,
+    with S3 taking t_S = 0 and the debt-free S1/A1 t_D = 0.
 
     When t_S >= T production never starts; when t_D >= T repayment
     continues through the horizon at its pre-clearance rate.  Breakpoints
@@ -260,73 +234,42 @@ def synthesize_policy(
             jump = initial_jump(init)
             start = jump.post_state
 
-    w = params.w_max
-    aw = params.A * w
-    ts_ev = stock_depletion_time(params, start.S)
-    t_s = ts_ev.time
-    ts_in = ts_ev.within_horizon
-    cuts_s = [t_s] if (ts_in and t_s > 0.0) else []
-
-    if kind in (ScenarioKind.S1_NO_DEBT_WITH_STOCK, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP):
-        times = SwitchingTimes(t_s, ts_in, None, True)
-        if not cuts_s:
-            if ts_in:  # t_s == 0: produce from the start
-                policy = _build_policy(params, [], [w], [aw], [w])
-            else:
-                policy = _build_policy(params, [], [0.0], [0.0], [w])
-        else:
-            policy = _build_policy(params, cuts_s, [0.0, w], [0.0, aw], [w, w])
-        return _post_check(params, kind, start, policy, times, jump)
-
     if kind is ScenarioKind.S3_DEBT_NO_STOCK:
-        td_ev = debt_clearance_time(params, start.D, 0.0, kind)
-        t_d = td_ev.time
-        times = SwitchingTimes(0.0, True, t_d, td_ev.within_horizon)
-        if td_ev.within_horizon and t_d > 0.0:
-            policy = _build_policy(params, [t_d], [w, w], [params.v_max, aw], [w, w])
-        else:
-            policy = _build_policy(params, [], [w], [params.v_max], [w])
-        return _post_check(params, kind, start, policy, times, jump)
-
-    if kind is ScenarioKind.S2_DEBT_WITH_STOCK:
-        td_ev = debt_clearance_time(params, start.D, t_s, kind)
-        repay_before = params.v_max
-    else:  # A2 after the jump
-        if params.p * w - params.B > params.v_max:
+        t_s, ts_in = 0.0, True
+    else:
+        ts_ev = stock_depletion_time(params, start.S)
+        t_s, ts_in = ts_ev.time, ts_ev.within_horizon
+    if kind in (ScenarioKind.S1_NO_DEBT_WITH_STOCK, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP):
+        # no debt phase: the post-clearance rule v = A*u holds from t = 0
+        t_d, td_in = 0.0, True
+        times = SwitchingTimes(t_s, ts_in, None, True)
+    else:
+        if kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP and (
+            params.p * params.w_max - params.B > params.v_max
+        ):
             raise PolicyInfeasibleError(
                 "required repayment rate p*w_max - B exceeds v_max"
             )
-        td_ev = debt_clearance_time(
-            params, start.D, t_s, ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
-        )
-        repay_before = None  # before t_D: p*w - K*u - B
+        td_ev = debt_clearance_time(params, start.D, t_s, kind)
+        t_d, td_in = td_ev.time, td_ev.within_horizon
+        times = SwitchingTimes(t_s, ts_in, t_d, td_in)
 
-    t_d = td_ev.time
-    td_in = td_ev.within_horizon
-    times = SwitchingTimes(t_s, ts_in, t_d, td_in)
-
-    def u_at(after_ts: bool) -> float:
-        return w if after_ts else 0.0
-
-    def v_pre(after_ts: bool) -> float:
-        if repay_before is not None:
-            return repay_before
-        return params.p * w - params.K * u_at(after_ts) - params.B
-
-    def v_post(after_ts: bool) -> float:
-        return params.A * u_at(after_ts)
-
-    cuts = sorted({t for t in (t_s if ts_in else math.inf, t_d if td_in else math.inf)
-                   if 0.0 < t < params.T and math.isfinite(t)})
-    u_levels, v_levels, w_levels = [], [], []
+    w = params.w_max
+    cuts = sorted({t for t, within in ((t_s, ts_in), (t_d, td_in)) if within and t > 0.0})
     bounds = [0.0, *cuts, params.T]
-    for a in bounds[:-1]:
-        after_ts = ts_in and a >= t_s
-        after_td = td_in and a >= t_d
-        u_levels.append(u_at(after_ts))
-        v_levels.append(v_post(after_ts) if after_td else v_pre(after_ts))
-        w_levels.append(w)
-    policy = _build_policy(params, cuts, u_levels, v_levels, w_levels)
+    segs = []
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        u = w if ts_in and a >= t_s else 0.0
+        if td_in and a >= t_d:
+            v = params.A * u
+        elif kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
+            v = params.p * w - params.K * u - params.B
+        else:
+            v = params.v_max
+        segs.append(ControlSegment(a, b, ControlValue(u, v, w)))
+    if params.T == 0.0:  # T = -0.0 passes validation; the segment ends at +0.0
+        segs = [ControlSegment(0.0, 0.0, segs[-1].value)]
+    policy = PiecewiseControl(tuple(segs)).merged()
     return _post_check(params, kind, start, policy, times, jump)
 
 
@@ -411,16 +354,6 @@ def _objective_debt_with_stock(
     )
 
 
-def _objective_debt_no_stock(params: ModelParams, cash0: float, t_d: float) -> float:
-    """Value with immediate production and repayment at v_max until t_D."""
-    return (
-        cash0
-        + (params.A * params.w_max - params.v_max) * t_d
-        + params.w_max * (params.p - params.A - params.K) * params.T
-        - params.B * params.T
-    )
-
-
 def _objective_partial_repayment(params: ModelParams, t_d: float, t_s: float) -> float:
     """Value of the partial-repayment strategy (cash exhausted at t = 0).
 
@@ -456,20 +389,19 @@ def _objective(
     lies at or beyond the horizon (unsold stock or unpaid debt at T),
     where no closed-form expression applies.
     """
-    if kind in (ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP, ScenarioKind.S3_DEBT_NO_STOCK):
-        # the partial-repayment table covers t_S beyond the horizon too
-        formula_applies = times.t_d_within_horizon
-    else:
-        formula_applies = times.t_s_within_horizon and times.t_d_within_horizon
+    # the partial-repayment table covers t_S beyond the horizon too, and
+    # S3's t_S = 0 is always within it
+    formula_applies = times.t_d_within_horizon and (
+        times.t_s_within_horizon or kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
+    )
     if not formula_applies:
         return traj.objective()
     if kind in (ScenarioKind.S1_NO_DEBT_WITH_STOCK, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP):
         return _objective_no_debt(params, cash0, times.t_s)
-    if kind is ScenarioKind.S2_DEBT_WITH_STOCK:
-        return _objective_debt_with_stock(params, cash0, times.t_d, times.t_s)
-    if kind is ScenarioKind.S3_DEBT_NO_STOCK:
-        return _objective_debt_no_stock(params, cash0, times.t_d)
-    return _objective_partial_repayment(params, times.t_d, times.t_s)
+    if kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
+        return _objective_partial_repayment(params, times.t_d, times.t_s)
+    # S2, and S3 as S2 at t_S = 0
+    return _objective_debt_with_stock(params, cash0, times.t_d, times.t_s)
 
 
 def objective_value(params: ModelParams, init: State, kind: ScenarioKind) -> float:

@@ -92,13 +92,6 @@ class MultiplierSet:
         return tuple(sorted(cuts))
 
 
-@dataclass(frozen=True)
-class SwitchingValues:
-    theta_u: float
-    theta_v: float
-    theta_w: float
-
-
 class CertViolation(NamedTuple):
     time: float
     check: str
@@ -151,43 +144,6 @@ def _switching_weights(params: ModelParams) -> dict[str, tuple[float, float, flo
         "v": (-1.0, -1.0, 0.0),
         "w": (params.p, 0.0, -1.0),
     }
-
-
-def switching_from_psi(
-    params: ModelParams, psi: tuple[float, float, float]
-) -> SwitchingValues:
-    psi1, psi2, psi3 = psi
-    return SwitchingValues(
-        *(
-            w1 * psi1 + w2 * psi2 + w3 * psi3
-            for w1, w2, w3 in _switching_weights(params).values()
-        )
-    )
-
-
-def switching_values(
-    params: ModelParams, adjoint: AdjointTrajectory, t: float
-) -> SwitchingValues:
-    """Evaluate the three switching functions at time t."""
-    return switching_from_psi(params, adjoint.value_at(t))
-
-
-def hamiltonian(
-    params: ModelParams,
-    psi: tuple[float, float, float],
-    state: State,
-    control: ControlValue,
-) -> float:
-    """H(psi, X, U); linear in the control components."""
-    theta = switching_from_psi(params, psi)
-    return (
-        theta.theta_u * control.u
-        + theta.theta_v * control.v
-        + theta.theta_w * control.w
-        - params.B * psi[0]
-        + params.r * state.D * psi[1]
-        - params.alpha * state.S * psi[2]
-    )
 
 
 def _pieces(T: float, *cut_lists: Sequence[float]) -> list[tuple[float, float]]:

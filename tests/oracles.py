@@ -10,7 +10,9 @@ The fixed-step RK4 integrator, the bisection event finder over an exact
 package-shaped oracles the tests compare the exact integrator against.
 The grid certificate samples the maximum-principle checks at about
 10 points per unit of time plus the breakpoints nudged to either side;
-the exact per-segment certificate is cross-checked against it.
+the exact per-segment certificate is cross-checked against it.  The
+pointwise Hamiltonian and switching values it samples are built on the
+certificate's own switching weights (`verify._switching_weights`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from firmopt import (
+    AdjointTrajectory,
     ControlValue,
     JumpRecord,
     ModelParams,
@@ -356,6 +359,50 @@ def closed_form_trajectory(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class SwitchingValues:
+    theta_u: float
+    theta_v: float
+    theta_w: float
+
+
+def switching_from_psi(
+    params: ModelParams, psi: tuple[float, float, float]
+) -> SwitchingValues:
+    psi1, psi2, psi3 = psi
+    return SwitchingValues(
+        *(
+            w1 * psi1 + w2 * psi2 + w3 * psi3
+            for w1, w2, w3 in verify._switching_weights(params).values()
+        )
+    )
+
+
+def switching_values(
+    params: ModelParams, adjoint: AdjointTrajectory, t: float
+) -> SwitchingValues:
+    """Evaluate the three switching functions at time t."""
+    return switching_from_psi(params, adjoint.value_at(t))
+
+
+def hamiltonian(
+    params: ModelParams,
+    psi: tuple[float, float, float],
+    state: State,
+    control: ControlValue,
+) -> float:
+    """H(psi, X, U); linear in the control components."""
+    theta = switching_from_psi(params, psi)
+    return (
+        theta.theta_u * control.u
+        + theta.theta_v * control.v
+        + theta.theta_w * control.w
+        - params.B * psi[0]
+        + params.r * state.D * psi[1]
+        - params.alpha * state.S * psi[2]
+    )
+
+
 def check_grid(T: float, breakpoints: Sequence[float]) -> list[float]:
     """Uniform grid of 10 points per unit time plus breakpoints nudged
     by 1e-9 to either side."""
@@ -411,7 +458,7 @@ def grid_check_control_maximizes(
     bad = []
     singular: dict[str, list[list[float]]] = {"u": [], "v": [], "w": []}
     for t in grid:
-        theta = verify.switching_values(params, adjoint, t)
+        theta = switching_values(params, adjoint, t)
         control = policy.value_at(t)
         for comp, th, actual in (
             ("u", theta.theta_u, control.u),

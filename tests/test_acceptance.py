@@ -45,7 +45,7 @@ from firmopt import (
     synthesize_policy,
 )
 from firmopt.chain import chain_plan, evaluate_chain
-from firmopt.solver import _objective_debt_no_stock, _objective_debt_with_stock
+from firmopt.solver import _objective_debt_with_stock
 from firmopt import debt_clearance_time
 
 from conftest import ALL_KINDS, BASELINE, draw_scenario_case
@@ -279,9 +279,16 @@ def test_c05_no_stock_reduction_identities():
         assert stocked.time == no_stock.time
         if math.isfinite(stocked.time):
             cash0 = rng.uniform(0.1, 100.0)
+            # the paper's S3 value: immediate production, v_max until t_D
+            no_stock_value = (
+                cash0
+                + (params.A * params.w_max - params.v_max) * stocked.time
+                + params.w_max * (params.p - params.A - params.K) * params.T
+                - params.B * params.T
+            )
             assert _objective_debt_with_stock(
                 params, cash0, stocked.time, 0.0
-            ) == _objective_debt_no_stock(params, cash0, stocked.time)
+            ) == no_stock_value
     report("C5 no-stock reduction identities", True)
 
 

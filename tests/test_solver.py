@@ -5,8 +5,11 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, reject, strategies as st
 
 from firmopt import (
+    ControlSegment,
+    ControlValue,
     ModelParams,
     PolicyInfeasibleError,
     ScenarioKind,
@@ -19,11 +22,7 @@ from firmopt import (
     stock_depletion_time,
     synthesize_policy,
 )
-from firmopt.solver import (
-    _objective_debt_no_stock,
-    _objective_debt_with_stock,
-    _objective_no_debt,
-)
+from firmopt.solver import _objective_debt_with_stock, _objective_no_debt
 
 from conftest import BASELINE, draw_profitable_params, draw_scenario_case
 from oracles import bisect_root, closed_form_trajectory, reference_integrate
@@ -521,8 +520,14 @@ class TestReductionIdentities:
             if not math.isfinite(t_d) or t_d >= params.T:
                 continue
             cash0 = rng.uniform(0.1, 100.0)
-            assert _objective_debt_with_stock(params, cash0, t_d, 0.0) == \
-                _objective_debt_no_stock(params, cash0, t_d)
+            # the paper's S3 value: immediate production, v_max until t_D
+            no_stock_value = (
+                cash0
+                + (params.A * params.w_max - params.v_max) * t_d
+                + params.w_max * (params.p - params.A - params.K) * params.T
+                - params.B * params.T
+            )
+            assert _objective_debt_with_stock(params, cash0, t_d, 0.0) == no_stock_value
 
     def test_instant_clearance_recovers_the_no_debt_value(self):
         # as t_D -> 0 the debt scenario degenerates into the no-debt one;
@@ -544,3 +549,61 @@ class TestReductionIdentities:
         assert no_debt - literal_branch == pytest.approx(
             p.A * p.w_max * T_S_BASE, rel=1e-12
         )
+
+    def test_debt_cleared_at_once_leaves_only_purchases(self):
+        # a debt so small that t_D rounds to 0 is cleared at t = 0, and
+        # from there the repayment is A*u, as for S2 at t_D = 0
+        p = BASELINE
+        synth = synthesize_policy(p, State(20.0, 1e-15, 0.0), ScenarioKind.S3_DEBT_NO_STOCK)
+        assert synth.times.t_d == 0.0 and synth.times.t_d_within_horizon
+        assert synth.policy.segments == (
+            ControlSegment(0.0, p.T, ControlValue(p.w_max, p.A * p.w_max, p.w_max)),
+        )
+        assert synth.objective == pytest.approx(20.0 + p.profit_rate() * p.T, rel=1e-12)
+
+
+S2 = ScenarioKind.S2_DEBT_WITH_STOCK
+A2 = ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
+
+
+class TestClearanceProperties:
+    """Properties of the one clearance rule and the values built on it."""
+
+    @given(
+        kind=st.sampled_from((S2, A2)),
+        seed=st.integers(0, 2**32 - 1),
+        rel=st.floats(-1e-12, 1e-12),
+    )
+    def test_tie_branch_is_continuous(self, kind, seed, rel):
+        # debt0 == theta is decided by float equality; debts within 1e-12
+        # of theta must land next to the tie's t_D = t_S and its value
+        rng = random.Random(seed)
+        params = draw_profitable_params(rng)
+        t_target = rng.uniform(0.1, 0.9) * params.T
+        S0 = min(params.S_max, params.w_max * math.expm1(params.alpha * t_target) / params.alpha)
+        t_s = stock_depletion_time(params, S0).time
+        rate = params.v_max if kind is S2 else params.p * params.w_max - params.B
+        theta = rate * (-math.expm1(-params.r * t_s)) / params.r
+        # S2 keeps enough cash to repay at v_max until t_S; A2 starts with
+        # none, so its post-jump debt is exactly the drawn one
+        N0 = rng.uniform(1.0, 200.0) + params.v_max * t_s if kind is S2 else 0.0
+        tie = synthesize_policy(params, State(N0, theta, S0), kind)
+        assert tie.times.t_d == tie.times.t_s
+        near = synthesize_policy(params, State(N0, theta * (1.0 + rel), S0), kind)
+        assert abs(near.times.t_d - tie.times.t_d) <= 1e-9 * tie.times.t_d
+        assert abs(near.objective - tie.objective) <= 1e-9 * abs(tie.objective)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        more_cash=st.floats(0.01, 50.0),
+        more_debt=st.floats(0.01, 50.0),
+    )
+    def test_s2_value_rises_with_cash_and_falls_with_debt(self, seed, more_cash, more_debt):
+        params, init = draw_scenario_case(random.Random(seed), S2)
+        value = objective_value(params, init, S2)
+        assert objective_value(params, replace(init, N=init.N + more_cash), S2) > value
+        try:
+            indebted = objective_value(params, replace(init, D=init.D + more_debt), S2)
+        except PolicyInfeasibleError:
+            reject()  # the extra repayment exhausts the cash before t_D
+        assert indebted < value

@@ -21,21 +21,22 @@ from firmopt import (
     check_control_maximizes,
     check_slackness,
     classify_scenario,
-    hamiltonian,
     integrate_exact,
     multiplier_set_for_scenario,
     objective_value,
-    switching_values,
     synthesize_policy,
 )
 from firmopt.dynamics import extrema
-from firmopt.verify import CERT_TOL, SingularSegment, switching_from_psi
+from firmopt.verify import CERT_TOL, SingularSegment
 
 from conftest import ALL_KINDS, BASELINE, draw_profitable_params, draw_scenario_case
 from oracles import (
     grid_check_control_maximizes,
     grid_check_slackness,
     grid_multipliers_nonnegative,
+    hamiltonian,
+    switching_from_psi,
+    switching_values,
 )
 from test_solver import J_S1, J_S3, T_D_A2, T_D_S3, T_S_BASE
 
