@@ -27,6 +27,9 @@ from firmopt.solver import _objective_debt_with_stock, _objective_no_debt
 from conftest import BASELINE, draw_profitable_params, draw_scenario_case
 from oracles import bisect_root, closed_form_trajectory, reference_integrate
 
+S2 = ScenarioKind.S2_DEBT_WITH_STOCK
+A2 = ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
+
 # Frozen values, confirmed against the scipy reference oracle (see
 # test_switching_times_match_reference below): the stock of the baseline
 # empties at 2*ln(2) and the three debt-clearance moments follow.
@@ -561,9 +564,6 @@ class TestReductionIdentities:
         )
         assert synth.objective == pytest.approx(20.0 + p.profit_rate() * p.T, rel=1e-12)
 
-
-S2 = ScenarioKind.S2_DEBT_WITH_STOCK
-A2 = ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
 
 
 class TestClearanceProperties:
