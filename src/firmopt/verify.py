@@ -33,7 +33,6 @@ candidate may beat the closed-form optimum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -118,6 +117,8 @@ class CertReport:
     violations: tuple[CertViolation, ...] = ()
     singular_segments: tuple[SingularSegment, ...] = ()
     worst_margin: CertMargin | None = None
+    #: least multiplier value seen (slackness only), for the sign check
+    lambda_min: float | None = None
 
 
 class _Findings:
@@ -132,9 +133,13 @@ class _Findings:
         if slack < 0.0:
             self.bad.append(CertViolation(t, check, magnitude))
 
-    def report(self, singular: tuple[SingularSegment, ...] = ()) -> CertReport:
+    def report(
+        self,
+        singular: tuple[SingularSegment, ...] = (),
+        lambda_min: float | None = None,
+    ) -> CertReport:
         worst = min(self.margins, key=lambda m: m.margin, default=None)
-        return CertReport(not self.bad, tuple(self.bad), singular, worst)
+        return CertReport(not self.bad, tuple(self.bad), singular, worst, lambda_min)
 
 
 def _switching_weights(params: ModelParams) -> dict[str, tuple[float, float, float]]:
@@ -243,7 +248,8 @@ def check_slackness(
     exact minimum must be >= -tol, and as each constraint value g is
     monotone there, sup|lambda| * sup|g| from the piece's ends soundly
     bounds |lambda*g|, which must stay within tol * scale.  Every mu must
-    be nonnegative and mu_i * g_i(X(T)) vanish within tol * scale.
+    be nonnegative and mu_i * g_i(X(T)) vanish within tol * scale.  The
+    least lambda value over all pieces is reported as `lambda_min`.
     """
     T = traj.t_final
     params = traj.params
@@ -252,9 +258,11 @@ def check_slackness(
     limit = tol * scale
     found = _Findings()
     lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
+    lambda_min = math.inf
     for a, b in _pieces(T, mults.breakpoints, traj.breakpoints):
         for i, lam in enumerate(lams):
             lo, t_lo, hi, t_hi = extrema(a, b, (1.0, lam.segment_at(a)))
+            lambda_min = min(lambda_min, lo)
             found.note(t_lo, f"lambda{i + 1}>=0", lo + tol, -lo)
             lam_sup, t_sup = (hi, t_hi) if hi >= -lo else (-lo, t_lo)
             if lam_sup == 0.0:  # lambda*g = 0: its slack exceeds the one just noted
@@ -268,7 +276,7 @@ def check_slackness(
     for i, (mu, g) in enumerate(zip(mults.mus, gfin), start=1):
         found.note(T, f"mu{i}>=0", mu, -mu)
         found.note(T, f"mu{i}*g{i}(T)=0", limit - abs(mu * g), abs(mu * g))
-    return found.report()
+    return found.report(lambda_min=lambda_min)
 
 
 def check_transversality(
@@ -416,11 +424,23 @@ def brute_force_best(
     Every optimal policy shape of this model (at most two switching
     times shared across components) lies in this class.
 
-    Trajectories violating a state constraint are discarded.  Exact
-    segment propagation, vectorized over candidates; evaluation order is
-    deterministic and exact objective ties are broken by earliest first
-    switch, then lexicographic levels.  Raises NoFeasibleCandidateError
-    when nothing feasible exists.
+    The search is factorized by prefix.  For each t_a, segment 1 is
+    propagated once per level triple (L = |u|*|v|*|w| of them, 18 by
+    default), segment 2 once per feasible first triple, middle triple
+    and t_b, and segment 3 once per feasible two-segment prefix and last
+    triple; a prefix that leaves the state constraints is dropped before
+    it widens.  At t_b = t_a the middle interval has zero length, so its
+    triples give one policy and only the first is evaluated.  Each
+    candidate still sees the same floating-point operations as when all
+    L**3 sequences were broadcast over every cut pair (the same
+    durations t_a, t_b - t_a and T - t_b, the same exact segment step,
+    the same feasibility tolerances), so every value, and the policy
+    picked, is the same bit for bit.
+
+    Trajectories violating a state constraint are discarded.  Evaluation
+    is deterministic and exact objective ties are broken by earliest
+    first switch, then lexicographic levels.  Raises
+    NoFeasibleCandidateError when nothing feasible exists.
     """
     import numpy as np  # only the search needs it; keeps `import firmopt` light
 
@@ -429,21 +449,12 @@ def brute_force_best(
     T = params.T
     if T <= 0.0:
         raise ValueError("brute force needs a positive horizon")
-    u_levels, v_levels, w_levels = grid.levels(params)
-    useq = np.array(list(itertools.product(u_levels, repeat=3)))
-    vseq = np.array(list(itertools.product(v_levels, repeat=3)))
-    wseq = np.array(list(itertools.product(w_levels, repeat=3)))
-    nu, nv, nw = len(useq), len(vseq), len(wseq)
-    iu = np.repeat(np.arange(nu), nv * nw)
-    iv = np.tile(np.repeat(np.arange(nv), nw), nu)
-    iw = np.tile(np.arange(nw), nu * nv)
-    U = useq[iu]  # (M, 3)
-    V = vseq[iv]
-    W = wseq[iw]
-    M = U.shape[0]
+    u_levels, v_levels, w_levels = (np.array(lv) for lv in grid.levels(params))
+    iu, iv, iw = np.indices((len(u_levels), len(v_levels), len(w_levels))).reshape(3, -1)
+    U, V, W = u_levels[iu], v_levels[iv], w_levels[iw]  # one entry per level triple
 
     p, r, A, al, K, B = params.p, params.r, params.A, params.alpha, params.K, params.B
-    slopes = p * W - V - K * U - B  # (M, 3)
+    slopes = p * W - V - K * U - B
     cin = A * U - V
     qin = U - W
     ftol = 1e-9 * max(1.0, init.N, init.D, init.S, params.S_max)
@@ -454,55 +465,69 @@ def brute_force_best(
         cut_times = np.array([0.0])
 
     best_value = -math.inf
-    best_key: tuple | None = None
-    best_policy: PiecewiseControl | None = None
+    ties: list[tuple[float, float, list[int]]] = []  # (t_a, t_b, triples)
 
-    def propagate(N0, D0, S0, dt, col):
-        """Exact segment step; dt broadcasts against the combo axis."""
-        er = np.exp(r * dt)
-        em1r = np.expm1(r * dt) / r
-        ea = np.exp(-al * dt)
-        em1a = np.expm1(-al * dt) / al
-        N1 = N0 + slopes[:, col] * dt
-        D1 = D0 * er + cin[:, col] * em1r
-        S1 = S0 * ea - qin[:, col] * em1a
-        return N1, D1, S1
+    def step(dt):
+        """Exact segment factors for a duration (scalar or array)."""
+        return (
+            dt,
+            np.exp(r * dt),
+            np.expm1(r * dt) / r,
+            np.exp(-al * dt),
+            np.expm1(-al * dt) / al,
+        )
+
+    def propagate(N0, D0, S0, factors):
+        """One exact segment per level triple; factors broadcast."""
+        dt, er, em1r, ea, em1a = factors
+        return N0 + slopes * dt, D0 * er + cin * em1r, S0 * ea - qin * em1a
+
+    def feasible(N, D, S):
+        return (N >= -ftol) & (D >= -ftol) & (S >= -ftol) & (S <= s_hi)
 
     for i, t_a in enumerate(cut_times):
-        N1, D1, S1 = propagate(init.N, init.D, init.S, t_a, 0)
-        ok1 = (N1 >= -ftol) & (D1 >= -ftol) & (S1 >= -ftol) & (S1 <= s_hi)
+        N1, D1, S1 = propagate(init.N, init.D, init.S, step(t_a))
+        first = np.flatnonzero(feasible(N1, D1, S1))
+        if first.size == 0:
+            continue
         tb = cut_times[i:]
-        d2 = (tb - t_a)[:, None]
-        d3 = (T - tb)[:, None]
-        N2, D2, S2 = propagate(N1[None, :], D1[None, :], S1[None, :], d2, 1)
-        N3, D3, S3 = propagate(N2, D2, S2, d3, 2)
-        feasible = (
-            ok1[None, :]
-            & (N2 >= -ftol) & (D2 >= -ftol) & (S2 >= -ftol) & (S2 <= s_hi)
-            & (N3 >= -ftol) & (D3 >= -ftol) & (S3 >= -ftol) & (S3 <= s_hi)
+        # axes: (t_b, first triple, middle triple)
+        N2, D2, S2 = propagate(
+            N1[first, None], D1[first, None], S1[first, None],
+            tuple(x[:, :, None] for x in step((tb - t_a)[:, None])),
         )
-        value = np.where(feasible, N3 - D3, -np.inf)
+        ok2 = feasible(N2, D2, S2)
+        ok2[0, :, 1:] = False  # t_b = t_a: the middle triple never acts
+        jb, ja, jm = np.nonzero(ok2)
+        if jb.size == 0:
+            continue
+        # axes: (feasible prefix, last triple)
+        factors3 = tuple(x[jb] for x in step((T - tb)[:, None]))
+        N3, D3, S3 = propagate(
+            N2[jb, ja, jm, None], D2[jb, ja, jm, None], S2[jb, ja, jm, None], factors3
+        )
+        value = np.where(feasible(N3, D3, S3), N3 - D3, -np.inf)
         chunk_best = value.max()
         if chunk_best == -math.inf or chunk_best < best_value:
             continue
-        rows, cols = np.nonzero(value == chunk_best)
-        for j_idx, m_idx in zip(rows.tolist(), cols.tolist()):
-            levels = (
-                tuple(U[m_idx]),
-                tuple(V[m_idx]),
-                tuple(W[m_idx]),
-            )
-            policy = _policy_from_candidate(T, float(t_a), float(tb[j_idx]), levels)
-            key = _candidate_key(policy)
-            if chunk_best > best_value or best_key is None or key < best_key:
-                best_value = float(chunk_best)
-                best_key = key
-                best_policy = policy
-    if best_policy is None:
+        if chunk_best > best_value:
+            best_value, ties = float(chunk_best), []
+        rows, last = np.nonzero(value == chunk_best)
+        ties += [
+            (float(t_a), float(tb[jb[row]]), [first[ja[row]], jm[row], c])
+            for row, c in zip(rows.tolist(), last.tolist())
+        ]
+    if not ties:
         raise NoFeasibleCandidateError(
             "no feasible piecewise-constant candidate on the search grid"
         )
-    return best_policy, best_value
+    policies = (
+        _policy_from_candidate(
+            T, t_a, t_b, (tuple(U[seq]), tuple(V[seq]), tuple(W[seq]))
+        )
+        for t_a, t_b, seq in ties
+    )
+    return min(policies, key=_candidate_key), best_value
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +563,11 @@ def certify_policy(
     synth = synthesize_policy(params, init, kind)
     mults = multiplier_set_for_scenario(params, kind, synth.times)
     adjoint = adjoint_backward(params, mults)
-    nonneg = all(
-        extrema(seg.t_start, seg.t_end, (1.0, seg))[0] >= 0.0
-        for lam in (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
-        for seg in lam.segments
-    ) and all(mu >= 0.0 for mu in mults.mus)
+    slackness = check_slackness(mults, synth.trajectory, tol)
+    # the slackness pass allows lambda >= -tol; the sign verdict is against 0
+    nonneg = slackness.lambda_min >= 0.0 and all(mu >= 0.0 for mu in mults.mus)
     return Certification(
-        slackness=check_slackness(mults, synth.trajectory, tol),
+        slackness=slackness,
         transversality=check_transversality(mults, adjoint),
         hamiltonian_argmax=check_control_maximizes(params, adjoint, synth.policy, tol),
         multipliers_nonnegative=nonneg,

@@ -13,11 +13,15 @@ The grid certificate samples the maximum-principle checks at about
 the exact per-segment certificate is cross-checked against it.  The
 pointwise Hamiltonian and switching values it samples are built on the
 certificate's own switching weights (`verify._switching_weights`).
+The broadcast exhaustive search is the one `verify.brute_force_best`
+factorized by prefix; it shares that search's candidate policy and
+tie-break key, so the two must agree bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -30,6 +34,7 @@ from firmopt import (
     ControlValue,
     JumpRecord,
     ModelParams,
+    NoFeasibleCandidateError,
     PiecewiseControl,
     State,
     Trajectory,
@@ -494,3 +499,97 @@ def grid_multipliers_nonnegative(mults, T: float) -> bool:
     return all(lam.value(t) >= 0.0 for lam in lams for t in grid) and all(
         mu >= 0.0 for mu in mults.mus
     )
+
+
+def grid_brute_force_best(
+    params: ModelParams,
+    init: State,
+    grid: verify.BruteForceGrid = verify.BruteForceGrid(),
+) -> tuple[PiecewiseControl, float]:
+    """The broadcast exhaustive search `verify.brute_force_best` replaced.
+
+    It propagates every level-sequence combination (all L**3 of them)
+    over every (t_a, t_b) cut pair at once, recomputing the first two
+    segments for each; the factorized search must return the same
+    policy and value bit for bit.
+    """
+    if grid.n_t < 1:
+        raise ValueError("n_t must be at least 1")
+    T = params.T
+    if T <= 0.0:
+        raise ValueError("brute force needs a positive horizon")
+    u_levels, v_levels, w_levels = grid.levels(params)
+    useq = np.array(list(itertools.product(u_levels, repeat=3)))
+    vseq = np.array(list(itertools.product(v_levels, repeat=3)))
+    wseq = np.array(list(itertools.product(w_levels, repeat=3)))
+    nu, nv, nw = len(useq), len(vseq), len(wseq)
+    iu = np.repeat(np.arange(nu), nv * nw)
+    iv = np.tile(np.repeat(np.arange(nv), nw), nu)
+    iw = np.tile(np.arange(nw), nu * nv)
+    U = useq[iu]  # (M, 3)
+    V = vseq[iv]
+    W = wseq[iw]
+
+    p, r, A, al, K, B = params.p, params.r, params.A, params.alpha, params.K, params.B
+    slopes = p * W - V - K * U - B  # (M, 3)
+    cin = A * U - V
+    qin = U - W
+    ftol = 1e-9 * max(1.0, init.N, init.D, init.S, params.S_max)
+    s_hi = params.S_max + ftol
+
+    cut_times = np.array([k * T / grid.n_t for k in range(1, grid.n_t)])
+    if cut_times.size == 0:
+        cut_times = np.array([0.0])
+
+    best_value = -math.inf
+    best_key: tuple | None = None
+    best_policy: PiecewiseControl | None = None
+
+    def propagate(N0, D0, S0, dt, col):
+        """Exact segment step; dt broadcasts against the combo axis."""
+        er = np.exp(r * dt)
+        em1r = np.expm1(r * dt) / r
+        ea = np.exp(-al * dt)
+        em1a = np.expm1(-al * dt) / al
+        N1 = N0 + slopes[:, col] * dt
+        D1 = D0 * er + cin[:, col] * em1r
+        S1 = S0 * ea - qin[:, col] * em1a
+        return N1, D1, S1
+
+    for i, t_a in enumerate(cut_times):
+        N1, D1, S1 = propagate(init.N, init.D, init.S, t_a, 0)
+        ok1 = (N1 >= -ftol) & (D1 >= -ftol) & (S1 >= -ftol) & (S1 <= s_hi)
+        tb = cut_times[i:]
+        d2 = (tb - t_a)[:, None]
+        d3 = (T - tb)[:, None]
+        N2, D2, S2 = propagate(N1[None, :], D1[None, :], S1[None, :], d2, 1)
+        N3, D3, S3 = propagate(N2, D2, S2, d3, 2)
+        feasible = (
+            ok1[None, :]
+            & (N2 >= -ftol) & (D2 >= -ftol) & (S2 >= -ftol) & (S2 <= s_hi)
+            & (N3 >= -ftol) & (D3 >= -ftol) & (S3 >= -ftol) & (S3 <= s_hi)
+        )
+        value = np.where(feasible, N3 - D3, -np.inf)
+        chunk_best = value.max()
+        if chunk_best == -math.inf or chunk_best < best_value:
+            continue
+        rows, cols = np.nonzero(value == chunk_best)
+        for j_idx, m_idx in zip(rows.tolist(), cols.tolist()):
+            levels = (
+                tuple(U[m_idx]),
+                tuple(V[m_idx]),
+                tuple(W[m_idx]),
+            )
+            policy = verify._policy_from_candidate(
+                T, float(t_a), float(tb[j_idx]), levels
+            )
+            key = verify._candidate_key(policy)
+            if chunk_best > best_value or best_key is None or key < best_key:
+                best_value = float(chunk_best)
+                best_key = key
+                best_policy = policy
+    if best_policy is None:
+        raise NoFeasibleCandidateError(
+            "no feasible piecewise-constant candidate on the search grid"
+        )
+    return best_policy, best_value

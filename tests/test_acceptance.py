@@ -12,7 +12,10 @@ and fail by design; their bounds are not to be edited to go green:
     (A+K)*w_max * (t_S mod h) = 25 * 0.0363 = 0.907 > 0.5; the measured
     shortfalls are 0.907 (S1), 1.076 (S2) and 1.383 (A2).
     brute_force_best promises an exhaustive search over its gridded
-    class, not a half-unit bracket.
+    class, not a half-unit bracket.  Its prefix factorization made it
+    about ten times faster at n_t = 200 without moving a bit of its
+    answers (tests/test_verify.py::TestFactorizedSearch checks it
+    against the broadcast search), so the shortfalls stay as measured.
   * the step-halving order check at step 1e-3
     (test_c08_rk4_halving_improves_by_factor_12).  N's right-hand side
     is constant on each segment, so RK4's truncation error in N is

@@ -607,3 +607,30 @@ class TestClearanceProperties:
         except PolicyInfeasibleError:
             reject()  # the extra repayment exhausts the cash before t_D
         assert indebted < value
+
+
+class TestRepaymentCapacityLimit:
+    """As v_max grows, repaying the debt at v_max approaches repaying it
+    all at t = 0 by the jump (A1), from below."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        stocked=st.booleans(),
+    )
+    def test_gap_to_the_jump_closes_as_v_max_grows(self, seed, stocked):
+        rng = random.Random(seed)
+        params = draw_profitable_params(rng)
+        D0 = rng.uniform(0.1, 50.0)
+        S0 = rng.uniform(0.01, params.w_max * params.T) if stocked else 0.0
+        init = State(D0 + rng.uniform(1.0, 200.0), D0, min(S0, params.S_max))
+        kind = S2 if stocked else ScenarioKind.S3_DEBT_NO_STOCK
+        jump = objective_value(params, init, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP)
+        gaps = []
+        for v_max in (params.v_max, 10.0 * params.v_max):
+            try:
+                repaid = objective_value(replace(params, v_max=v_max), init, kind)
+            except PolicyInfeasibleError:
+                reject()  # repaying at v_max exhausts the cash first
+            gaps.append(jump - repaid)
+        # the interest paid while repaying shrinks like 1/v_max
+        assert 0.0 <= gaps[1] <= gaps[0] / 5.0

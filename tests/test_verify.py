@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -25,12 +26,14 @@ from firmopt import (
     multiplier_set_for_scenario,
     objective_value,
     synthesize_policy,
+    verify,
 )
-from firmopt.dynamics import extrema
+from firmopt.dynamics import PiecewiseExpFn, extrema
 from firmopt.verify import CERT_TOL, SingularSegment
 
 from conftest import ALL_KINDS, BASELINE, draw_profitable_params, draw_scenario_case
 from oracles import (
+    grid_brute_force_best,
     grid_check_control_maximizes,
     grid_check_slackness,
     grid_multipliers_nonnegative,
@@ -198,8 +201,6 @@ class TestSlackness:
         assert check_slackness(mults, traj).passed
 
     def test_spurious_capacity_multiplier_is_located(self):
-        from firmopt.dynamics import PiecewiseExpFn
-
         traj, mults = self.traj_and_mults(
             State(20.0, 0.0, 10.0), ScenarioKind.S1_NO_DEBT_WITH_STOCK
         )
@@ -292,6 +293,42 @@ class TestCertifyPolicy:
     def test_baseline_scenarios_certify(self, init, jump, kind):
         cert = certify_policy(BASELINE, init, kind)
         assert cert.passed
+
+    def test_one_extrema_pass_decides_the_multiplier_signs(self, monkeypatch):
+        # the sign verdict reads the least lambda the slackness pass saw;
+        # a separate pass over the 6 lambda segments made it 27 calls
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return extrema(*args)
+
+        monkeypatch.setattr(verify, "extrema", counting)
+        kind = ScenarioKind.S2_DEBT_WITH_STOCK
+        cert = certify_policy(BASELINE, State(20.0, 10.0, 10.0), kind)
+        certified = len(calls)
+        assert certified == 21
+        assert cert.multipliers_nonnegative
+        assert cert.slackness.lambda_min == 0.0
+        calls.clear()
+        synth = cert.synthesis
+        mults = multiplier_set_for_scenario(BASELINE, kind, synth.times)
+        check_slackness(mults, synth.trajectory)
+        check_control_maximizes(
+            BASELINE, adjoint_backward(BASELINE, mults), synth.policy
+        )
+        assert len(calls) == certified
+
+    def test_sign_verdict_is_against_zero_not_the_tolerance(self):
+        # a lambda at -tol/2 passes slackness; its least value still
+        # reaches the sign check, which compares it with 0
+        kind = ScenarioKind.S2_DEBT_WITH_STOCK
+        synth = synthesize_policy(BASELINE, State(20.0, 10.0, 10.0), kind)
+        mults = multiplier_set_for_scenario(BASELINE, kind, synth.times)
+        dip = PiecewiseExpFn.constant(-0.5 * CERT_TOL, 0.0, BASELINE.T)
+        report = check_slackness(replace(mults, lambda4=dip), synth.trajectory)
+        assert report.passed
+        assert report.lambda_min == -0.5 * CERT_TOL
 
     def test_expensive_credit_breaks_the_certificate(self):
         # when interest compounded to the clearance time exceeds the sales
@@ -584,3 +621,69 @@ class TestBruteForce:
         grid = BruteForceGrid(n_t=20, v_levels=(0.0, 45.0))
         policy, best = brute_force_best(BASELINE, State(0.0, 10.0, 10.0), grid)
         assert all(seg.value.v in (0.0, 45.0) for seg in policy.segments)
+
+
+# the five baseline scenarios where the search starts: S1, S2, S3, then
+# A1 and A2 after their jumps from (20, 10, 10) and (20, 30, 10)
+BASELINE_STARTS = [
+    State(20.0, 0.0, 10.0),
+    State(20.0, 10.0, 10.0),
+    State(20.0, 10.0, 0.0),
+    State(10.0, 0.0, 10.0),
+    State(0.0, 10.0, 10.0),
+]
+
+
+def assert_same_search(params, start, grid):
+    """The factorized search returns the broadcast oracle's answer exactly."""
+    outcomes = []
+    for search in (brute_force_best, grid_brute_force_best):
+        try:
+            outcomes.append(repr(search(params, start, grid)))
+        except NoFeasibleCandidateError:
+            outcomes.append("no feasible candidate")
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+class TestFactorizedSearch:
+    """The prefix-factorized search against the broadcast search it replaced."""
+
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 10, 50])
+    @pytest.mark.parametrize("start", BASELINE_STARTS)
+    def test_baseline_cases(self, start, n_t):
+        assert_same_search(BASELINE, start, BruteForceGrid(n_t=n_t))
+
+    def test_random_draws(self):
+        rng = random.Random(20261018)
+        for k in range(200):
+            params, init = draw_scenario_case(rng, ALL_KINDS[k % 5])
+            assert_same_search(params, init, BruteForceGrid(n_t=20 if k % 20 == 0 else 10))
+
+    @pytest.mark.parametrize("v_levels", [(0.0, 45.0), (0.0, 45.0, 45.0, 10.0)])
+    def test_custom_levels(self, v_levels):
+        grid = BruteForceGrid(n_t=20, v_levels=v_levels)
+        assert_same_search(BASELINE, State(0.0, 10.0, 10.0), grid)
+
+    def test_vanishing_horizon(self):
+        tiny = replace(BASELINE, T=1e-6)
+        assert_same_search(tiny, State(20.0, 0.0, 10.0), BruteForceGrid(n_t=10))
+
+    def test_infeasible_start(self):
+        params = replace(BASELINE, B=60.0)
+        outcome = assert_same_search(params, State(0.0, 0.0, 0.0), BruteForceGrid(n_t=10))
+        assert outcome == "no feasible candidate"
+
+    def test_allocation_peak_is_bounded(self):
+        # at n_t = 20 the broadcast search holds every level sequence for
+        # every t_b at once (10.3 MB); propagating prefixes needs 1.3 MB
+        bound_mb = 4.0
+        peaks = []
+        for search in (brute_force_best, grid_brute_force_best):
+            tracemalloc.start()
+            try:
+                search(BASELINE, State(20.0, 10.0, 10.0), BruteForceGrid(n_t=20))
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < bound_mb < peaks[1]
