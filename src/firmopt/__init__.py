@@ -6,13 +6,12 @@ bang-bang with closed-form switching times, certified by multiplier
 conditions and an exhaustive search oracle.
 """
 
-from .chain import ChainInterval, ChainJunctionError, ChainPlan, chain_plan, evaluate_chain
+from .chain import ChainJunctionError, chain_plan, evaluate_chain
 from .dynamics import (
     AdjointTrajectory,
     PiecewiseExpFn,
     Trajectory,
     TrajectorySegment,
-    Violation,
     adjoint_backward,
     integrate_exact,
 )
@@ -28,15 +27,11 @@ from .model import (
     ScenarioKind,
     State,
     UncoveredInitialConditionError,
-    ValidationReport,
     classify_scenario,
     cost_rate,
     validate_params,
 )
 from .solver import (
-    EventTime,
-    SwitchingTimes,
-    SynthesisResult,
     debt_clearance_time,
     initial_jump,
     objective_value,
@@ -46,13 +41,10 @@ from .solver import (
 from .verify import (
     BruteForceGrid,
     CertReport,
-    Certification,
-    MultiplierSet,
     brute_force_best,
     certify_policy,
     check_control_maximizes,
     check_slackness,
-    check_transversality,
     multiplier_set_for_scenario,
 )
 
@@ -62,37 +54,27 @@ __all__ = [
     "AdjointTrajectory",
     "BruteForceGrid",
     "CertReport",
-    "Certification",
-    "ChainInterval",
     "ChainJunctionError",
-    "ChainPlan",
     "ControlBoundsError",
     "ControlSegment",
     "ControlValue",
-    "EventTime",
     "JumpRecord",
     "ModelParams",
-    "MultiplierSet",
     "NoFeasibleCandidateError",
     "PiecewiseControl",
     "PiecewiseExpFn",
     "PolicyInfeasibleError",
     "ScenarioKind",
     "State",
-    "SwitchingTimes",
-    "SynthesisResult",
     "Trajectory",
     "TrajectorySegment",
     "UncoveredInitialConditionError",
-    "ValidationReport",
-    "Violation",
     "adjoint_backward",
     "brute_force_best",
     "certify_policy",
     "chain_plan",
     "check_control_maximizes",
     "check_slackness",
-    "check_transversality",
     "classify_scenario",
     "cost_rate",
     "debt_clearance_time",

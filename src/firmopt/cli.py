@@ -302,17 +302,8 @@ def cmd_solve(config: RunConfig) -> tuple[int, str]:
 
 
 def cmd_simulate(config: RunConfig) -> tuple[int, str]:
-    if config.params.T == 0.0:
-        state = config.init
-        lines = ["t,N,D,S,u,v,w,feasible"]
-        cells = [CSV_FMT % x for x in (0.0, state.N, state.D, state.S, 0.0, 0.0, 0.0)]
-        feasible = state.N >= 0.0 and state.D >= 0.0 and 0.0 <= state.S <= config.params.S_max
-        cells.append("true" if feasible else "false")
-        lines.append(",".join(cells))
-        csv_text = "\n".join(lines) + "\n"
-    else:
-        _, synth = _synthesize(config)
-        csv_text = _trajectory_csv(synth.trajectory)
+    _, synth = _synthesize(config)
+    csv_text = _trajectory_csv(synth.trajectory)
     _write(config.options.out_dir, "trajectory.csv", csv_text)
     return EXIT_OK, csv_text
 
@@ -411,9 +402,7 @@ def execute_command(config: RunConfig, command: str) -> int:
     }
     if command not in handlers:
         raise ConfigError(f"unknown command {command!r}")
-    report = validate_params(config.params)
-    needs_policy = not (command == "simulate" and config.params.T == 0.0)
-    if not report.profitable and needs_policy:
+    if not validate_params(config.params).profitable:
         print(
             "infeasible: parameters are not profitable "
             "(p*w_max must exceed (A+K)*w_max + B)",

@@ -250,13 +250,18 @@ class ExpSegment:
     t_start: float
     t_end: float
     terms: tuple[ExpTerm, ...] = ()
-    lin: float = 0.0  # lin * (t - t_start)
 
     def value(self, t: float) -> float:
-        out = self.lin * (t - self.t_start)
+        out = 0.0
         for term in self.terms:
             out += term.value(t)
         return out
+
+
+def _pieces(T: float, *cut_lists: Sequence[float]) -> list[tuple[float, float]]:
+    """Consecutive [a, b] between 0, T and every cut strictly inside."""
+    cuts = sorted({0.0, T, *(c for cuts in cut_lists for c in cuts if 0.0 < c < T)})
+    return list(zip(cuts[:-1], cuts[1:])) or [(0.0, T)]
 
 
 def extrema(
@@ -267,14 +272,11 @@ def extrema(
     Equal rates merge into f(tau) = c + sum_k a_k*exp(k*tau), tau = t - a.
     With at most two nonzero rates f' has at most one zero, in closed
     form, so the endpoints and that point decide both extrema exactly.
-    A linear part alone is monotone; a linear part beside exponentials,
-    or three rates, raise NotImplementedError.
+    Three rates raise NotImplementedError.
     """
-    const = lin = 0.0
+    const = 0.0
     amps: dict[float, float] = {}
     for weight, seg in parts:
-        lin += weight * seg.lin
-        const += weight * seg.lin * (a - seg.t_start)
         for term in seg.terms:
             if term.rate == 0.0:
                 const += weight * term.coef
@@ -282,8 +284,8 @@ def extrema(
                 amp = weight * term.coef * math.exp(term.rate * (a - term.anchor))
                 amps[term.rate] = amps.get(term.rate, 0.0) + amp
     live = [(k, c) for k, c in amps.items() if c != 0.0]
-    if len(live) > 2 or (live and lin != 0.0):
-        raise NotImplementedError("extrema need at most two rates and no linear part")
+    if len(live) > 2:
+        raise NotImplementedError("extrema need at most two rates")
     times = [a, b]
     if len(live) == 2:
         (k1, c1), (k2, c2) = live
@@ -294,7 +296,7 @@ def extrema(
                 times.append(t)
     values = []
     for t in times:
-        value = const + lin * (t - a)
+        value = const
         for k, c in live:
             value += c * math.exp(k * (t - a))
         values.append((value, t))
@@ -373,73 +375,38 @@ class AdjointTrajectory:
         return self.psi3.breakpoints
 
 
-def _integral_terms_psi1(lam_seg: ExpSegment, a: float, b: float):
-    """Terms of integral over [t, b] of lambda1(s) ds as functions of t.
+def _costate_step(
+    k: float, a: float, b: float, psi_b: float, *forcing: tuple[float, ExpSegment]
+) -> ExpSegment:
+    """psi on [a, b] solving psi' = k*psi - f backward from psi(b).
 
-    The linear part is anchored at the segment start `a` to match
-    ExpSegment's lin * (t - t_start) convention.
+    f = sum(weight * seg), every term c*exp(rho*(s - anchor)) of which
+    contributes, for rho != k,
+
+        c/(rho - k) * (exp(rho*(b - anchor))*exp(k*(t - b)) - exp(rho*(t - anchor)))
+
+    and the boundary parts merge with psi(b) into one exp(k*(t - b)) term.
+    A nonzero resonant term (rho == k) raises NotImplementedError.
     """
-    const = 0.0
+    boundary = psi_b
     terms: list[ExpTerm] = []
-    lin = 0.0
-    if lam_seg.lin != 0.0:
-        raise NotImplementedError("linear multiplier forcing is not supported")
-    for term in lam_seg.terms:
-        if term.rate == 0.0:
-            const += term.coef * (b - a)
-            lin += -term.coef
-        else:
-            boundary = term.coef / term.rate * math.exp(term.rate * (b - term.anchor))
-            const += boundary
-            terms.append(ExpTerm(-term.coef / term.rate, term.rate, term.anchor))
-    return const, lin, terms
-
-
-def _integral_terms_psi2(lam_seg: ExpSegment, b: float, r: float):
-    """Terms of integral over [t, b] of exp(r*(s-t)) * lambda2(s) ds."""
-    if lam_seg.lin != 0.0:
-        raise NotImplementedError("linear multiplier forcing is not supported")
-    terms: list[ExpTerm] = []
-    for term in lam_seg.terms:
-        if term.rate == -r:
-            raise NotImplementedError("resonant forcing (rate == -r)")
-        denom = r + term.rate
-        if term.rate == 0.0:
-            terms.append(ExpTerm(term.coef / denom, -r, b))
-            terms.append(ExpTerm(-term.coef / denom, 0.0))
-        else:
-            amp = term.coef / denom * math.exp(term.rate * (b - term.anchor))
-            terms.append(ExpTerm(amp, -r, b))
-            terms.append(ExpTerm(-term.coef / denom, term.rate, term.anchor))
-    return terms
-
-
-def _integral_terms_psi3(lam_seg: ExpSegment, b: float, alpha: float):
-    """Terms of integral over [t, b] of exp(alpha*(t-s)) * g(s) ds."""
-    if lam_seg.lin != 0.0:
-        raise NotImplementedError("linear multiplier forcing is not supported")
-    terms: list[ExpTerm] = []
-    for term in lam_seg.terms:
-        if term.rate == alpha:
-            raise NotImplementedError("resonant forcing (rate == alpha)")
-        if term.rate == 0.0:
-            terms.append(ExpTerm(term.coef / alpha, 0.0))
-            terms.append(ExpTerm(-term.coef / alpha, alpha, b))
-        else:
-            denom = term.rate - alpha
-            amp = term.coef / denom * math.exp(term.rate * (b - term.anchor))
-            terms.append(ExpTerm(amp, alpha, b))
-            terms.append(ExpTerm(-term.coef / denom, term.rate, term.anchor))
-    return terms
-
-
-def _restrict(fn: PiecewiseExpFn, a: float, b: float) -> ExpSegment:
-    """The single ExpSegment of fn covering [a, b] (no breakpoint inside)."""
-    i = bisect.bisect_right(fn._starts, a) - 1
-    seg = fn.segments[i]
-    if seg.t_end < b - 1e-15:
-        raise ValueError("multiplier segment boundary falls inside adjoint step")
-    return seg
+    for weight, seg in forcing:
+        for term in seg.terms:
+            c = weight * term.coef
+            if c == 0.0:
+                continue
+            if term.rate == k:
+                raise NotImplementedError(f"resonant forcing (rate == {k})")
+            amp = c / (term.rate - k)
+            boundary += amp * math.exp(term.rate * (b - term.anchor))
+            terms.append(ExpTerm(-amp, term.rate, term.anchor))
+    seg = ExpSegment(a, b, (ExpTerm(boundary, k, b), *terms))
+    # the particular terms need not cancel to the last ulp at b; fold the
+    # residual into a constant so psi(b), hence psi(T), holds exactly
+    err = seg.value(b) - psi_b
+    if err == 0.0:
+        return seg
+    return ExpSegment(a, b, seg.terms + (ExpTerm(-err, 0.0),))
 
 
 def adjoint_backward(params: ModelParams, multipliers) -> AdjointTrajectory:
@@ -450,75 +417,22 @@ def adjoint_backward(params: ModelParams, multipliers) -> AdjointTrajectory:
         dpsi3/dt = alpha*psi3 - lambda3(t) + lambda4(t)
 
     `multipliers` must expose lambda1..lambda4 (PiecewiseExpFn) and
-    mu1..mu4 (floats); each lambda may be piecewise constant or
-    piecewise exponential, which keeps the backward solution closed
-    form.  The result reproduces the terminal conditions exactly.
+    mu1..mu4 (floats); each lambda may be piecewise exponential (a
+    constant lambda1 is resonant and raises NotImplementedError), which
+    keeps the backward solution closed form.  The result reproduces the
+    terminal conditions exactly.
     """
-    T = multipliers.lambda1.t_final
-    cuts = {0.0, T}
-    for lam in (
-        multipliers.lambda1,
-        multipliers.lambda2,
-        multipliers.lambda3,
-        multipliers.lambda4,
-    ):
-        cuts.update(b for b in lam.breakpoints if 0.0 <= b <= T)
-    grid = sorted(cuts)
-
-    segs1: list[ExpSegment] = []
-    segs2: list[ExpSegment] = []
-    segs3: list[ExpSegment] = []
-    v1 = multipliers.mu1 + 1.0
-    v2 = multipliers.mu2 - 1.0
-    v3 = multipliers.mu3 - multipliers.mu4
-
-    def pinned(seg: ExpSegment, b: float, target: float) -> ExpSegment:
-        # particular-solution terms need not cancel to the last ulp at the
-        # right boundary; fold the residual into the constant so the
-        # boundary (and hence the terminal) condition holds exactly
-        err = seg.value(b) - target
-        if err == 0.0:
-            return seg
-        return ExpSegment(
-            seg.t_start, seg.t_end, seg.terms + (ExpTerm(-err, 0.0),), lin=seg.lin
-        )
-
-    for a, b in zip(grid[-2::-1], grid[::-1]):
-        lam1 = _restrict(multipliers.lambda1, a, b)
-        lam2 = _restrict(multipliers.lambda2, a, b)
-        lam34 = _combine_forcing(multipliers.lambda3, multipliers.lambda4, a, b)
-
-        const, lin, terms = _integral_terms_psi1(lam1, a, b)
-        seg1 = ExpSegment(a, b, (ExpTerm(v1 + const, 0.0), *terms), lin=lin)
-        segs1.append(pinned(seg1, b, v1))
-
-        terms2 = [ExpTerm(v2, -params.r, b)]
-        terms2.extend(_integral_terms_psi2(lam2, b, params.r))
-        segs2.append(pinned(ExpSegment(a, b, tuple(terms2)), b, v2))
-
-        terms3 = [ExpTerm(v3, params.alpha, b)]
-        terms3.extend(_integral_terms_psi3(lam34, b, params.alpha))
-        segs3.append(pinned(ExpSegment(a, b, tuple(terms3)), b, v3))
-
-        v1 = segs1[-1].value(a)
-        v2 = segs2[-1].value(a)
-        v3 = segs3[-1].value(a)
-
-    def rebase(segs: list[ExpSegment]) -> PiecewiseExpFn:
-        ordered = tuple(reversed(segs))
-        if not ordered:
-            ordered = (ExpSegment(0.0, T, ()),)
-        return PiecewiseExpFn(ordered)
-
-    return AdjointTrajectory(psi1=rebase(segs1), psi2=rebase(segs2), psi3=rebase(segs3))
-
-
-def _combine_forcing(
-    lam3: PiecewiseExpFn, lam4: PiecewiseExpFn, a: float, b: float
-) -> ExpSegment:
-    """g = lambda3 - lambda4 restricted to [a, b] as one segment."""
-    s3 = _restrict(lam3, a, b)
-    s4 = _restrict(lam4, a, b)
-    terms = list(s3.terms) + [ExpTerm(-t.coef, t.rate, t.anchor) for t in s4.terms]
-    return ExpSegment(a, b, tuple(terms))
-
+    m = multipliers
+    lams = (m.lambda1, m.lambda2, m.lambda3, m.lambda4)
+    psi = [m.mu1 + 1.0, m.mu2 - 1.0, m.mu3 - m.mu4]
+    rates = (0.0, -params.r, params.alpha)
+    segs: tuple[list[ExpSegment], ...] = ([], [], [])
+    for a, b in reversed(_pieces(m.lambda1.t_final, *(lam.breakpoints for lam in lams))):
+        lam1, lam2, lam3, lam4 = (lam.segment_at(a) for lam in lams)
+        forcing = (((1.0, lam1),), ((1.0, lam2),), ((1.0, lam3), (-1.0, lam4)))
+        for i, (k, parts) in enumerate(zip(rates, forcing)):
+            seg = _costate_step(k, a, b, psi[i], *parts)
+            segs[i].append(seg)
+            psi[i] = seg.value(a)
+    psi1, psi2, psi3 = (PiecewiseExpFn(tuple(reversed(s))) for s in segs)
+    return AdjointTrajectory(psi1=psi1, psi2=psi2, psi3=psi3)

@@ -47,7 +47,6 @@ from .model import (
     PolicyInfeasibleError,
     ScenarioKind,
     State,
-    check_initial_state,
     classify_scenario,
     validate_params,
 )
@@ -222,7 +221,6 @@ def synthesize_policy(
     constraint-violating policy.
     """
     _require_solvable(params)
-    check_initial_state(params, init)
     expected = classify_scenario(params, init, jump_mode=kind.name.startswith("A"))
     if expected is not kind:
         raise ValueError(f"initial state {init} classifies as {expected}, not {kind}")

@@ -35,13 +35,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .dynamics import (
     AdjointTrajectory,
     ExpTerm,
     PiecewiseExpFn,
     Trajectory,
+    _pieces,
+    _state_scale,
     adjoint_backward,
     extrema,
     piecewise_from_spans,
@@ -151,12 +153,6 @@ def _switching_weights(params: ModelParams) -> dict[str, tuple[float, float, flo
     }
 
 
-def _pieces(T: float, *cut_lists: Sequence[float]) -> list[tuple[float, float]]:
-    """Consecutive [a, b] between 0, T and every cut strictly inside."""
-    cuts = sorted({0.0, T, *(c for cuts in cut_lists for c in cuts if 0.0 < c < T)})
-    return list(zip(cuts[:-1], cuts[1:])) or [(0.0, T)]
-
-
 def multiplier_set_for_scenario(
     params: ModelParams, kind: ScenarioKind, times: SwitchingTimes
 ) -> MultiplierSet:
@@ -253,9 +249,7 @@ def check_slackness(
     """
     T = traj.t_final
     params = traj.params
-    x0 = traj.segments[0].entry
-    scale = max(1.0, abs(x0.N), abs(x0.D), abs(x0.S), params.S_max)
-    limit = tol * scale
+    limit = tol * _state_scale(traj.segments[0].entry, params)
     found = _Findings()
     lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
     lambda_min = math.inf
@@ -384,19 +378,13 @@ def _policy_from_candidate(
     t_b: float,
     levels: tuple[tuple[float, float, float], ...],
 ) -> PiecewiseControl:
-    useq, vseq, wseq = levels
-    cuts = [t for t in (t_a, t_b) if 0.0 < t < T]
-    segs = []
-    bounds = [0.0, *dict.fromkeys(cuts), T]
-    # map each surviving interval to its level slot (degenerate ones skipped)
-    slots = []
-    raw_bounds = [0.0, t_a, t_b, T]
-    for i in range(3):
-        if raw_bounds[i + 1] > raw_bounds[i]:
-            slots.append(i)
-    for (a, b), slot in zip(zip(bounds[:-1], bounds[1:]), slots):
-        segs.append(ControlSegment(a, b, ControlValue(useq[slot], vseq[slot], wseq[slot])))
-    return PiecewiseControl(tuple(segs)).merged()
+    bounds = (0.0, t_a, t_b, T)
+    segs = tuple(
+        ControlSegment(a, b, ControlValue(u, v, w))
+        for a, b, u, v, w in zip(bounds, bounds[1:], *levels)
+        if b > a
+    )
+    return PiecewiseControl(segs).merged()
 
 
 def _candidate_key(policy: PiecewiseControl) -> tuple:

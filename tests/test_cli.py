@@ -138,6 +138,12 @@ class TestCommands:
         lines = (tmp_path / "out" / "trajectory.csv").read_text().strip().split("\n")
         assert len(lines) == 2
         assert lines[1].startswith("0,20,0,10,")
+        # the row carries the controls of the policy that `solve` reports
+        capsys.readouterr()
+        assert run_cli("solve", make_config(tmp_path, doc)) == EXIT_OK
+        (segment,) = capsys.readouterr().out.split("policy:\n")[1].splitlines()
+        reported = [float(cell.split(" = ")[1]) for cell in segment.split("  ")[2:]]
+        assert [float(x) for x in lines[1].split(",")[4:7]] == reported
 
     def test_simulate_jump_emits_double_row(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_DOC))

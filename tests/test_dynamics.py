@@ -23,6 +23,7 @@ from firmopt.dynamics import ExpSegment, ExpTerm, PiecewiseExpFn, extrema
 from conftest import ALL_KINDS, BASELINE, draw_scenario_case
 from oracles import AmbiguousRootError, find_zero_crossing, integrate_rk4
 from test_solver import T_D_S3, T_S_BASE
+from test_verify import BASELINE_CASES
 
 
 def constant_policy(u, v, w, T=10.0):
@@ -156,14 +157,38 @@ class TestAdjointBackward:
     def test_terminal_conditions_reproduced_exactly(self):
         for kind in ALL_KINDS:
             rng = random.Random(1 + zlib.crc32(kind.value.encode()))
-            params, init = draw_scenario_case(rng, kind)
-            synth = synthesize_policy(params, init, kind)
-            mults = multiplier_set_for_scenario(params, kind, synth.times)
-            adjoint = adjoint_backward(params, mults)
-            psi_T = adjoint.value_at(params.T)
-            assert psi_T[0] == mults.mu1 + 1.0
-            assert psi_T[1] == mults.mu2 - 1.0
-            assert psi_T[2] == mults.mu3 - mults.mu4
+            for _ in range(20):
+                params, init = draw_scenario_case(rng, kind)
+                synth = synthesize_policy(params, init, kind)
+                mults = multiplier_set_for_scenario(params, kind, synth.times)
+                adjoint = adjoint_backward(params, mults)
+                psi_T = adjoint.value_at(params.T)
+                assert psi_T[0] == mults.mu1 + 1.0
+                assert psi_T[1] == mults.mu2 - 1.0
+                assert psi_T[2] == mults.mu3 - mults.mu4
+
+    def test_zero_horizon_is_one_instant(self):
+        # at T = 0 the one piece [0, 0] carries the terminal conditions
+        params = replace(BASELINE, T=0.0)
+        kind = ScenarioKind.S3_DEBT_NO_STOCK
+        synth = synthesize_policy(params, State(20.0, 10.0, 0.0), kind)
+        mults = multiplier_set_for_scenario(params, kind, synth.times)
+        psi = adjoint_backward(params, mults).value_at(0.0)
+        assert psi == (mults.mu1 + 1.0, mults.mu2 - 1.0, mults.mu3 - mults.mu4)
+
+    def test_constant_lambda1_is_resonant(self):
+        # psi1' = -lambda1 has rate k = 0, so a constant forcing would need a
+        # linear term, which the closed-form step does not carry
+        T = BASELINE.T
+        zero = PiecewiseExpFn.zero(0.0, T)
+
+        class Mults:
+            lambda1 = PiecewiseExpFn.constant(0.5, 0.0, T)
+            lambda2 = lambda3 = lambda4 = zero
+            mu1 = mu2 = mu3 = mu4 = 0.0
+
+        with pytest.raises(NotImplementedError):
+            adjoint_backward(BASELINE, Mults())
 
     def test_sell_then_produce_shadow_prices(self):
         synth = synthesize_policy(
@@ -200,14 +225,22 @@ class TestAdjointBackward:
             assert psi[2] == 0.0
 
     def test_backward_rk4_cross_check(self):
-        # independently integrate the costate ODEs backward with RK4
-        synth = synthesize_policy(
-            BASELINE, State(20.0, 0.0, 10.0), ScenarioKind.S1_NO_DEBT_WITH_STOCK
-        )
-        mults = multiplier_set_for_scenario(
-            BASELINE, ScenarioKind.S1_NO_DEBT_WITH_STOCK, synth.times
-        )
-        adjoint = adjoint_backward(BASELINE, mults)
+        # independently integrate the costate ODEs backward with RK4 for
+        # every scenario; A2's exponential lambda1 and the two-term lambda3
+        # of S3 (and of S2 when debt outlasts the stock) exercise the merged
+        # boundary term
+        for init, _, kind in BASELINE_CASES:
+            synth = synthesize_policy(BASELINE, init, kind)
+            mults = multiplier_set_for_scenario(BASELINE, kind, synth.times)
+            adjoint = adjoint_backward(BASELINE, mults)
+            psi = self.rk4_backward(mults)
+            expected = adjoint.value_at(0.0)
+            for got, want in zip(psi, expected):
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-9), kind
+
+    @staticmethod
+    def rk4_backward(mults):
+        """psi(0) by RK4 from the terminal conditions, 2000 steps per piece."""
 
         def make_rhs(a, b):
             # the multipliers are right-continuous; inside the backward
@@ -246,9 +279,7 @@ class TestAdjointBackward:
                     for i in range(3)
                 ]
                 t += h
-        expected = adjoint.value_at(0.0)
-        for got, want in zip(psi, expected):
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+        return psi
 
 
 class TestFindZeroCrossing:
@@ -364,17 +395,7 @@ class TestExtrema:
         lo, _, hi, _ = extrema(0.0, 3.0, (1.0, s2), (-1.0, s2))
         assert lo == hi == 0.0
 
-    def test_linear_part_alone_is_decided(self):
-        seg = ExpSegment(1.0, 3.0, (ExpTerm(2.0, 0.0),), lin=-1.5)
-        assert extrema(1.5, 3.0, (1.0, seg)) == (-1.0, 3.0, 1.25, 1.5)
-
-    @pytest.mark.parametrize(
-        "seg",
-        [
-            ExpSegment(0.0, 1.0, (ExpTerm(1.0, -0.1),), lin=1.0),
-            ExpSegment(0.0, 1.0, (ExpTerm(1.0, -0.1), ExpTerm(1.0, 0.5), ExpTerm(1.0, 2.0))),
-        ],
-    )
-    def test_undecidable_shape_raises(self, seg):
+    def test_undecidable_shape_raises(self):
+        seg = ExpSegment(0.0, 1.0, (ExpTerm(1.0, -0.1), ExpTerm(1.0, 0.5), ExpTerm(1.0, 2.0)))
         with pytest.raises(NotImplementedError):
             extrema(0.0, 1.0, (1.0, seg))
