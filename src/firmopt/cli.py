@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import chain as chain_mod
 from . import solver, verify
-from .dynamics import Trajectory
+from .dynamics import ZERO_SNAP_RTOL, Trajectory, _state_scale
 from .model import (
     ModelParams,
     PolicyInfeasibleError,
@@ -233,15 +233,16 @@ def _trajectory_csv(traj: Trajectory) -> str:
             times.add(min(T, k * T / (CSV_GRID_POINTS - 1)))
     grid = sorted(times)
     jump_at = {j.t: j for j in traj.jumps}
-    scale = max(1.0, traj.params.S_max)
+    # the tolerance integrate_exact judged the same trajectory by
+    tol = ZERO_SNAP_RTOL * _state_scale(traj.segments[0].entry, traj.params)
     lines = ["t,N,D,S,u,v,w,feasible"]
 
     def row(t: float, state: State) -> str:
         c = traj.segment_at(t).control
         feasible = (
-            state.N >= -1e-9 * scale
-            and state.D >= -1e-9 * scale
-            and -1e-9 * scale <= state.S <= traj.params.S_max + 1e-9 * scale
+            state.N >= -tol
+            and state.D >= -tol
+            and -tol <= state.S <= traj.params.S_max + tol
         )
         cells = [CSV_FMT % x for x in (t, state.N, state.D, state.S, c.u, c.v, c.w)]
         cells.append("true" if feasible else "false")
@@ -274,10 +275,14 @@ def _synthesize(config: RunConfig):
     return kind, synth
 
 
+def _require_horizon(config: RunConfig, what: str) -> None:
+    """Reject a zero horizon before any work is done for it."""
+    if config.params.T <= 0.0:
+        raise ConfigError(f"params.T: {what} needs a positive horizon")
+
+
 def _brute_force(config: RunConfig, synth: solver.SynthesisResult):
     """The exhaustive search from the synthesized policy's post-jump state."""
-    if config.params.T <= 0.0:
-        raise ConfigError("params.T: the brute-force search needs a positive horizon")
     levels = config.options.brute_levels or {}
     grid = verify.BruteForceGrid(
         n_t=config.options.brute_nt,
@@ -309,6 +314,7 @@ def cmd_simulate(config: RunConfig) -> tuple[int, str]:
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, str]:
+    _require_horizon(config, "the brute-force search")
     kind = classify_scenario(config.params, config.init, config.jump_mode)
     cert = verify.certify_policy(config.params, config.init, kind)
     closed = cert.synthesis.objective
@@ -342,8 +348,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, str]:
 
 
 def cmd_chain(config: RunConfig) -> tuple[int, str]:
-    if config.params.T <= 0.0:
-        raise ConfigError("params.T: a chain needs a positive horizon")
+    _require_horizon(config, "a chain")
     breakpoints = config.options.chain_breakpoints
     if breakpoints is None:
         breakpoints = (0.0, config.params.T)
@@ -376,6 +381,7 @@ def cmd_chain(config: RunConfig) -> tuple[int, str]:
 
 
 def cmd_brute_force(config: RunConfig) -> tuple[int, str]:
+    _require_horizon(config, "the brute-force search")
     kind, synth = _synthesize(config)
     closed = synth.objective
     policy, best = _brute_force(config, synth)

@@ -126,50 +126,45 @@ def _state_scale(init: State, params: ModelParams) -> float:
     return max(1.0, abs(init.N), abs(init.D), abs(init.S), params.S_max)
 
 
-def _violation_start(
-    params: ModelParams,
-    seg: TrajectorySegment,
-    component: str,
-    bound: float,
-    above: bool,
-    tol: float,
-) -> float:
-    """Bisect the time at which a monotone component crosses its bound."""
-    def excess(t: float) -> float:
-        value = getattr(seg.state_at(params, t), component)
-        return value - bound if above else bound - value
-
-    lo, hi = seg.t_start, seg.t_end
-    if excess(lo) > tol:
-        return lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return hi
-
-
 def _segment_violations(
     params: ModelParams, seg: TrajectorySegment, tol: float
 ) -> list[Violation]:
+    """Each bound the segment breaks by more than tol, from where it starts.
+
+    On the segment each component is x0 + (x1 - x0)*expm1(k*tau)/expm1(k*dt)
+    (x0 + (x1 - x0)*tau/dt when k = 0), with k = 0, r and -alpha for N, D
+    and S.  The excess over a bound, e0 at entry and e1 at exit, therefore
+    crosses 0 where expm1(k*tau) = g = f*expm1(k*dt), f = e0/(e0 - e1);
+    near g = -1 the equal form 1 + g = (e1 - e0*exp(k*dt))/(e1 - e0)
+    avoids cancellation.  A breach already at entry starts at t_start.
+    """
     out: list[Violation] = []
+    dt = seg.t_end - seg.t_start
     checks = (
-        ("N", 0.0, False, "N>=0"),
-        ("D", 0.0, False, "D>=0"),
-        ("S", 0.0, False, "S>=0"),
-        ("S", params.S_max, True, "S<=S_max"),
+        ("N", 0.0, 0.0, False, "N>=0"),
+        ("D", params.r, 0.0, False, "D>=0"),
+        ("S", -params.alpha, 0.0, False, "S>=0"),
+        ("S", -params.alpha, params.S_max, True, "S<=S_max"),
     )
-    for comp, bound, above, label in checks:
-        lo_val = getattr(seg.entry, comp)
-        hi_val = getattr(seg.exit, comp)
-        worst = max(v - bound if above else bound - v for v in (lo_val, hi_val))
-        if worst > tol:
-            t0 = _violation_start(params, seg, comp, bound, above, tol)
-            out.append(Violation(t0, label, worst))
+    for comp, k, bound, above, label in checks:
+        e0, e1 = (
+            v - bound if above else bound - v
+            for v in (getattr(seg.entry, comp), getattr(seg.exit, comp))
+        )
+        worst = max(e0, e1)
+        if worst <= tol:
+            continue
+        tau = 0.0
+        if e0 < 0.0:  # so e1 > 0 and f lies in (0, 1)
+            f = e0 / (e0 - e1)
+            g = f * math.expm1(k * dt)
+            if k == 0.0:
+                tau = f * dt
+            elif g > -0.5:
+                tau = math.log1p(g) / k
+            else:
+                tau = math.log((e1 - e0 * math.exp(k * dt)) / (e1 - e0)) / k
+        out.append(Violation(seg.t_start + min(tau, dt), label, worst))
     return out
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import dynamics
 from .model import (
@@ -194,6 +195,21 @@ def _require_solvable(params: ModelParams) -> None:
         )
 
 
+def _phases(T: float, times: SwitchingTimes) -> Iterator[tuple[float, float, bool, bool]]:
+    """(a, b, producing, cleared) for each piece of [0, T] cut at t_S and t_D.
+
+    Production runs from t_S and the debt is cleared from t_D, each only
+    when it falls within the horizon; without a debt phase t_D = 0.
+    """
+    t_d = 0.0 if times.t_d is None else times.t_d
+    events = ((times.t_s, times.t_s_within_horizon), (t_d, times.t_d_within_horizon))
+    cuts = sorted({t for t, within in events if within and t > 0.0})
+    bounds = [0.0, *cuts, T]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        producing = times.t_s_within_horizon and a >= times.t_s
+        yield a, b, producing, times.t_d_within_horizon and a >= t_d
+
+
 def synthesize_policy(
     params: ModelParams, init: State, kind: ScenarioKind
 ) -> SynthesisResult:
@@ -238,8 +254,6 @@ def synthesize_policy(
         ts_ev = stock_depletion_time(params, start.S)
         t_s, ts_in = ts_ev.time, ts_ev.within_horizon
     if kind in (ScenarioKind.S1_NO_DEBT_WITH_STOCK, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP):
-        # no debt phase: the post-clearance rule v = A*u holds from t = 0
-        t_d, td_in = 0.0, True
         times = SwitchingTimes(t_s, ts_in, None, True)
     else:
         if kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP and (
@@ -249,16 +263,13 @@ def synthesize_policy(
                 "required repayment rate p*w_max - B exceeds v_max"
             )
         td_ev = debt_clearance_time(params, start.D, t_s, kind)
-        t_d, td_in = td_ev.time, td_ev.within_horizon
-        times = SwitchingTimes(t_s, ts_in, t_d, td_in)
+        times = SwitchingTimes(t_s, ts_in, td_ev.time, td_ev.within_horizon)
 
     w = params.w_max
-    cuts = sorted({t for t, within in ((t_s, ts_in), (t_d, td_in)) if within and t > 0.0})
-    bounds = [0.0, *cuts, params.T]
     segs = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        u = w if ts_in and a >= t_s else 0.0
-        if td_in and a >= t_d:
+    for a, b, producing, cleared in _phases(params.T, times):
+        u = w if producing else 0.0
+        if cleared:
             v = params.A * u
         elif kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
             v = params.p * w - params.K * u - params.B

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dynamics import (
+    ZERO_SNAP_RTOL,
     AdjointTrajectory,
     ExpTerm,
     PiecewiseExpFn,
@@ -57,9 +58,9 @@ from .model import (
     ScenarioKind,
     State,
 )
-from .solver import SwitchingTimes, SynthesisResult, synthesize_policy
+from .solver import SwitchingTimes, SynthesisResult, _phases, synthesize_policy
 
-#: Default absolute tolerance for certification checks.
+#: Absolute tolerance for certification checks.
 CERT_TOL = 1e-9
 
 
@@ -158,98 +159,60 @@ def multiplier_set_for_scenario(
 ) -> MultiplierSet:
     """The multiplier set certifying a scenario's synthesized policy.
 
-    Writing s for the production start (t_S, absent when the stock
-    outlasts the horizon) and m for the debt-clearance time (0 in the
-    no-debt scenarios, absent when repayment cannot finish by T):
+    Built phase by phase on the policy's own pieces (solver._phases):
+    production runs from t_S, the debt is cleared from t_D (0 in the
+    no-debt scenarios), and `anchor` is t_D, or T when repayment cannot
+    finish by then.  A2 alone keeps the cash bound N >= 0 binding until
+    t_D, since all its sales profit goes to the debt.
 
-      lambda2 = r on [m, T], 0 before      (keeps psi2 = -1 after m)
-      lambda1 = r*exp(r*(m-t)) on [0, m)   (partial-repayment case only,
-                                            keeps psi1 = -psi2 while N = 0)
+      lambda2 = r once cleared, 0 before   (keeps psi2 = -1 from t_D)
+      lambda1 = r*exp(r*(anchor - t)) before t_D in A2, else 0
+                                           (keeps psi1 = -psi2 while N = 0)
       lambda3 = 0 while stock remains; alpha*(A+K) once production runs
-                debt-free.  On a stretch [s, m) where production runs
-                while debt is still outstanding, psi2 = -exp(r*(m-t)) is
-                not yet constant and keeping theta_u = 0 requires
-                  alpha*K + (alpha+r)*A*exp(r*(m-t))          (v_max regimes)
-                  (alpha+r)*(A+K)*exp(r*(m-t))                (partial repayment)
-      mu3 = A + K when the stock empties by T, else 0; all other mus 0.
-
-    Anchors fall back to T when the debt persists through the horizon.
+                debt-free.  Where production runs while debt is still
+                outstanding, psi2 = -exp(r*(anchor - t)) is not yet
+                constant and keeping theta_u = 0 requires
+                  alpha*K + (alpha+r)*A*exp(r*(anchor-t))     (v_max regimes)
+                  (alpha+r)*(A+K)*exp(r*(anchor-t))           (A2)
+      mu3 = A + K when the stock empties by T, else 0; lambda4 and all
+      other mus are 0.
     """
     T = params.T
     a_, k_, r_, al = params.A, params.K, params.r, params.alpha
-    s = times.t_s if times.t_s_within_horizon else None
-    if kind in (ScenarioKind.S1_NO_DEBT_WITH_STOCK, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP):
-        m: float | None = 0.0
+    cash_bound = kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
+    anchor = (times.t_d or 0.0) if times.t_d_within_horizon else T
+    binding = (ExpTerm(r_, -r_, anchor),) if cash_bound else ()
+    clear = (ExpTerm(r_, 0.0),)
+    paid_off = (ExpTerm(al * (a_ + k_), 0.0),)
+    if cash_bound:
+        indebted = (ExpTerm((al + r_) * (a_ + k_), -r_, anchor),)
     else:
-        m = times.t_d if times.t_d_within_horizon else None
-    anchor = m if m is not None else T
-
+        indebted = (ExpTerm(al * k_, 0.0), ExpTerm((al + r_) * a_, -r_, anchor))
+    spans = ([], [], [])
+    for a, b, producing, cleared in _phases(T, times):
+        spans[0].append((a, b, () if cleared else binding))
+        spans[1].append((a, b, clear if cleared else ()))
+        spans[2].append((a, b, (paid_off if cleared else indebted) if producing else ()))
+    lam1, lam2, lam3 = (piecewise_from_spans(s) for s in spans)
+    mu3 = a_ + k_ if times.t_s <= T else 0.0
     zero = PiecewiseExpFn.zero(0.0, T)
-
-    if kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
-        lam1 = piecewise_from_spans(
-            [
-                (0.0, anchor, (ExpTerm(r_, -r_, anchor),)),
-                (anchor, T, ()),
-            ]
-        )
-    else:
-        lam1 = zero
-
-    if m is not None:
-        lam2 = piecewise_from_spans([(0.0, m, ()), (m, T, (ExpTerm(r_, 0.0),))])
-    else:
-        lam2 = zero
-
-    if s is None:
-        lam3 = zero
-        mu3 = a_ + k_ if times.t_s <= T else 0.0
-    else:
-        const = ExpTerm(al * (a_ + k_), 0.0)
-        spans: list[tuple[float, float, tuple[ExpTerm, ...]]] = [(0.0, s, ())]
-        if m is not None and m <= s:
-            spans.append((s, T, (const,)))
-        else:
-            if kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
-                indebted = (ExpTerm((al + r_) * (a_ + k_), -r_, anchor),)
-            else:
-                indebted = (
-                    ExpTerm(al * k_, 0.0),
-                    ExpTerm((al + r_) * a_, -r_, anchor),
-                )
-            spans.append((s, anchor, indebted))
-            if m is not None:
-                spans.append((m, T, (const,)))
-        lam3 = piecewise_from_spans(spans)
-        mu3 = a_ + k_
-
-    return MultiplierSet(
-        lambda1=lam1,
-        lambda2=lam2,
-        lambda3=lam3,
-        lambda4=zero,
-        mu1=0.0,
-        mu2=0.0,
-        mu3=mu3,
-        mu4=0.0,
-    )
+    return MultiplierSet(lam1, lam2, lam3, zero, 0.0, 0.0, mu3, 0.0)
 
 
-def check_slackness(
-    mults: MultiplierSet, traj: Trajectory, tol: float = CERT_TOL
-) -> CertReport:
+def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
     """Verify complementary slackness and multiplier nonnegativity.
 
     Per piece between multiplier and trajectory breakpoints: each lambda's
-    exact minimum must be >= -tol, and as each constraint value g is
+    exact minimum must be >= -CERT_TOL, and as each constraint value g is
     monotone there, sup|lambda| * sup|g| from the piece's ends soundly
-    bounds |lambda*g|, which must stay within tol * scale.  Every mu must
-    be nonnegative and mu_i * g_i(X(T)) vanish within tol * scale.  The
-    least lambda value over all pieces is reported as `lambda_min`.
+    bounds |lambda*g|, which must stay within CERT_TOL * scale.  Every mu
+    must be nonnegative and mu_i * g_i(X(T)) vanish within CERT_TOL *
+    scale.  The least lambda value over all pieces is reported as
+    `lambda_min`.
     """
     T = traj.t_final
     params = traj.params
-    limit = tol * _state_scale(traj.segments[0].entry, params)
+    limit = CERT_TOL * _state_scale(traj.segments[0].entry, params)
     found = _Findings()
     lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
     lambda_min = math.inf
@@ -257,7 +220,7 @@ def check_slackness(
         for i, lam in enumerate(lams):
             lo, t_lo, hi, t_hi = extrema(a, b, (1.0, lam.segment_at(a)))
             lambda_min = min(lambda_min, lo)
-            found.note(t_lo, f"lambda{i + 1}>=0", lo + tol, -lo)
+            found.note(t_lo, f"lambda{i + 1}>=0", lo + CERT_TOL, -lo)
             lam_sup, t_sup = (hi, t_hi) if hi >= -lo else (-lo, t_lo)
             if lam_sup == 0.0:  # lambda*g = 0: its slack exceeds the one just noted
                 continue
@@ -292,20 +255,19 @@ def check_control_maximizes(
     params: ModelParams,
     adjoint: AdjointTrajectory,
     policy: PiecewiseControl,
-    tol: float = CERT_TOL,
 ) -> CertReport:
     """Check the policy against the box argmax of the Hamiltonian.
 
     Per piece between costate and policy breakpoints, from each switching
-    value's exact extrema: a max above theta_tol = tol * max(1, p) demands
-    the upper bound, a min below -theta_tol demands zero, and |theta| <=
-    theta_tol on the whole piece leaves the component singular (any
-    admissible value maximizes H); contiguous singular pieces merge, and
+    value's exact extrema: a max above theta_tol = CERT_TOL * max(1, p)
+    demands the upper bound, a min below -theta_tol demands zero, and
+    |theta| <= theta_tol on the whole piece leaves the component singular
+    (any admissible value maximizes H); contiguous singular pieces merge, and
     where theta only touches the band at a breakpoint, that instant is a
     singular segment.  A violation is reported once per piece, at its
     worst time.
     """
-    theta_tol = tol * max(1.0, params.p)
+    theta_tol = CERT_TOL * max(1.0, params.p)
     bounds = {"u": params.u_max, "v": params.v_max, "w": params.w_max}
     weights = _switching_weights(params)
     found = _Findings()
@@ -445,7 +407,7 @@ def brute_force_best(
     slopes = p * W - V - K * U - B
     cin = A * U - V
     qin = U - W
-    ftol = 1e-9 * max(1.0, init.N, init.D, init.S, params.S_max)
+    ftol = ZERO_SNAP_RTOL * _state_scale(init, params)
     s_hi = params.S_max + ftol
 
     cut_times = np.array([k * T / grid.n_t for k in range(1, grid.n_t)])
@@ -541,23 +503,18 @@ class Certification:
         )
 
 
-def certify_policy(
-    params: ModelParams,
-    init: State,
-    kind: ScenarioKind,
-    tol: float = CERT_TOL,
-) -> Certification:
+def certify_policy(params: ModelParams, init: State, kind: ScenarioKind) -> Certification:
     """Run the full maximum-principle certification for a scenario."""
     synth = synthesize_policy(params, init, kind)
     mults = multiplier_set_for_scenario(params, kind, synth.times)
     adjoint = adjoint_backward(params, mults)
-    slackness = check_slackness(mults, synth.trajectory, tol)
-    # the slackness pass allows lambda >= -tol; the sign verdict is against 0
+    slackness = check_slackness(mults, synth.trajectory)
+    # the slackness pass allows lambda >= -CERT_TOL; the sign verdict is against 0
     nonneg = slackness.lambda_min >= 0.0 and all(mu >= 0.0 for mu in mults.mus)
     return Certification(
         slackness=slackness,
         transversality=check_transversality(mults, adjoint),
-        hamiltonian_argmax=check_control_maximizes(params, adjoint, synth.policy, tol),
+        hamiltonian_argmax=check_control_maximizes(params, adjoint, synth.policy),
         multipliers_nonnegative=nonneg,
         synthesis=synth,
     )

@@ -205,7 +205,7 @@ def test_c03_maximum_principle_certification():
     for kind in ALL_KINDS:
         for _ in range(200):
             params, init = draw_scenario_case(rng, kind)
-            cert = certify_policy(params, init, kind, tol=1e-9)
+            cert = certify_policy(params, init, kind)
             if not (
                 cert.multipliers_nonnegative
                 and cert.slackness.passed

@@ -259,6 +259,42 @@ class TestCommands:
         rows = (tmp_path / "out" / csv_name).read_text().strip().split("\n")
         assert rows[-1].split(",")[0] == CSV_FMT % T
 
+    @pytest.mark.parametrize(
+        "command, csv_name", [("simulate", "trajectory.csv"), ("chain", "chain_trajectory.csv")]
+    )
+    def test_csv_rows_agree_with_the_exit_code_at_large_magnitudes(
+        self, tmp_path, capsys, command, csv_name
+    ):
+        # D runs to about 7e10 here, where its rounding exceeds
+        # 1e-9 * max(1, S_max); the rows must use the integrator's tolerance
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["params"].update(p=844121906.5605689, B=4.42090232077319, v_max=8441219065.605689)
+        doc["init"] = {"N0": 4.211485125664098, "D0": 70496195171.5308, "S0": 28.701136764478118}
+        doc["jump_mode"] = True
+        doc["options"] = {"out_dir": str(tmp_path / "out")}
+        assert run_cli(command, make_config(tmp_path, doc)) == EXIT_OK
+        rows = (tmp_path / "out" / csv_name).read_text().strip().split("\n")
+        assert all(row.endswith(",true") for row in rows[1:])
+
+    @pytest.mark.parametrize(
+        "command, owner, name",
+        [("verify", verify, "certify_policy"), ("brute-force", solver, "synthesize_policy")],
+    )
+    def test_zero_horizon_rejected_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, owner, name
+    ):
+        def not_reached(*args, **kwargs):
+            raise AssertionError(f"{name} ran for a zero horizon")
+
+        monkeypatch.setattr(owner, name, not_reached)
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["params"]["T"] = 0
+        doc["options"] = {"out_dir": str(tmp_path / "out")}
+        assert run_cli(command, make_config(tmp_path, doc)) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: params.T: the brute-force search needs a positive horizon\n"
+        )
+
     def test_console_entry_point(self, tmp_path):
         config = make_config(tmp_path, BASE_DOC)
         doc_dir = tmp_path / "out"

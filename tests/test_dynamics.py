@@ -21,7 +21,7 @@ from firmopt import (
 from firmopt.dynamics import ExpSegment, ExpTerm, PiecewiseExpFn, extrema
 
 from conftest import ALL_KINDS, BASELINE, draw_scenario_case
-from oracles import AmbiguousRootError, find_zero_crossing, integrate_rk4
+from oracles import AmbiguousRootError, bisect_root, find_zero_crossing, integrate_rk4
 from test_solver import T_D_S3, T_S_BASE
 from test_verify import BASELINE_CASES
 
@@ -53,6 +53,40 @@ class TestIntegrateExact:
         assert violation.constraint == "N>=0"
         assert violation.time == pytest.approx(0.2, abs=1e-9)
         assert violation.magnitude == pytest.approx(49.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "params, init, controls, constraint, bound",
+        [
+            # D = 10*exp(t/10) - 50*expm1(t/10) reaches 0 at 10*ln(1.25)
+            (BASELINE, State(200.0, 10.0, 0.0), [(0, 5, 0)], "D>=0", 0.0),
+            # the same repayment from t = 2, after two idle years
+            (BASELINE, State(200.0, 10.0, 0.0), [(0, 0, 0), (0, 5, 0)], "D>=0", 0.0),
+            # S = 20*exp(-t/2) - 10 empties at 2*ln(2), mid-way down the decay
+            (BASELINE, State(200.0, 0.0, 10.0), [(0, 0, 5)], "S>=0", 0.0),
+            # S = 100*exp(-t/2) - 10 empties at 2*ln(10), near the floor
+            (BASELINE, State(200.0, 0.0, 90.0), [(0, 0, 5)], "S>=0", 0.0),
+            # S = 16 - 16*exp(-t/2) passes S_max = 10 at 2*ln(16/6)
+            (replace(BASELINE, S_max=10.0), State(400.0, 0.0, 0.0), [(8, 0, 0)],
+             "S<=S_max", 10.0),
+        ],
+    )
+    def test_exponential_crossings_match_bisection(
+        self, params, init, controls, constraint, bound
+    ):
+        cuts = [0.0, 2.0, 10.0] if len(controls) == 2 else [0.0, 10.0]
+        policy = PiecewiseControl(tuple(
+            ControlSegment(a, b, ControlValue(*c))
+            for a, b, c in zip(cuts, cuts[1:], controls)
+        ))
+        traj = integrate_exact(params, init, policy)
+        (violation,) = traj.feasibility_report
+        assert violation.constraint == constraint
+        comp = constraint[0]
+        seg = traj.segments[-1]
+        root = bisect_root(
+            lambda t: getattr(traj.sample(t), comp) - bound, seg.t_start, seg.t_end, 1e-15
+        )
+        assert violation.time == pytest.approx(root, rel=1e-12)
 
     def test_sell_then_produce_is_feasible_with_exact_stock_zero(self):
         synth, start, zeros = synthesized(

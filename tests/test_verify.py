@@ -6,6 +6,7 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from firmopt import (
     BruteForceGrid,
@@ -166,6 +167,24 @@ class TestMultiplierSets:
                     for seg in lam.segments:
                         assert extrema(seg.t_start, seg.t_end, (1.0, seg))[0] >= 0.0
                 assert all(mu >= 0.0 for mu in mults.mus)
+
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        event=st.sampled_from(("T", "t_s", "t_d")),
+        frac=st.floats(0.1, 1.0),
+    )
+    def test_breakpoints_lie_on_the_policy_partition(self, kind, seed, event, frac):
+        # one phase rule cuts both the policy and its multipliers; pulling
+        # the horizon in to frac * t_S or frac * t_D puts that event at or
+        # beyond it
+        params, init = draw_scenario_case(random.Random(seed), kind)
+        times = synthesize_policy(params, init, kind).times
+        at = {"T": params.T, "t_s": times.t_s, "t_d": times.t_d}[event]
+        params = replace(params, T=frac * min(at or params.T, params.T))
+        synth = synthesize_policy(params, init, kind)
+        mults = multiplier_set_for_scenario(params, kind, synth.times)
+        assert set(mults.breakpoints) <= {0.0, params.T, *synth.policy.breakpoints}
 
 
 class TestSlackness:
