@@ -58,12 +58,6 @@ class ChainPlan:
     params: ModelParams
     intervals: tuple[ChainInterval, ...]
 
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return tuple(iv.t_start for iv in self.intervals) + (
-            self.intervals[-1].t_end,
-        )
-
 
 def _snap_state(state: State, scale: float) -> State:
     tol = JUNCTION_SNAP_RTOL * max(1.0, scale)

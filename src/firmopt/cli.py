@@ -6,8 +6,9 @@ plain text with machine-parsable ``key = value`` lines; trajectories go
 to CSV.  Output is byte-identical across repeated runs with the same
 config.
 
-Exit codes: 0 success, 1 infeasibility or failed certification,
-2 configuration error.
+Exit codes: 0 success, 1 infeasibility (an exhaustive search without a
+feasible candidate included) or failed certification, 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from . import solver, verify
 from .dynamics import ZERO_SNAP_RTOL, Trajectory, _state_scale
 from .model import (
     ModelParams,
+    NoFeasibleCandidateError,
     PolicyInfeasibleError,
     State,
     UncoveredInitialConditionError,
@@ -418,7 +420,7 @@ def execute_command(config: RunConfig, command: str) -> int:
     try:
         code, text = handlers[command](config)
     except (PolicyInfeasibleError, UncoveredInitialConditionError,
-            chain_mod.ChainJunctionError) as exc:
+            NoFeasibleCandidateError, chain_mod.ChainJunctionError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     sys.stdout.write(text)

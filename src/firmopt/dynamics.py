@@ -19,15 +19,15 @@ at segment endpoints are exhaustive.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .model import (
     ControlValue,
     JumpRecord,
     ModelParams,
+    Piecewise,
     PiecewiseControl,
     State,
 )
@@ -76,26 +76,19 @@ class TrajectorySegment:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Piecewise):
     """Piecewise closed-form evolution of (N, D, S) over [0, T].
 
     sample() is right-continuous; discontinuities (instantaneous debt
     repayments) are recorded in `jumps`, the pre-jump state being the
-    previous segment's terminal value (or `initial_pre_jump` at t = 0).
+    previous segment's terminal value (at t = 0, the JumpRecord's post
+    state less its deltas).
     """
 
     params: ModelParams
     segments: tuple[TrajectorySegment, ...]
     jumps: tuple[JumpRecord, ...] = ()
     feasibility_report: tuple[Violation, ...] = ()
-    _starts: tuple[float, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_starts", tuple(s.t_start for s in self.segments))
-
-    @property
-    def t_final(self) -> float:
-        return self.segments[-1].t_end
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -104,10 +97,6 @@ class Trajectory:
     @property
     def feasible(self) -> bool:
         return not self.feasibility_report
-
-    def segment_at(self, t: float) -> TrajectorySegment:
-        """The segment in force at t (right-continuous, t = T in the last)."""
-        return self.segments[bisect.bisect_right(self._starts, t) - 1]
 
     def sample(self, t: float) -> State:
         if not 0.0 <= t <= self.t_final:
@@ -300,7 +289,7 @@ def extrema(
 
 
 @dataclass(frozen=True)
-class PiecewiseExpFn:
+class PiecewiseExpFn(Piecewise):
     """Piecewise sum-of-exponentials function of time on [0, T].
 
     Right-continuous at interior breakpoints; covers the multiplier and
@@ -308,10 +297,6 @@ class PiecewiseExpFn:
     """
 
     segments: tuple[ExpSegment, ...]
-    _starts: tuple[float, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_starts", tuple(s.t_start for s in self.segments))
 
     @classmethod
     def constant(cls, value: float, t0: float, t1: float) -> "PiecewiseExpFn":
@@ -322,16 +307,8 @@ class PiecewiseExpFn:
         return cls.constant(0.0, t0, t1)
 
     @property
-    def t_final(self) -> float:
-        return self.segments[-1].t_end
-
-    @property
     def breakpoints(self) -> tuple[float, ...]:
         return self._starts + (self.t_final,)
-
-    def segment_at(self, t: float) -> ExpSegment:
-        """The segment in force at t (right-continuous, t = T in the last)."""
-        return self.segments[bisect.bisect_right(self._starts, t) - 1]
 
     def value(self, t: float) -> float:
         if not self.segments[0].t_start <= t <= self.t_final:
@@ -342,12 +319,21 @@ class PiecewiseExpFn:
 def piecewise_from_spans(
     spans: Sequence[tuple[float, float, tuple[ExpTerm, ...]]]
 ) -> PiecewiseExpFn:
-    """Build a PiecewiseExpFn from (t0, t1, terms) spans, skipping empties."""
-    segs = tuple(ExpSegment(a, b, terms) for a, b, terms in spans if b > a)
+    """Build a PiecewiseExpFn from (t0, t1, terms) spans, skipping empties
+    and merging neighbours with equal terms (each term is anchored in
+    absolute time, so a merged segment has the same values)."""
+    segs: list[ExpSegment] = []
+    for a, b, terms in spans:
+        if not b > a:
+            continue
+        if segs and segs[-1].terms == terms:
+            segs[-1] = ExpSegment(segs[-1].t_start, b, terms)
+        else:
+            segs.append(ExpSegment(a, b, terms))
     if not segs:
         a = spans[0][0] if spans else 0.0
-        segs = (ExpSegment(a, a, ()),)
-    return PiecewiseExpFn(segs)
+        segs.append(ExpSegment(a, a, ()))
+    return PiecewiseExpFn(tuple(segs))
 
 
 @dataclass(frozen=True)

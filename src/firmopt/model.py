@@ -21,9 +21,15 @@ value types plus scenario classification; the policy synthesis lives in
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
+import sys
 from dataclasses import dataclass
+
+#: Largest r*T for which exp(r*T), the debt's growth over the horizon, is
+#: a finite float.
+MAX_RATE_TIMES_HORIZON = math.log(sys.float_info.max)
 
 
 class ControlBoundsError(ValueError):
@@ -121,8 +127,27 @@ class ControlSegment:
     value: ControlValue
 
 
+class Piecewise:
+    """Base of the dataclasses whose `segments` tile a time interval in
+    order, each segment carrying `t_start` and `t_end`."""
+
+    segments: tuple
+    _starts: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_starts", tuple(s.t_start for s in self.segments))
+
+    @property
+    def t_final(self) -> float:
+        return self.segments[-1].t_end
+
+    def segment_at(self, t: float):
+        """The segment in force at t (right-continuous, t = T in the last)."""
+        return self.segments[bisect.bisect_right(self._starts, t) - 1]
+
+
 @dataclass(frozen=True)
-class PiecewiseControl:
+class PiecewiseControl(Piecewise):
     """Bang-bang policy: ordered constant-control segments covering [0, T].
 
     Segments must partition [0, T] with strictly increasing interior
@@ -140,30 +165,17 @@ class PiecewiseControl:
         for a, b in zip(self.segments, self.segments[1:]):
             if a.t_end != b.t_start:
                 raise ValueError("segments must tile the horizon without gaps")
-        T = self.segments[-1].t_end
-        degenerate = len(self.segments) == 1 and T == 0.0
+        degenerate = len(self.segments) == 1 and self.t_final == 0.0
         if not degenerate:
             for seg in self.segments:
                 if not seg.t_end > seg.t_start:
                     raise ValueError("segment breakpoints must be strictly increasing")
-
-    @property
-    def horizon(self) -> float:
-        return self.segments[-1].t_end
+        super().__post_init__()
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
         """Interior switching times (excludes 0 and T)."""
-        return tuple(seg.t_start for seg in self.segments[1:])
-
-    def value_at(self, t: float) -> ControlValue:
-        """Right-continuous evaluation; t = T maps to the last segment."""
-        if not 0.0 <= t <= self.horizon:
-            raise ValueError(f"t = {t} outside [0, {self.horizon}]")
-        for seg in self.segments:
-            if t < seg.t_end:
-                return seg.value
-        return self.segments[-1].value
+        return self._starts[1:]
 
     def merged(self) -> "PiecewiseControl":
         """Canonical form with adjacent equal control values merged."""
@@ -226,7 +238,9 @@ def validate_params(params: ModelParams) -> ValidationReport:
         p*w_max > K*w_max + B + A*w_max
 
     All synthesized policies operate at that point, so the test is
-    evaluated there only.  T = 0 is tolerated as a degenerate horizon.
+    evaluated there only.  T = 0 is tolerated as a degenerate horizon;
+    r*T above MAX_RATE_TIMES_HORIZON (about 709.78) is rejected, since
+    the debt's growth factor exp(r*T) would overflow.
     """
     bad: list[tuple[str, str]] = []
     positive = ("p", "r", "A", "alpha", "K", "B", "u_max", "v_max", "w_max", "S_max")
@@ -236,6 +250,9 @@ def validate_params(params: ModelParams) -> ValidationReport:
             bad.append((name, "must be strictly positive"))
     if not (math.isfinite(params.T) and params.T >= 0.0):
         bad.append(("T", "must be nonnegative"))
+    elif params.r * params.T > MAX_RATE_TIMES_HORIZON:
+        limit = f"{MAX_RATE_TIMES_HORIZON:.6g}"
+        bad.append(("r", f"r*T <= {limit} violated (exp(r*T) overflows)"))
     if params.w_max > params.u_max:
         bad.append(("w_max", "w_max <= u_max violated (demand exceeds capacity)"))
     if params.A * params.w_max > params.v_max:

@@ -54,27 +54,43 @@ from .model import (
 
 
 @dataclass(frozen=True)
-class EventTime:
-    """A switching moment; within_horizon is False when the event falls at
-    or beyond T (time may be inf when the event never happens at all)."""
-
-    time: float
-    within_horizon: bool
-
-
-@dataclass(frozen=True)
 class SwitchingTimes:
-    """The (t_S, t_D) pair for a synthesized policy.
+    """The (t_S, t_D) pair for a synthesized policy, and the cut of [0, T]
+    it makes.
 
     t_s is always finite; t_d is None when there is no debt phase at all
-    (pure no-debt scenarios).  The within-horizon flags follow the
-    convention value >= T means "beyond horizon".
+    (pure no-debt scenarios) and inf when the debt is never cleared.  The
+    within-horizon flags follow the convention value >= T means "beyond
+    horizon".
     """
 
     t_s: float
     t_s_within_horizon: bool
     t_d: float | None
     t_d_within_horizon: bool
+
+    @property
+    def zeros(self) -> list[tuple[float, str]]:
+        """(t_S, "S") and (t_D, "D") for each event inside (0, T): the
+        policy drives the stock, or the debt, to exactly zero there."""
+        zeros = []
+        if self.t_s_within_horizon and self.t_s > 0.0:
+            zeros.append((self.t_s, "S"))
+        if self.t_d is not None and self.t_d_within_horizon and self.t_d > 0.0:
+            zeros.append((self.t_d, "D"))
+        return zeros
+
+    def phases(self, T: float) -> Iterator[tuple[float, float, bool, bool]]:
+        """(a, b, producing, cleared) for each piece of [0, T] cut at the zeros.
+
+        Production runs from t_S and the debt is cleared from t_D, each only
+        when it falls within the horizon; without a debt phase t_D = 0.
+        """
+        t_d = self.t_d or 0.0
+        bounds = [0.0, *sorted({t for t, _ in self.zeros}), T]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            producing = self.t_s_within_horizon and a >= self.t_s
+            yield a, b, producing, self.t_d_within_horizon and a >= t_d
 
 
 @dataclass(frozen=True)
@@ -93,19 +109,17 @@ class SynthesisResult:
     objective: float
 
 
-def stock_depletion_time(params: ModelParams, S0: float) -> EventTime:
+def stock_depletion_time(params: ModelParams, S0: float) -> float:
     """Time at which the stock empties under zero production, full sales.
 
     Solves S' = -alpha*S - w_max from S0:
         t_S = (1/alpha) * ln((alpha*S0 + w_max)/w_max)
-    Beyond horizon iff t_S >= T, i.e. S0 > w_max*(exp(alpha*T)-1)/alpha,
-    in which case the horizon ends with unsold stock (sales only, no
-    production).
+    t_S >= T, i.e. S0 >= w_max*(exp(alpha*T)-1)/alpha, means the horizon
+    ends with unsold stock (sales only, no production).
     """
     if S0 < 0.0:
         raise ValueError(f"S0 must be nonnegative, got {S0}")
-    t_s = math.log1p(params.alpha * S0 / params.w_max) / params.alpha
-    return EventTime(time=t_s, within_horizon=t_s < params.T)
+    return math.log1p(params.alpha * S0 / params.w_max) / params.alpha
 
 
 def _log_branch(numerator: float, denominator: float, r: float) -> float:
@@ -117,7 +131,7 @@ def _log_branch(numerator: float, denominator: float, r: float) -> float:
 
 def debt_clearance_time(
     params: ModelParams, debt0: float, t_s: float, regime: ScenarioKind
-) -> EventTime:
+) -> float:
     """Time of full debt repayment for the given repayment regime.
 
     Every regime repays at a rate R while idle and at R - c once
@@ -141,8 +155,8 @@ def debt_clearance_time(
         rate (p - A - K)*w_max - B.
 
     A nonpositive log argument means the repayment rate can never outpace
-    interest plus purchases; that and t_D >= T both map to
-    within_horizon = False (debt persists through the horizon).
+    interest plus purchases, and t_D = inf; that and t_D >= T both leave
+    debt outstanding at the horizon.
     """
     if debt0 <= 0.0:
         raise ValueError(f"debt0 must be positive, got {debt0}")
@@ -161,12 +175,10 @@ def debt_clearance_time(
         raise ValueError(f"no debt-clearance regime for {regime}")
     theta = repay * (-math.expm1(-r * t_s)) / r
     if debt0 == theta:
-        t_d = t_s
-    elif debt0 < theta:
-        t_d = -math.log1p(-r * debt0 / repay) / r
-    else:
-        t_d = _log_branch(gain, repay - r * debt0 - purchase * math.exp(-r * t_s), r)
-    return EventTime(time=t_d, within_horizon=t_d < params.T)
+        return t_s
+    if debt0 < theta:
+        return -math.log1p(-r * debt0 / repay) / r
+    return _log_branch(gain, repay - r * debt0 - purchase * math.exp(-r * t_s), r)
 
 
 def initial_jump(init: State) -> JumpRecord:
@@ -193,21 +205,6 @@ def _require_solvable(params: ModelParams) -> None:
         raise ValueError(
             "unprofitable parameters: p*w_max must exceed (A+K)*w_max + B"
         )
-
-
-def _phases(T: float, times: SwitchingTimes) -> Iterator[tuple[float, float, bool, bool]]:
-    """(a, b, producing, cleared) for each piece of [0, T] cut at t_S and t_D.
-
-    Production runs from t_S and the debt is cleared from t_D, each only
-    when it falls within the horizon; without a debt phase t_D = 0.
-    """
-    t_d = 0.0 if times.t_d is None else times.t_d
-    events = ((times.t_s, times.t_s_within_horizon), (t_d, times.t_d_within_horizon))
-    cuts = sorted({t for t, within in events if within and t > 0.0})
-    bounds = [0.0, *cuts, T]
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        producing = times.t_s_within_horizon and a >= times.t_s
-        yield a, b, producing, times.t_d_within_horizon and a >= t_d
 
 
 def synthesize_policy(
@@ -248,26 +245,26 @@ def synthesize_policy(
             jump = initial_jump(init)
             start = jump.post_state
 
+    # S3's production runs from t_S = 0 even on the zero horizon
     if kind is ScenarioKind.S3_DEBT_NO_STOCK:
         t_s, ts_in = 0.0, True
     else:
-        ts_ev = stock_depletion_time(params, start.S)
-        t_s, ts_in = ts_ev.time, ts_ev.within_horizon
-    if kind in (ScenarioKind.S1_NO_DEBT_WITH_STOCK, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP):
-        times = SwitchingTimes(t_s, ts_in, None, True)
-    else:
+        t_s = stock_depletion_time(params, start.S)
+        ts_in = t_s < params.T
+    t_d = None
+    if kind not in (ScenarioKind.S1_NO_DEBT_WITH_STOCK, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP):
         if kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP and (
             params.p * params.w_max - params.B > params.v_max
         ):
             raise PolicyInfeasibleError(
                 "required repayment rate p*w_max - B exceeds v_max"
             )
-        td_ev = debt_clearance_time(params, start.D, t_s, kind)
-        times = SwitchingTimes(t_s, ts_in, td_ev.time, td_ev.within_horizon)
+        t_d = debt_clearance_time(params, start.D, t_s, kind)
+    times = SwitchingTimes(t_s, ts_in, t_d, t_d is None or t_d < params.T)
 
     w = params.w_max
     segs = []
-    for a, b, producing, cleared in _phases(params.T, times):
+    for a, b, producing, cleared in times.phases(params.T):
         u = w if producing else 0.0
         if cleared:
             v = params.A * u
@@ -295,13 +292,8 @@ def _post_check(
     The stock empties at t_S and the debt clears at t_D by construction,
     so both are snapped to exact zeros when they fall inside (0, T).
     """
-    zeros = []
-    if times.t_s_within_horizon and times.t_s > 0.0:
-        zeros.append((times.t_s, "S"))
-    if times.t_d is not None and times.t_d_within_horizon and times.t_d > 0.0:
-        zeros.append((times.t_d, "D"))
     traj = dynamics.integrate_exact(
-        params, start, policy, jump=jump, expected_zeros=zeros
+        params, start, policy, jump=jump, expected_zeros=times.zeros
     )
     if not traj.feasible:
         first = traj.feasibility_report[0]

@@ -58,7 +58,7 @@ from .model import (
     ScenarioKind,
     State,
 )
-from .solver import SwitchingTimes, SynthesisResult, _phases, synthesize_policy
+from .solver import SwitchingTimes, SynthesisResult, synthesize_policy
 
 #: Absolute tolerance for certification checks.
 CERT_TOL = 1e-9
@@ -159,7 +159,7 @@ def multiplier_set_for_scenario(
 ) -> MultiplierSet:
     """The multiplier set certifying a scenario's synthesized policy.
 
-    Built phase by phase on the policy's own pieces (solver._phases):
+    Built phase by phase on the policy's own pieces (times.phases):
     production runs from t_S, the debt is cleared from t_D (0 in the
     no-debt scenarios), and `anchor` is t_D, or T when repayment cannot
     finish by then.  A2 alone keeps the cash bound N >= 0 binding until
@@ -189,7 +189,7 @@ def multiplier_set_for_scenario(
     else:
         indebted = (ExpTerm(al * k_, 0.0), ExpTerm((al + r_) * a_, -r_, anchor))
     spans = ([], [], [])
-    for a, b, producing, cleared in _phases(T, times):
+    for a, b, producing, cleared in times.phases(T):
         spans[0].append((a, b, () if cleared else binding))
         spans[1].append((a, b, clear if cleared else ()))
         spans[2].append((a, b, (paid_off if cleared else indebted) if producing else ()))
@@ -280,10 +280,10 @@ def check_control_maximizes(
         else:
             runs.append([t0, t1])
 
-    T = policy.horizon
+    T = policy.t_final
     for a, b in _pieces(T, adjoint.breakpoints, policy.breakpoints):
         segs = [psi.segment_at(a) for psi in (adjoint.psi1, adjoint.psi2, adjoint.psi3)]
-        control = policy.value_at(a)
+        control = policy.segment_at(a).value
         for comp, bound in bounds.items():
             parts = [(w, seg) for w, seg in zip(weights[comp], segs) if w != 0.0]
             lo, t_lo, hi, t_hi = extrema(a, b, *parts)

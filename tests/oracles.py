@@ -455,7 +455,7 @@ def grid_check_control_maximizes(
 ):
     """Box argmax sampled on `check_grid`; singular grid times closer
     than two grid steps merge into one reported segment."""
-    T = policy.horizon
+    T = policy.t_final
     grid = check_grid(T, tuple(adjoint.breakpoints) + tuple(policy.breakpoints))
     theta_tol = tol * max(1.0, params.p)
     spacing = T / (10 * max(1, math.ceil(T))) if T > 0.0 else 1.0
@@ -464,7 +464,7 @@ def grid_check_control_maximizes(
     singular: dict[str, list[list[float]]] = {"u": [], "v": [], "w": []}
     for t in grid:
         theta = switching_values(params, adjoint, t)
-        control = policy.value_at(t)
+        control = policy.segment_at(t).value
         for comp, th, actual in (
             ("u", theta.theta_u, control.u),
             ("v", theta.theta_v, control.v),

@@ -3,11 +3,12 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import firmopt
 from firmopt import chain, cli, dynamics, solver, verify
@@ -295,6 +296,26 @@ class TestCommands:
             "config error: params.T: the brute-force search needs a positive horizon\n"
         )
 
+    @pytest.mark.parametrize("command", ["verify", "brute-force"])
+    def test_search_without_feasible_candidate_exits_one(self, tmp_path, capsys, command):
+        # with no sales the fixed cost drains the small cash on every candidate
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["init"] = {"N0": 1, "D0": 0, "S0": 10}
+        doc["options"] = {"out_dir": str(tmp_path / "out"), "brute_levels": {"w": [0]}}
+        assert run_cli(command, make_config(tmp_path, doc)) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: no feasible")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_debt_growth_beyond_float_range_rejected(self, tmp_path, capsys, command):
+        # exp(r*T) overflows a float past r*T = ln(sys.float_info.max)
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["params"].update(r=1, T=800)
+        doc["options"] = {"out_dir": str(tmp_path / "out"), "brute_nt": 5}
+        assert run_cli(command, make_config(tmp_path, doc)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: params.r: r*T <= 709.783")
+
     def test_console_entry_point(self, tmp_path):
         config = make_config(tmp_path, BASE_DOC)
         doc_dir = tmp_path / "out"
@@ -431,3 +452,60 @@ def test_fuzzed_configs_exit_two_never_a_traceback(tmp_path_factory, text, comma
         code = main([command, str(path)])
     assert code == EXIT_CONFIG
     assert err.getvalue().startswith("config error: ")
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+MONEY = log_uniform(1e-3, 1e3)
+RATE = log_uniform(1e-4, 5.0)
+
+
+@st.composite
+def schema_valid_documents(draw):
+    """Configs of the right shape with magnitudes over six decades; p,
+    u_max and v_max are drawn as multiples of what profit, demand and
+    purchases need, so that most configs pass validation."""
+    params = {key: draw(MONEY) for key in ("A", "K", "B", "w_max", "S_max")}
+    A, w = params["A"], params["w_max"]
+    p = (A + params["K"] + params["B"] / w) * draw(log_uniform(0.5, 100.0))
+    params.update(
+        p=p,
+        u_max=w * draw(log_uniform(0.8, 10.0)),
+        v_max=max(A * w, p * w - params["B"]) * draw(log_uniform(0.8, 10.0)),
+        r=draw(RATE),
+        alpha=draw(RATE),
+        T=draw(log_uniform(1e-3, 1e3)),
+    )
+    init = {key: draw(st.one_of(st.just(0.0), MONEY)) for key in ("N0", "D0", "S0")}
+    options = {"brute_nt": draw(st.integers(1, 5))}
+    if draw(st.integers(0, 3)) == 0:
+        comps = draw(st.lists(st.sampled_from("uvw"), min_size=1, max_size=3, unique=True))
+        level = st.one_of(st.just(0.0), MONEY)
+        options["brute_levels"] = {
+            c: draw(st.lists(level, min_size=1, max_size=3)) for c in comps
+        }
+    return {"params": params, "init": init, "jump_mode": draw(st.booleans()),
+            "options": options}
+
+
+# the README parameters, once with a search that finds nothing feasible
+# and once with exp(r*T) beyond the float range
+@example(
+    doc={**BASE_DOC, "init": {"N0": 1, "D0": 0, "S0": 10},
+         "options": {"brute_nt": 5, "brute_levels": {"w": [0]}}},
+    command="verify",
+)
+@example(doc={**BASE_DOC, "params": {**BASE_DOC["params"], "r": 1, "T": 800}}, command="solve")
+@given(doc=schema_valid_documents(), command=st.sampled_from(COMMANDS))
+def test_schema_valid_configs_never_end_in_a_traceback(tmp_path_factory, doc, command):
+    base = tmp_path_factory.getbasetemp()
+    doc = {**doc, "options": {**doc.get("options", {}), "out_dir": str(base / "valid")}}
+    path = base / "valid.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, str(path)])
+    assert code in (EXIT_OK, EXIT_INFEASIBLE, EXIT_CONFIG)
+    assert "Traceback" not in err.getvalue()

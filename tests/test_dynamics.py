@@ -33,16 +33,7 @@ def constant_policy(u, v, w, T=10.0):
 def synthesized(params, init, kind):
     synth = synthesize_policy(params, init, kind)
     start = synth.jump.post_state if synth.jump else init
-    zeros = []
-    if synth.times.t_s_within_horizon and synth.times.t_s > 0:
-        zeros.append((synth.times.t_s, "S"))
-    if (
-        synth.times.t_d is not None
-        and synth.times.t_d_within_horizon
-        and synth.times.t_d > 0
-    ):
-        zeros.append((synth.times.t_d, "D"))
-    return synth, start, zeros
+    return synth, start, synth.times.zeros
 
 
 class TestIntegrateExact:

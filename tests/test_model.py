@@ -1,6 +1,8 @@
 """Parameter validation, cost function and scenario classification."""
 
+import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -16,6 +18,7 @@ from firmopt import (
     UncoveredInitialConditionError,
     classify_scenario,
     cost_rate,
+    synthesize_policy,
     validate_params,
 )
 
@@ -49,6 +52,17 @@ class TestValidateParams:
     def test_nonpositive_fields_are_flagged(self):
         bad = replace(BASELINE, r=-0.1)
         assert any(field == "r" for field, _ in validate_params(bad).violations)
+
+    def test_debt_growth_beyond_float_range_is_flagged(self):
+        limit = math.log(sys.float_info.max)
+        init = State(20.0, 10.0, 10.0)
+        at_limit = replace(BASELINE, r=1.0, T=limit)
+        assert validate_params(at_limit).ok
+        synthesize_policy(at_limit, init, ScenarioKind.S2_DEBT_WITH_STOCK)
+        beyond = replace(BASELINE, r=1.0, T=800.0)
+        assert [f for f, _ in validate_params(beyond).violations] == ["r"]
+        with pytest.raises(ValueError, match=r"r: r\*T <= 709.783"):
+            synthesize_policy(beyond, init, ScenarioKind.S2_DEBT_WITH_STOCK)
 
     def test_profitability_equivalence(self):
         rng = random.Random(31)
@@ -167,16 +181,17 @@ class TestPiecewiseControl:
         with pytest.raises(ValueError):
             PiecewiseControl((ControlSegment(1.0, 10.0, ControlValue(0, 0, 5)),))
 
-    def test_value_at_is_right_continuous(self):
+    def test_segment_at_is_right_continuous(self):
         policy = PiecewiseControl(
             (
                 ControlSegment(0.0, 1.0, ControlValue(0.0, 0.0, 5.0)),
                 ControlSegment(1.0, 10.0, ControlValue(5.0, 10.0, 5.0)),
             )
         )
-        assert policy.value_at(1.0).u == 5.0
-        assert policy.value_at(0.999).u == 0.0
-        assert policy.value_at(10.0).u == 5.0
+        assert policy.segment_at(1.0).value.u == 5.0
+        assert policy.segment_at(0.999).value.u == 0.0
+        assert policy.segment_at(10.0).value.u == 5.0
+        assert policy.t_final == 10.0
 
     def test_merged_collapses_equal_neighbours(self):
         policy = PiecewiseControl(

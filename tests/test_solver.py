@@ -48,12 +48,12 @@ J_A2 = 224.54457389457087
 class TestStockDepletionTime:
     def test_empty_stock_depletes_immediately(self):
         ev = stock_depletion_time(BASELINE, 0.0)
-        assert ev.time == 0.0
-        assert ev.within_horizon
+        assert ev == 0.0
+        assert ev < BASELINE.T
 
     def test_baseline_value(self):
         ev = stock_depletion_time(BASELINE, 10.0)
-        assert ev.time == pytest.approx(2.0 * math.log(2.0), abs=1e-15)
+        assert ev == pytest.approx(2.0 * math.log(2.0), abs=1e-15)
 
     def test_matches_reference_integration(self):
         # oracle: integrate dS/dt = -alpha*S - w_max and bisect the zero
@@ -61,7 +61,7 @@ class TestStockDepletionTime:
             BASELINE, State(20.0, 0.0, 10.0), lambda t: (0.0, 0.0, 5.0), []
         )
         t_ref = bisect_root(lambda t: sample(t)[2], 0.0, BASELINE.T)
-        assert stock_depletion_time(BASELINE, 10.0).time == pytest.approx(
+        assert stock_depletion_time(BASELINE, 10.0) == pytest.approx(
             t_ref, abs=1e-9
         )
 
@@ -69,10 +69,9 @@ class TestStockDepletionTime:
         threshold = BASELINE.w_max * math.expm1(BASELINE.alpha * BASELINE.T) / BASELINE.alpha
         big = replace(BASELINE, S_max=5000.0)
         ev = stock_depletion_time(big, threshold + 1.0)
-        assert not ev.within_horizon
-        assert ev.time > BASELINE.T
+        assert ev > big.T
         ev_in = stock_depletion_time(big, threshold - 1.0)
-        assert ev_in.within_horizon
+        assert ev_in < big.T
 
     def test_negative_stock_rejected(self):
         with pytest.raises(ValueError):
@@ -82,8 +81,8 @@ class TestStockDepletionTime:
 class TestDebtClearanceTime:
     def test_small_debt_with_stock(self):
         ev = debt_clearance_time(BASELINE, 10.0, T_S_BASE, ScenarioKind.S2_DEBT_WITH_STOCK)
-        assert ev.time == pytest.approx(T_D_S2, abs=1e-15)
-        assert ev.within_horizon
+        assert ev == pytest.approx(T_D_S2, abs=1e-15)
+        assert ev < BASELINE.T
 
     def test_small_debt_matches_reference(self):
         sample = reference_integrate(
@@ -94,32 +93,32 @@ class TestDebtClearanceTime:
 
     def test_no_stock_value_and_reference(self):
         ev = debt_clearance_time(BASELINE, 10.0, 0.0, ScenarioKind.S3_DEBT_NO_STOCK)
-        assert ev.time == pytest.approx(T_D_S3, abs=1e-15)
+        assert ev == pytest.approx(T_D_S3, abs=1e-15)
         sample = reference_integrate(
             BASELINE, State(20.0, 10.0, 0.0), lambda t: (5.0, 50.0, 5.0), []
         )
         t_ref = bisect_root(lambda t: sample(t)[1], 0.0, 1.0)
-        assert ev.time == pytest.approx(t_ref, abs=1e-9)
+        assert ev == pytest.approx(t_ref, abs=1e-9)
 
     def test_partial_repayment_value_and_reference(self):
         ev = debt_clearance_time(BASELINE, 10.0, T_S_BASE, ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP)
-        assert ev.time == pytest.approx(T_D_A2, abs=1e-15)
-        assert ev.time == pytest.approx(10.0 * math.log(45.0 / 44.0), abs=1e-15)
+        assert ev == pytest.approx(T_D_A2, abs=1e-15)
+        assert ev == pytest.approx(10.0 * math.log(45.0 / 44.0), abs=1e-15)
         sample = reference_integrate(
             BASELINE, State(0.0, 10.0, 10.0), lambda t: (0.0, 45.0, 5.0), []
         )
         t_ref = bisect_root(lambda t: sample(t)[1], 0.0, 1.0)
-        assert ev.time == pytest.approx(t_ref, abs=1e-9)
+        assert ev == pytest.approx(t_ref, abs=1e-9)
 
     def test_vanishing_debt_limit(self):
         for debt0 in (1e-6, 1e-9, 1e-12):
             ev = debt_clearance_time(BASELINE, debt0, T_S_BASE, ScenarioKind.S2_DEBT_WITH_STOCK)
-            assert ev.time == pytest.approx(debt0 / BASELINE.v_max, rel=1e-3)
+            assert ev == pytest.approx(debt0 / BASELINE.v_max, rel=1e-3)
 
     def test_tie_lands_exactly_on_stock_depletion(self):
         theta = BASELINE.v_max * (-math.expm1(-BASELINE.r * T_S_BASE)) / BASELINE.r
         ev = debt_clearance_time(BASELINE, theta, T_S_BASE, ScenarioKind.S2_DEBT_WITH_STOCK)
-        assert ev.time == T_S_BASE
+        assert ev == T_S_BASE
         # both branch formulas approach the same point
         lo = debt_clearance_time(
             BASELINE, theta * (1 - 1e-9), T_S_BASE, ScenarioKind.S2_DEBT_WITH_STOCK
@@ -127,29 +126,29 @@ class TestDebtClearanceTime:
         hi = debt_clearance_time(
             BASELINE, theta * (1 + 1e-9), T_S_BASE, ScenarioKind.S2_DEBT_WITH_STOCK
         )
-        assert lo.time == pytest.approx(T_S_BASE, abs=1e-6)
-        assert hi.time == pytest.approx(T_S_BASE, abs=1e-6)
+        assert lo == pytest.approx(T_S_BASE, abs=1e-6)
+        assert hi == pytest.approx(T_S_BASE, abs=1e-6)
 
     def test_partial_repayment_threshold_tie(self):
         surplus = BASELINE.p * BASELINE.w_max - BASELINE.B
         theta = surplus * (-math.expm1(-BASELINE.r * T_S_BASE)) / BASELINE.r
         kind = ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
-        assert debt_clearance_time(BASELINE, theta, T_S_BASE, kind).time == T_S_BASE
+        assert debt_clearance_time(BASELINE, theta, T_S_BASE, kind) == T_S_BASE
         lo = debt_clearance_time(BASELINE, theta * (1 - 1e-9), T_S_BASE, kind)
         hi = debt_clearance_time(BASELINE, theta * (1 + 1e-9), T_S_BASE, kind)
-        assert lo.time == pytest.approx(T_S_BASE, abs=1e-6)
-        assert hi.time == pytest.approx(T_S_BASE, abs=1e-6)
+        assert lo == pytest.approx(T_S_BASE, abs=1e-6)
+        assert hi == pytest.approx(T_S_BASE, abs=1e-6)
 
     def test_monotone_in_debt_within_branches(self):
         rng = random.Random(23)
         for _ in range(100):
             params = draw_profitable_params(rng)
-            t_s = stock_depletion_time(params, rng.uniform(0.1, 20.0)).time
+            t_s = stock_depletion_time(params, rng.uniform(0.1, 20.0))
             theta = params.v_max * (-math.expm1(-params.r * t_s)) / params.r
             # below-threshold branch
             debts = sorted(rng.uniform(0.01, 0.99) * theta for _ in range(4))
             times = [
-                debt_clearance_time(params, d, t_s, ScenarioKind.S2_DEBT_WITH_STOCK).time
+                debt_clearance_time(params, d, t_s, ScenarioKind.S2_DEBT_WITH_STOCK)
                 for d in debts
             ]
             assert all(a < b for a, b in zip(times, times[1:]))
@@ -158,7 +157,7 @@ class TestDebtClearanceTime:
             if cap > theta * 1.01:
                 debts = sorted(rng.uniform(theta, min(cap * 0.99, theta * 3)) for _ in range(4))
                 times = [
-                    debt_clearance_time(params, d, t_s, ScenarioKind.S2_DEBT_WITH_STOCK).time
+                    debt_clearance_time(params, d, t_s, ScenarioKind.S2_DEBT_WITH_STOCK)
                     for d in debts
                 ]
                 assert all(a < b for a, b in zip(times, times[1:]))
@@ -167,11 +166,10 @@ class TestDebtClearanceTime:
         # v_max = 20 keeps the cash slope positive while the debt outlasts T
         params = replace(BASELINE, v_max=20.0)
         ev = debt_clearance_time(params, 100.0, T_S_BASE, ScenarioKind.S2_DEBT_WITH_STOCK)
-        assert not ev.within_horizon
+        assert ev >= params.T
         # interest outruns repayment entirely: degenerate logarithm
         ev2 = debt_clearance_time(params, 120.0, 0.0, ScenarioKind.S3_DEBT_NO_STOCK)
-        assert not ev2.within_horizon
-        assert math.isinf(ev2.time)
+        assert math.isinf(ev2)
 
     def test_nonpositive_debt_rejected(self):
         with pytest.raises(ValueError):
@@ -422,17 +420,9 @@ class TestObjectiveValue:
             params, init = draw_scenario_case(rng, kind)
             synth = synthesize_policy(params, init, kind)
             start = synth.jump.post_state if synth.jump else init
-            zeros = []
-            if synth.times.t_s_within_horizon and synth.times.t_s > 0:
-                zeros.append((synth.times.t_s, "S"))
-            if (
-                synth.times.t_d is not None
-                and synth.times.t_d_within_horizon
-                and synth.times.t_d > 0
-            ):
-                zeros.append((synth.times.t_d, "D"))
             traj = integrate_exact(
-                params, start, synth.policy, jump=synth.jump, expected_zeros=zeros
+                params, start, synth.policy, jump=synth.jump,
+                expected_zeros=synth.times.zeros,
             )
             value = objective_value(params, init, kind)
             assert value == pytest.approx(traj.objective(), rel=1e-12, abs=1e-12)
@@ -483,11 +473,10 @@ class TestObjectiveValue:
             params, init = draw_scenario_case(rng, kind, require_t_d_within=True)
             synth = synthesize_policy(params, init, kind)
             start = synth.jump.post_state if synth.jump else init
-            zeros = [(synth.times.t_d, "D")]
-            if synth.times.t_s_within_horizon and synth.times.t_s > 0:
-                zeros.append((synth.times.t_s, "S"))
+            assert (synth.times.t_d, "D") in synth.times.zeros
             traj = integrate_exact(
-                params, start, synth.policy, jump=synth.jump, expected_zeros=zeros
+                params, start, synth.policy, jump=synth.jump,
+                expected_zeros=synth.times.zeros,
             )
             t_d = synth.times.t_d
             for frac in (0.0, 0.3, 0.7, 1.0):
@@ -510,7 +499,7 @@ class TestReductionIdentities:
             via_no_stock = debt_clearance_time(
                 params, debt0, 0.0, ScenarioKind.S3_DEBT_NO_STOCK
             )
-            assert via_stocked.time == via_no_stock.time
+            assert via_stocked == via_no_stock
 
     def test_objective_reduces_exactly(self):
         rng = random.Random(53)
@@ -519,7 +508,7 @@ class TestReductionIdentities:
             cap = 0.9 * (params.v_max - params.A * params.w_max) / params.r
             t_d = debt_clearance_time(
                 params, rng.uniform(0.01, cap), 0.0, ScenarioKind.S3_DEBT_NO_STOCK
-            ).time
+            )
             if not math.isfinite(t_d) or t_d >= params.T:
                 continue
             cash0 = rng.uniform(0.1, 100.0)
@@ -581,7 +570,7 @@ class TestClearanceProperties:
         params = draw_profitable_params(rng)
         t_target = rng.uniform(0.1, 0.9) * params.T
         S0 = min(params.S_max, params.w_max * math.expm1(params.alpha * t_target) / params.alpha)
-        t_s = stock_depletion_time(params, S0).time
+        t_s = stock_depletion_time(params, S0)
         rate = params.v_max if kind is S2 else params.p * params.w_max - params.B
         theta = rate * (-math.expm1(-params.r * t_s)) / params.r
         # S2 keeps enough cash to repay at v_max until t_S; A2 starts with

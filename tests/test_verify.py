@@ -115,6 +115,15 @@ class TestMultiplierSets:
         assert mults.lambda3.value(5.0) == pytest.approx(2.5, rel=1e-15)
         assert mults.lambda1.value(3.0) == 0.0 and mults.lambda4.value(3.0) == 0.0
 
+    def test_equal_neighbouring_phases_share_one_segment(self):
+        # S1 is cut at t_S only, where lambda1 and lambda2 do not change
+        kind = ScenarioKind.S1_NO_DEBT_WITH_STOCK
+        synth = synthesize_policy(BASELINE, State(20.0, 0.0, 10.0), kind)
+        mults = multiplier_set_for_scenario(BASELINE, kind, synth.times)
+        assert len(mults.lambda1.segments) == len(mults.lambda2.segments) == 1
+        assert len(mults.lambda3.segments) == 2
+        assert mults.breakpoints == (0.0, T_S_BASE, BASELINE.T)
+
     def test_partial_repayment_cash_multiplier(self):
         synth = synthesize_policy(
             BASELINE, State(20.0, 30.0, 10.0), ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
@@ -191,17 +200,9 @@ class TestSlackness:
     def traj_and_mults(self, init, kind):
         synth = synthesize_policy(BASELINE, init, kind)
         start = synth.jump.post_state if synth.jump else init
-        zeros = []
-        if synth.times.t_s_within_horizon and synth.times.t_s > 0:
-            zeros.append((synth.times.t_s, "S"))
-        if (
-            synth.times.t_d is not None
-            and synth.times.t_d_within_horizon
-            and synth.times.t_d > 0
-        ):
-            zeros.append((synth.times.t_d, "D"))
         traj = integrate_exact(
-            BASELINE, start, synth.policy, jump=synth.jump, expected_zeros=zeros
+            BASELINE, start, synth.policy, jump=synth.jump,
+            expected_zeros=synth.times.zeros,
         )
         mults = multiplier_set_for_scenario(BASELINE, kind, synth.times)
         return traj, mults
@@ -401,7 +402,7 @@ def assert_argmax_agrees(params, adjoint, policy):
         for v in exact.violations:
             comp = v.check[-1]
             theta = getattr(switching_values(params, adjoint, v.time), f"theta_{comp}")
-            actual = getattr(policy.value_at(v.time), comp)
+            actual = getattr(policy.segment_at(v.time).value, comp)
             assert abs(theta) > theta_tol
             target = bounds[comp] if theta > 0.0 else 0.0
             assert v.magnitude == pytest.approx(abs(actual - target), rel=1e-12)
