@@ -122,7 +122,8 @@ def evaluate_chain(params: ModelParams, plan: ChainPlan) -> tuple[Trajectory, fl
 
     Junction jumps become interior discontinuities of the combined
     trajectory; all other junctions are exactly continuous because each
-    interval starts from the previous terminal state.
+    interval starts from the previous terminal state.  The segments tile
+    [0, T] exactly: each interval's last one ends at its t_end.
     """
     segments: list[TrajectorySegment] = []
     jumps: list[JumpRecord] = []
@@ -131,14 +132,18 @@ def evaluate_chain(params: ModelParams, plan: ChainPlan) -> tuple[Trajectory, fl
         traj = iv.trajectory
         if iv.jump is not None:
             jumps.append(iv.jump)
+        last = traj.segments[-1]
         for seg in traj.segments:
+            # local T + t_start can miss t_end by an ulp: end the last one exactly
+            t_end = iv.t_end if seg is last else seg.t_end + iv.t_start
             segments.append(
                 TrajectorySegment(
                     t_start=seg.t_start + iv.t_start,
-                    t_end=seg.t_end + iv.t_start,
+                    t_end=t_end,
                     control=seg.control,
                     entry=seg.entry,
                     exit=seg.exit,
+                    rates=seg.rates,
                 )
             )
         for v in traj.feasibility_report:

@@ -233,33 +233,24 @@ def _trajectory_csv(traj: Trajectory) -> str:
         for k in range(CSV_GRID_POINTS):
             # k*T/(n-1) can round above T at k = n-1
             times.add(min(T, k * T / (CSV_GRID_POINTS - 1)))
-    grid = sorted(times)
     jump_at = {j.t: j for j in traj.jumps}
     # the tolerance integrate_exact judged the same trajectory by
     tol = ZERO_SNAP_RTOL * _state_scale(traj.segments[0].entry, traj.params)
+    s_top = traj.params.S_max + tol
+    row_fmt = ",".join([CSV_FMT] * 7) + ",%s"
     lines = ["t,N,D,S,u,v,w,feasible"]
-
-    def row(t: float, state: State) -> str:
-        c = traj.segment_at(t).control
-        feasible = (
-            state.N >= -tol
-            and state.D >= -tol
-            and -tol <= state.S <= traj.params.S_max + tol
-        )
-        cells = [CSV_FMT % x for x in (t, state.N, state.D, state.S, c.u, c.v, c.w)]
-        cells.append("true" if feasible else "false")
-        return ",".join(cells)
-
-    for t in grid:
-        if t in jump_at:
+    for t in sorted(times):
+        seg = traj.segment_at(t)
+        c = seg.control
+        states = [seg.state_at(traj.params, t)]
+        if t in jump_at:  # the pre-jump row comes first
             j = jump_at[t]
-            pre = State(
-                N=j.post_state.N - j.delta_N,
-                D=j.post_state.D - j.delta_D,
-                S=j.post_state.S,
-            )
-            lines.append(row(t, pre))
-        lines.append(row(t, traj.sample(t)))
+            post = j.post_state
+            states.insert(0, State(post.N - j.delta_N, post.D - j.delta_D, post.S))
+        for x in states:
+            feasible = x.N >= -tol and x.D >= -tol and -tol <= x.S <= s_top
+            cells = (t, x.N, x.D, x.S, c.u, c.v, c.w, "true" if feasible else "false")
+            lines.append(row_fmt % cells)
     return "\n".join(lines) + "\n"
 
 

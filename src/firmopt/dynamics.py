@@ -20,7 +20,8 @@ at segment endpoints are exhaustive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .model import (
@@ -45,17 +46,31 @@ class Violation(NamedTuple):
     magnitude: float
 
 
+def _rates(params: ModelParams, control: ControlValue) -> tuple[float, float, float]:
+    """The closed form's N slope p*w - v - K*u - B, c and q under `control`."""
+    return (
+        params.p * control.w - control.v - params.K * control.u - params.B,
+        params.A * control.u - control.v,
+        control.u - control.w,
+    )
+
+
+def _evolve(
+    state: State, rates: tuple[float, float, float], r: float, alpha: float, dt: float
+) -> State:
+    """The closed form: `state` advanced by dt at constant `rates`.  Every
+    exact state of this module is evaluated here."""
+    slope, c, q = rates
+    return State(
+        state.N + slope * dt,
+        state.D * math.exp(r * dt) + c * math.expm1(r * dt) / r,
+        state.S * math.exp(-alpha * dt) - q * math.expm1(-alpha * dt) / alpha,
+    )
+
+
 def advance_state(params: ModelParams, state: State, control: ControlValue, dt: float) -> State:
     """Exact state after holding `control` for `dt` starting from `state`."""
-    slope = params.p * control.w - control.v - params.K * control.u - params.B
-    c = params.A * control.u - control.v
-    q = control.u - control.w
-    return State(
-        N=state.N + slope * dt,
-        D=state.D * math.exp(params.r * dt) + c * math.expm1(params.r * dt) / params.r,
-        S=state.S * math.exp(-params.alpha * dt)
-        - q * math.expm1(-params.alpha * dt) / params.alpha,
-    )
+    return _evolve(state, _rates(params, control), params.r, params.alpha, dt)
 
 
 @dataclass(frozen=True)
@@ -68,11 +83,13 @@ class TrajectorySegment:
     control: ControlValue
     entry: State
     exit: State
+    #: `control`'s closed-form rates (see _rates), derived once by integrate_exact
+    rates: tuple[float, float, float] = field(repr=False, compare=False)
 
     def state_at(self, params: ModelParams, t: float) -> State:
         if t == self.t_end:
             return self.exit
-        return advance_state(params, self.entry, self.control, t - self.t_start)
+        return _evolve(self.entry, self.rates, params.r, params.alpha, t - self.t_start)
 
 
 @dataclass(frozen=True)
@@ -101,7 +118,8 @@ class Trajectory(Piecewise):
     def sample(self, t: float) -> State:
         if not 0.0 <= t <= self.t_final:
             raise ValueError(f"t = {t} outside [0, {self.t_final}]")
-        return self.segment_at(t).state_at(self.params, t)
+        # segment_at inlined: sampling is the hot path of every caller
+        return self.segments[bisect_right(self._starts, t) - 1].state_at(self.params, t)
 
     def terminal_state(self) -> State:
         return self.segments[-1].state_at(self.params, self.t_final)
@@ -183,7 +201,8 @@ def integrate_exact(
     segments: list[TrajectorySegment] = []
     for seg in policy.segments:
         entry = state
-        state = advance_state(params, state, seg.value, seg.t_end - seg.t_start)
+        rates = _rates(params, seg.value)
+        state = _evolve(state, rates, params.r, params.alpha, seg.t_end - seg.t_start)
         snapped = {}
         for comp in ("N", "D", "S"):
             if (round(seg.t_end, 15), comp) in snap:
@@ -195,7 +214,9 @@ def integrate_exact(
                 snapped[comp] = 0.0
         if snapped:
             state = State(**{c: snapped.get(c, getattr(state, c)) for c in ("N", "D", "S")})
-        segments.append(TrajectorySegment(seg.t_start, seg.t_end, seg.value, entry, state))
+        segments.append(
+            TrajectorySegment(seg.t_start, seg.t_end, seg.value, entry, state, rates)
+        )
     traj_segments = tuple(segments)
     tol = ZERO_SNAP_RTOL * scale
     for s in traj_segments:

@@ -207,6 +207,10 @@ def _require_solvable(params: ModelParams) -> None:
         )
 
 
+#: (params, init, kind, result) of the last synthesize_policy call that returned
+_last_synthesis: tuple | None = None
+
+
 def synthesize_policy(
     params: ModelParams, init: State, kind: ScenarioKind
 ) -> SynthesisResult:
@@ -232,7 +236,17 @@ def synthesize_policy(
     constraints; violations (e.g. the repayment budget exhausting N
     mid-horizon) raise PolicyInfeasibleError rather than returning a
     constraint-violating policy.
+
+    A one-slot memo returns the last result again when called with the
+    very same three objects (an identity test, never equality, so that
+    equal copies, and T = -0.0 against T = 0.0, are synthesized afresh).
+    objective_value and certify_policy on the caller's objects thus reuse
+    its synthesis.  Only results are kept: a call that raises raises again.
     """
+    global _last_synthesis
+    last = _last_synthesis
+    if last is not None and last[0] is params and last[1] is init and last[2] is kind:
+        return last[3]
     _require_solvable(params)
     expected = classify_scenario(params, init, jump_mode=kind.name.startswith("A"))
     if expected is not kind:
@@ -276,7 +290,9 @@ def synthesize_policy(
     if params.T == 0.0:  # T = -0.0 passes validation; the segment ends at +0.0
         segs = [ControlSegment(0.0, 0.0, segs[-1].value)]
     policy = PiecewiseControl(tuple(segs)).merged()
-    return _post_check(params, kind, start, policy, times, jump)
+    result = _post_check(params, kind, start, policy, times, jump)
+    _last_synthesis = (params, init, kind, result)
+    return result
 
 
 def _post_check(

@@ -8,6 +8,9 @@ agreement with the closed forms is a genuine two-sided check.
 The fixed-step RK4 integrator, the bisection event finder over an exact
 `Trajectory` and the closed-form coefficient view of one are the
 package-shaped oracles the tests compare the exact integrator against.
+The closed form with its rates derived per call and the row-by-row CSV
+writer are the plain versions of `Trajectory.sample` and the CLI's CSV;
+those must agree with them bit for bit.
 The grid certificate samples the maximum-principle checks at about
 10 points per unit of time plus the breakpoints nudged to either side;
 the exact per-segment certificate is cross-checked against it.  The
@@ -38,6 +41,7 @@ from firmopt import (
     PiecewiseControl,
     State,
     Trajectory,
+    cli,
     dynamics,
     verify,
 )
@@ -357,6 +361,59 @@ def closed_form_trajectory(
         params, start, policy, jump=jump, expected_zeros=expected_zeros
     )
     return ClosedFormTrajectory(trajectory=traj, initial_jump=jump)
+
+
+def advance_state_reference(
+    params: ModelParams, state: State, control: ControlValue, dt: float
+) -> State:
+    """The segment closed form with its rates derived on every call, in the
+    operation order `dynamics` evaluates it in."""
+    slope = params.p * control.w - control.v - params.K * control.u - params.B
+    c = params.A * control.u - control.v
+    q = control.u - control.w
+    return State(
+        N=state.N + slope * dt,
+        D=state.D * math.exp(params.r * dt) + c * math.expm1(params.r * dt) / params.r,
+        S=state.S * math.exp(-params.alpha * dt)
+        - q * math.expm1(-params.alpha * dt) / params.alpha,
+    )
+
+
+def trajectory_csv_reference(traj: Trajectory) -> str:
+    """The CLI's trajectory CSV written row by row: each row looks its
+    control up with `segment_at` and its state up with `sample`, and
+    formats every cell on its own."""
+    T = traj.t_final
+    times = set(traj.breakpoints)
+    if T > 0.0:
+        for k in range(cli.CSV_GRID_POINTS):
+            times.add(min(T, k * T / (cli.CSV_GRID_POINTS - 1)))
+    jump_at = {j.t: j for j in traj.jumps}
+    tol = dynamics.ZERO_SNAP_RTOL * dynamics._state_scale(traj.segments[0].entry, traj.params)
+    lines = ["t,N,D,S,u,v,w,feasible"]
+
+    def row(t: float, state: State) -> str:
+        c = traj.segment_at(t).control
+        feasible = (
+            state.N >= -tol
+            and state.D >= -tol
+            and -tol <= state.S <= traj.params.S_max + tol
+        )
+        cells = [cli.CSV_FMT % x for x in (t, state.N, state.D, state.S, c.u, c.v, c.w)]
+        cells.append("true" if feasible else "false")
+        return ",".join(cells)
+
+    for t in sorted(times):
+        if t in jump_at:
+            j = jump_at[t]
+            pre = State(
+                N=j.post_state.N - j.delta_N,
+                D=j.post_state.D - j.delta_D,
+                S=j.post_state.S,
+            )
+            lines.append(row(t, pre))
+        lines.append(row(t, traj.sample(t)))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

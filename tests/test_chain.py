@@ -1,6 +1,7 @@
 """Decision chains: myopic composition over subintervals."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -127,6 +128,26 @@ class TestEvaluateChain:
         plan = chain_plan(BASELINE, State(20.0, 10.0, 0.0), [0.0, 10.0])
         _, value = evaluate_chain(BASELINE, plan)
         assert value == pytest.approx(J_S3, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "breakpoints",
+        [
+            # (T - 1.1) + 1.1 rounds an ulp below T
+            [0.0, 1.1, 6.386138973938714],
+            # (5.3 - 1.1) + 1.1 rounds an ulp below the junction at 5.3
+            [0.0, 1.1, 5.3, 6.386138973938714],
+        ],
+    )
+    def test_segments_tile_the_horizon_exactly(self, breakpoints):
+        params = replace(BASELINE, T=breakpoints[-1])
+        plan = chain_plan(params, State(20.0, 0.0, 10.0), breakpoints)
+        traj, value = evaluate_chain(params, plan)
+        segs = traj.segments
+        assert segs[0].t_start == 0.0
+        assert all(a.t_end == b.t_start for a, b in zip(segs, segs[1:]))
+        assert traj.t_final == params.T
+        assert traj.sample(params.T) == plan.intervals[-1].exit_state
+        assert value == traj.sample(params.T).N - traj.sample(params.T).D
 
     @given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
     def test_one_interval_chain_matches_a_single_solve(self, kind, seed):

@@ -6,22 +6,34 @@ import zlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from firmopt import (
+    ChainJunctionError,
     ControlSegment,
     ControlValue,
     PiecewiseControl,
     ScenarioKind,
     State,
     adjoint_backward,
+    chain_plan,
+    evaluate_chain,
     integrate_exact,
     multiplier_set_for_scenario,
     synthesize_policy,
 )
-from firmopt.dynamics import ExpSegment, ExpTerm, PiecewiseExpFn, extrema
+from firmopt.cli import _trajectory_csv
+from firmopt.dynamics import ExpSegment, ExpTerm, PiecewiseExpFn, advance_state, extrema
 
 from conftest import ALL_KINDS, BASELINE, draw_scenario_case
-from oracles import AmbiguousRootError, bisect_root, find_zero_crossing, integrate_rk4
+from oracles import (
+    AmbiguousRootError,
+    advance_state_reference,
+    bisect_root,
+    find_zero_crossing,
+    integrate_rk4,
+    trajectory_csv_reference,
+)
 from test_solver import T_D_S3, T_S_BASE
 from test_verify import BASELINE_CASES
 
@@ -125,6 +137,43 @@ class TestIntegrateExact:
         policy = constant_policy(9.0, 0.0, 5.0)
         with pytest.raises(ControlBoundsError):
             integrate_exact(BASELINE, State(1.0, 0.0, 0.0), policy)
+
+
+def bits(state):
+    return tuple(float(x).hex() for x in (state.N, state.D, state.S))
+
+
+@settings(max_examples=50)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    chained=st.booleans(),
+    jump_mode=st.booleans(),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+)
+def test_sample_and_csv_are_the_closed_form_bit_for_bit(
+    kind, seed, chained, jump_mode, fractions
+):
+    """Trajectory.sample and the CLI's CSV, which evaluate stored per-segment
+    rates, equal the closed form with the rates derived per call."""
+    params, init = draw_scenario_case(random.Random(seed), kind)
+    if chained:
+        cuts = sorted({params.T * f for f in fractions if 0.0 < f < 1.0})
+        try:
+            plan = chain_plan(params, init, [0.0, *cuts, params.T], jump_mode)
+        except ChainJunctionError:
+            assume(False)
+        traj, _ = evaluate_chain(params, plan)
+    else:
+        traj = synthesize_policy(params, init, kind).trajectory
+    grid = [k / 40 for k in range(41)]
+    for t in [params.T * f for f in fractions + grid] + list(traj.breakpoints):
+        seg = [s for s in traj.segments if s.t_start <= t][-1]
+        closed = advance_state(params, seg.entry, seg.control, t - seg.t_start)
+        reference = advance_state_reference(params, seg.entry, seg.control, t - seg.t_start)
+        assert bits(closed) == bits(reference)
+        assert bits(traj.sample(t)) == bits(seg.exit if t == seg.t_end else closed)
+    assert _trajectory_csv(traj) == trajectory_csv_reference(traj)
 
 
 class TestIntegrateRK4:

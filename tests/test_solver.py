@@ -14,8 +14,11 @@ from firmopt import (
     PolicyInfeasibleError,
     ScenarioKind,
     State,
+    certify_policy,
+    chain_plan,
     classify_scenario,
     debt_clearance_time,
+    dynamics,
     initial_jump,
     integrate_exact,
     objective_value,
@@ -623,3 +626,70 @@ class TestRepaymentCapacityLimit:
             gaps.append(jump - repaid)
         # the interest paid while repaying shrinks like 1/v_max
         assert 0.0 <= gaps[1] <= gaps[0] / 5.0
+
+
+class TestSynthesisMemo:
+    """synthesize_policy keeps its last result for the very same objects."""
+
+    INIT = State(20.0, 10.0, 10.0)
+
+    @pytest.fixture
+    def integrations(self, monkeypatch):
+        calls = []
+        original = dynamics.integrate_exact
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_exact", counted)
+        return calls
+
+    def test_same_objects_return_the_same_result(self):
+        params, init = replace(BASELINE), replace(self.INIT)
+        first = synthesize_policy(params, init, S2)
+        assert synthesize_policy(params, init, S2) is first
+
+    def test_equal_but_distinct_objects_are_synthesized_afresh(self, integrations):
+        params, init = replace(BASELINE), replace(self.INIT)
+        first = synthesize_policy(params, init, S2)
+        for p, i in ((replace(params), init), (params, replace(init))):
+            again = synthesize_policy(p, i, S2)
+            assert again is not first
+            assert again == first
+        assert len(integrations) == 3
+
+    def test_signed_zero_horizons_never_share_a_result(self):
+        # the two compare equal (-0.0 == 0.0); each result must carry its own
+        negative, positive = replace(BASELINE, T=-0.0), replace(BASELINE, T=0.0)
+        for params in (negative, positive, negative, positive):
+            assert synthesize_policy(params, self.INIT, S2).trajectory.params is params
+
+    def test_infeasible_input_raises_on_every_call(self, integrations):
+        # the cash-exhausted repayment rate p*w_max - B = 45 exceeds v_max
+        params, init = replace(BASELINE, v_max=40.0), State(20.0, 30.0, 10.0)
+        synthesize_policy(replace(BASELINE), replace(self.INIT), S2)
+        for _ in range(3):
+            with pytest.raises(PolicyInfeasibleError):
+                synthesize_policy(params, init, A2)
+        # an infeasible trajectory is rejected after its integration, each time
+        params, init = replace(BASELINE), State(0.5, 10.0, 0.0)
+        for calls in (1, 2):
+            with pytest.raises(PolicyInfeasibleError):
+                synthesize_policy(params, init, ScenarioKind.S3_DEBT_NO_STOCK)
+            assert len(integrations) == calls + 1
+
+    def test_objective_and_certificate_reuse_the_synthesis(self, integrations):
+        params, init = replace(BASELINE), replace(self.INIT)
+        synth = synthesize_policy(params, init, S2)
+        assert objective_value(params, init, S2) == synth.objective
+        assert certify_policy(params, init, S2).synthesis is synth
+        assert len(integrations) == 1
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_chain_integrates_once_per_interval(self, integrations, k):
+        params = replace(BASELINE)
+        breakpoints = [params.T * i / k for i in range(k + 1)]
+        plan = chain_plan(params, replace(self.INIT), breakpoints)
+        assert len(plan.intervals) == k
+        assert len(integrations) == k
