@@ -1,4 +1,4 @@
-"""Closed-form optimal policies, switching times and objective values.
+"""Closed-form optimal policies and switching times.
 
 Every scenario's optimal control is bang-bang with at most two switching
 times:
@@ -21,15 +21,18 @@ the debt-free S1/A1) and the repayment rate before clearance (v_max, or
 the sales surplus less production cost for A2).  From t_S on u = w_max,
 and from t_D on v = A*u.
 
+The objective N(T) - D(T) is read from the policy's exact trajectory,
+which the synthesis builds anyway to check the state constraints.  The
+paper's closed-form values of it are test oracles (tests/oracles.py).
+
 Post-clearance repayment note.  Once D hits zero the only repayment rate
 that keeps D = 0 is v = A*u (paying exactly for current raw-material
 purchases).  While production is idle (t < t_S) that means v = 0; paying
 A*w_max there would drive D negative, violate the state constraint and
-waste A*w_max*(t_S - t_D) of profit.  The policies and objective values
-here therefore use v = A*u(t) on [t_D, T]; the naive alternative that
-deducts A*w_max regardless of production is both infeasible and
-dominated, and it breaks the v_max -> infinity limit that motivates the
-jump strategies.
+waste A*w_max*(t_S - t_D) of profit.  The policies here therefore use
+v = A*u(t) on [t_D, T]; the naive alternative that deducts A*w_max
+regardless of production is both infeasible and dominated, and it
+breaks the v_max -> infinity limit that motivates the jump strategies.
 """
 
 from __future__ import annotations
@@ -97,16 +100,18 @@ class SwitchingTimes:
 class SynthesisResult:
     """A synthesized policy with its exact trajectory and objective.
 
-    The trajectory starts from the post-jump state and records the jump;
-    the objective N(T) - D(T) is the closed form where one applies, else
-    read from the trajectory.
+    The trajectory starts from the post-jump state and records the jump.
     """
 
     policy: PiecewiseControl
     times: SwitchingTimes
     jump: JumpRecord | None
     trajectory: dynamics.Trajectory
-    objective: float
+
+    @property
+    def objective(self) -> float:
+        """N(T) - D(T), read from the trajectory."""
+        return self.trajectory.objective()
 
 
 def stock_depletion_time(params: ModelParams, S0: float) -> float:
@@ -120,13 +125,6 @@ def stock_depletion_time(params: ModelParams, S0: float) -> float:
     if S0 < 0.0:
         raise ValueError(f"S0 must be nonnegative, got {S0}")
     return math.log1p(params.alpha * S0 / params.w_max) / params.alpha
-
-
-def _log_branch(numerator: float, denominator: float, r: float) -> float:
-    """t = (1/r) * ln(numerator/denominator), inf when not reachable."""
-    if numerator <= 0.0 or denominator <= 0.0:
-        return math.inf
-    return math.log(numerator / denominator) / r
 
 
 def debt_clearance_time(
@@ -154,7 +152,11 @@ def debt_clearance_time(
         R = p*w_max - B, c = (A + K)*w_max, and R - c is the profit
         rate (p - A - K)*w_max - B.
 
-    A nonpositive log argument means the repayment rate can never outpace
+    Both logs are evaluated as -log1p(-x)/r, with x = r*d/R and
+    x = (r*d + c*expm1(-r*t_S))/(R - c): taking the log of a ratio near 1
+    would lose about half the digits of a short t_D (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002).  A net gain
+    R - c <= 0, or x >= 1, means the repayment rate can never outpace
     interest plus purchases, and t_D = inf; that and t_D >= T both leave
     debt outstanding at the horizon.
     """
@@ -178,7 +180,10 @@ def debt_clearance_time(
         return t_s
     if debt0 < theta:
         return -math.log1p(-r * debt0 / repay) / r
-    return _log_branch(gain, repay - r * debt0 - purchase * math.exp(-r * t_s), r)
+    if gain <= 0.0:
+        return math.inf
+    x = (r * debt0 + purchase * math.expm1(-r * t_s)) / gain
+    return math.inf if x >= 1.0 else -math.log1p(-x) / r
 
 
 def initial_jump(init: State) -> JumpRecord:
@@ -290,24 +295,7 @@ def synthesize_policy(
     if params.T == 0.0:  # T = -0.0 passes validation; the segment ends at +0.0
         segs = [ControlSegment(0.0, 0.0, segs[-1].value)]
     policy = PiecewiseControl(tuple(segs)).merged()
-    result = _post_check(params, kind, start, policy, times, jump)
-    _last_synthesis = (params, init, kind, result)
-    return result
-
-
-def _post_check(
-    params: ModelParams,
-    kind: ScenarioKind,
-    start: State,
-    policy: PiecewiseControl,
-    times: SwitchingTimes,
-    jump: JumpRecord | None,
-) -> SynthesisResult:
-    """Integrate the policy exactly, reject it if infeasible, and value it.
-
-    The stock empties at t_S and the debt clears at t_D by construction,
-    so both are snapped to exact zeros when they fall inside (0, T).
-    """
+    # t_S and t_D are exact zeros of the stock and the debt by construction
     traj = dynamics.integrate_exact(
         params, start, policy, jump=jump, expected_zeros=times.zeros
     )
@@ -317,110 +305,12 @@ def _post_check(
             f"synthesized policy violates {first.constraint} from t = {first.time:.6g} "
             f"(magnitude {first.magnitude:.3g}) for these inputs"
         )
-    return SynthesisResult(
-        policy=policy,
-        times=times,
-        jump=jump,
-        trajectory=traj,
-        objective=_objective(params, kind, start.N, times, traj),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Objective values
-# ---------------------------------------------------------------------------
-
-
-def _objective_no_debt(params: ModelParams, cash0: float, t_s: float) -> float:
-    """Sell-then-produce value: cash0 + (p*w-B)*T + (A+K)*w*(t_S - T)."""
-    w = params.w_max
-    return (
-        cash0
-        + (params.p * w - params.B) * params.T
-        + (params.A + params.K) * w * (t_s - params.T)
-    )
-
-
-def _objective_debt_with_stock(
-    params: ModelParams, cash0: float, t_d: float, t_s: float
-) -> float:
-    """Value with repayment at v_max until t_D and stock until t_S.
-
-    For t_S <= t_D production is already running when the debt clears
-    and the direct integration collapses to
-
-        N0 + (A*w - v_max)*t_D + K*w*t_S + (p - A - K)*w*T - B*T.
-
-    For t_D < t_S the firm pays nothing between t_D and t_S (no debt, no
-    purchases), which adds A*w*(t_S - t_D) relative to the expression
-    above and simplifies to
-
-        N0 - v_max*t_D + (p*w - B)*T + (A + K)*w*(t_S - T).
-
-    Both branches agree at the tie t_D = t_S.
-    """
-    w = params.w_max
-    if t_d < t_s:
-        return _objective_no_debt(params, cash0, t_s) - params.v_max * t_d
-    return (
-        cash0
-        + (params.A * w - params.v_max) * t_d
-        + params.K * w * t_s
-        + w * (params.p - params.A - params.K) * params.T
-        - params.B * params.T
-    )
-
-
-def _objective_partial_repayment(params: ModelParams, t_d: float, t_s: float) -> float:
-    """Value of the partial-repayment strategy (cash exhausted at t = 0).
-
-    N stays at zero until t_D (every unit of sales profit services the
-    debt), so the value accrues only on [t_D, T]:
-
-        t_S < t_D:       ((p-A-K)*w - B) * (T - t_D)
-        t_D <= t_S <= T: (p*w - B)*(t_S - t_D) + ((p-A-K)*w - B)*(T - t_S)
-        t_S > T:         (p*w - B) * (T - t_D)
-
-    All three are strictly positive whenever the firm is profitable and
-    t_D < T.
-    """
-    w = params.w_max
-    surplus = (params.p - params.A - params.K) * w - params.B
-    if t_s > params.T:
-        return (params.p * w - params.B) * (params.T - t_d)
-    if t_d <= t_s:
-        return (params.p * w - params.B) * (t_s - t_d) + surplus * (params.T - t_s)
-    return surplus * (params.T - t_d)
-
-
-def _objective(
-    params: ModelParams,
-    kind: ScenarioKind,
-    cash0: float,
-    times: SwitchingTimes,
-    traj: dynamics.Trajectory,
-) -> float:
-    """N(T) - D(T) in closed form, from the post-jump cash cash0.
-
-    Read from the exact trajectory instead whenever a switching time
-    lies at or beyond the horizon (unsold stock or unpaid debt at T),
-    where no closed-form expression applies.
-    """
-    # the partial-repayment table covers t_S beyond the horizon too, and
-    # S3's t_S = 0 is always within it
-    formula_applies = times.t_d_within_horizon and (
-        times.t_s_within_horizon or kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
-    )
-    if not formula_applies:
-        return traj.objective()
-    if kind in (ScenarioKind.S1_NO_DEBT_WITH_STOCK, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP):
-        return _objective_no_debt(params, cash0, times.t_s)
-    if kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
-        return _objective_partial_repayment(params, times.t_d, times.t_s)
-    # S2, and S3 as S2 at t_S = 0
-    return _objective_debt_with_stock(params, cash0, times.t_d, times.t_s)
+    result = SynthesisResult(policy, times, jump, traj)
+    _last_synthesis = (params, init, kind, result)
+    return result
 
 
 def objective_value(params: ModelParams, init: State, kind: ScenarioKind) -> float:
-    """Optimal objective N(T) - D(T) for a scenario (see _objective)."""
+    """Optimal objective N(T) - D(T) for a scenario, read from the exact
+    trajectory of its synthesized policy."""
     return synthesize_policy(params, init, kind).objective

@@ -1,4 +1,5 @@
-"""Shared fixtures: baseline parameter set and randomized case samplers."""
+"""Shared fixtures: baseline parameter set, randomized case samplers and
+the schema-valid config strategy."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from firmopt import (
@@ -135,3 +136,54 @@ ALL_KINDS = (
     ScenarioKind.A1_TOTAL_REPAYMENT_JUMP,
     ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP,
 )
+
+
+# a valid S3 firm whose t_D = 1.0003513946529028e-06 is the log of a ratio
+# within 1e-8 of 1: taken as a quotient, that log leaves a debt of 3.7e-9
+# where integrate_exact's zero snap expects none
+ZERO_SNAP_DOC = {
+    "params": {
+        "A": 268.6907695899432, "K": 0.1, "B": 0.13697205274064464,
+        "w_max": 464.95349517750486, "u_max": 464.95349517750486,
+        "S_max": 1, "p": 3023.3603143066407, "v_max": 1124577.4466766238,
+        "r": 0.010903842082726671, "alpha": 1.0123157921712458, "T": 1,
+    },
+    "init": {"N0": 0.8101297813555324, "D0": 1, "S0": 0},
+    "jump_mode": False,
+}
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
+
+
+MONEY = log_uniform(1e-3, 1e3)
+RATE = log_uniform(1e-4, 5.0)
+
+
+@st.composite
+def schema_valid_documents(draw):
+    """Configs of the right shape with magnitudes over six decades; p,
+    u_max and v_max are drawn as multiples of what profit, demand and
+    purchases need, so that most configs pass validation."""
+    params = {key: draw(MONEY) for key in ("A", "K", "B", "w_max", "S_max")}
+    A, w = params["A"], params["w_max"]
+    p = (A + params["K"] + params["B"] / w) * draw(log_uniform(0.5, 100.0))
+    params.update(
+        p=p,
+        u_max=w * draw(log_uniform(0.8, 10.0)),
+        v_max=max(A * w, p * w - params["B"]) * draw(log_uniform(0.8, 10.0)),
+        r=draw(RATE),
+        alpha=draw(RATE),
+        T=draw(log_uniform(1e-3, 1e3)),
+    )
+    init = {key: draw(st.one_of(st.just(0.0), MONEY)) for key in ("N0", "D0", "S0")}
+    options = {"brute_nt": draw(st.integers(1, 5))}
+    if draw(st.integers(0, 3)) == 0:
+        comps = draw(st.lists(st.sampled_from("uvw"), min_size=1, max_size=3, unique=True))
+        level = st.one_of(st.just(0.0), MONEY)
+        options["brute_levels"] = {
+            c: draw(st.lists(level, min_size=1, max_size=3)) for c in comps
+        }
+    return {"params": params, "init": init, "jump_mode": draw(st.booleans()),
+            "options": options}

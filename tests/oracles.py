@@ -19,6 +19,10 @@ certificate's own switching weights (`verify._switching_weights`).
 The broadcast exhaustive search is the one `verify.brute_force_best`
 factorized by prefix; it shares that search's candidate policy and
 tie-break key, so the two must agree bit for bit.
+The paper's closed-form objective values cross-check the value the
+library reads from the exact trajectory, and the 50-digit reference
+restates the phase rule in mpmath to check t_S, t_D and the objective
+to rounding.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -39,6 +44,7 @@ from firmopt import (
     ModelParams,
     NoFeasibleCandidateError,
     PiecewiseControl,
+    ScenarioKind,
     State,
     Trajectory,
     cli,
@@ -414,6 +420,187 @@ def trajectory_csv_reference(traj: Trajectory) -> str:
             lines.append(row(t, pre))
         lines.append(row(t, traj.sample(t)))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The paper's closed-form objective values
+# ---------------------------------------------------------------------------
+
+
+def objective_no_debt(params: ModelParams, cash0: float, t_s: float) -> float:
+    """Sell-then-produce value: cash0 + (p*w-B)*T + (A+K)*w*(t_S - T)."""
+    w = params.w_max
+    return (
+        cash0
+        + (params.p * w - params.B) * params.T
+        + (params.A + params.K) * w * (t_s - params.T)
+    )
+
+
+def objective_debt_with_stock(
+    params: ModelParams, cash0: float, t_d: float, t_s: float
+) -> float:
+    """Value with repayment at v_max until t_D and stock until t_S.
+
+    For t_S <= t_D production is already running when the debt clears
+    and the direct integration collapses to
+
+        N0 + (A*w - v_max)*t_D + K*w*t_S + (p - A - K)*w*T - B*T.
+
+    For t_D < t_S the firm pays nothing between t_D and t_S (no debt, no
+    purchases), which adds A*w*(t_S - t_D) relative to the expression
+    above and simplifies to
+
+        N0 - v_max*t_D + (p*w - B)*T + (A + K)*w*(t_S - T).
+
+    Both branches agree at the tie t_D = t_S.
+    """
+    w = params.w_max
+    if t_d < t_s:
+        return objective_no_debt(params, cash0, t_s) - params.v_max * t_d
+    return (
+        cash0
+        + (params.A * w - params.v_max) * t_d
+        + params.K * w * t_s
+        + w * (params.p - params.A - params.K) * params.T
+        - params.B * params.T
+    )
+
+
+def objective_partial_repayment(params: ModelParams, t_d: float, t_s: float) -> float:
+    """Value of the partial-repayment strategy (cash exhausted at t = 0).
+
+    N stays at zero until t_D (every unit of sales profit services the
+    debt), so the value accrues only on [t_D, T]:
+
+        t_S < t_D:       ((p-A-K)*w - B) * (T - t_D)
+        t_D <= t_S <= T: (p*w - B)*(t_S - t_D) + ((p-A-K)*w - B)*(T - t_S)
+        t_S > T:         (p*w - B) * (T - t_D)
+
+    All three are strictly positive whenever the firm is profitable and
+    t_D < T.
+    """
+    w = params.w_max
+    surplus = (params.p - params.A - params.K) * w - params.B
+    if t_s > params.T:
+        return (params.p * w - params.B) * (params.T - t_d)
+    if t_d <= t_s:
+        return (params.p * w - params.B) * (t_s - t_d) + surplus * (params.T - t_s)
+    return surplus * (params.T - t_d)
+
+
+def closed_form_objective(
+    params: ModelParams, kind: ScenarioKind, cash0: float, times
+) -> float | None:
+    """N(T) - D(T) in closed form from the post-jump cash cash0 and the
+    synthesis's SwitchingTimes, or None when a switching time lies at or
+    beyond the horizon (unsold stock or unpaid debt at T), where no
+    closed-form expression applies."""
+    # the partial-repayment table covers t_S beyond the horizon too, and
+    # S3's t_S = 0 is always within it
+    formula_applies = times.t_d_within_horizon and (
+        times.t_s_within_horizon or kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
+    )
+    if not formula_applies:
+        return None
+    if kind in (ScenarioKind.S1_NO_DEBT_WITH_STOCK, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP):
+        return objective_no_debt(params, cash0, times.t_s)
+    if kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
+        return objective_partial_repayment(params, times.t_d, times.t_s)
+    # S2, and S3 as S2 at t_S = 0
+    return objective_debt_with_stock(params, cash0, times.t_d, times.t_s)
+
+
+# ---------------------------------------------------------------------------
+# 50-digit reference
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PrecisionReference:
+    """t_S, t_D and N(T) - D(T) of a scenario's policy in mpmath numbers.
+
+    t_d is None without a debt phase and inf when the debt is never
+    cleared; like the library's, it is reported past the horizon too.
+    """
+
+    t_s: mpmath.mpf
+    t_d: mpmath.mpf | None
+    objective: mpmath.mpf
+
+
+def precision_reference(
+    params: ModelParams, init: State, kind: ScenarioKind, dps: int = 50
+) -> PrecisionReference:
+    """The phase rule restated from the model and evaluated at `dps` digits.
+
+    In the jump scenarios the cash pays min(N0, D0) at t = 0.  The stock
+    then sells at w_max with nothing produced until it empties, S3 having
+    none to sell; from then on u = w_max.  The debt is repaid at v_max
+    (A2: at the sales surplus p*w_max - K*u - B) until it is cleared, and
+    at A*u afterwards.  Each event is the root of the state's solution on
+    the piece where it falls, and the states are carried from piece to
+    piece at `dps` digits.  None of the library's closed forms is used.
+    """
+    with mpmath.workdps(dps):
+        p, r, A, alpha, K, B, v_max, w, T = (
+            mpmath.mpf(getattr(params, name))
+            for name in ("p", "r", "A", "alpha", "K", "B", "v_max", "w_max", "T")
+        )
+        N, D, S = (mpmath.mpf(x) for x in (init.N, init.D, init.S))
+        if kind.name.startswith("A"):
+            paid = min(N, D)
+            N, D = N - paid, D - paid
+        # S' = -alpha*S - w is zero where exp(alpha*t) = (alpha*S0 + w)/w
+        t_s = mpmath.mpf(0) if kind is ScenarioKind.S3_DEBT_NO_STOCK else (
+            mpmath.log1p(alpha * S / w) / alpha
+        )
+
+        def controls(t, cleared):
+            u = w if t >= t_s else mpmath.mpf(0)
+            if cleared:
+                return u, A * u
+            if kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
+                return u, p * w - K * u - B
+            return u, v_max
+
+        def advance(state, u, v, dt):
+            # N' = p*w - v - K*u - B, D' = r*D + A*u - v, S' = -alpha*S + u - w
+            n, d, s = state
+            return (
+                n + (p * w - v - K * u - B) * dt,
+                d * mpmath.exp(r * dt) + (A * u - v) * mpmath.expm1(r * dt) / r,
+                s * mpmath.exp(-alpha * dt) - (u - w) * mpmath.expm1(-alpha * dt) / alpha,
+            )
+
+        t_d = None
+        if kind in (
+            ScenarioKind.S2_DEBT_WITH_STOCK,
+            ScenarioKind.S3_DEBT_NO_STOCK,
+            ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP,
+        ):
+            # on a piece with net repayment q = v - A*u the debt is
+            # q/r + (D_a - q/r)*exp(r*tau), zero at tau = -log1p(-r*D_a/q)/r
+            debt = D
+            for a, b in ((0, t_s), (t_s, mpmath.inf)):
+                u, v = controls(a, cleared=False)
+                q = v - A * u
+                t_d = a - mpmath.log1p(-r * debt / q) / r if q > r * debt else mpmath.inf
+                if t_d <= b:
+                    break
+                debt = advance((0, debt, 0), u, v, b - a)[1]
+
+        cuts = sorted({t for t in (t_s, t_d) if t is not None and 0 < t < T})
+        a = mpmath.mpf(0)
+        for b in [*cuts, T]:
+            u, v = controls(a, cleared=t_d is None or a >= t_d)
+            N, D, S = advance((N, D, S), u, v, b - a)
+            # the events are exact zeros: a residual debt of 1e-50 would
+            # otherwise compound by up to exp(r*T) = 1e308
+            D = mpmath.mpf(0) if b == t_d else D
+            S = mpmath.mpf(0) if b == t_s else S
+            a = b
+        return PrecisionReference(t_s=t_s, t_d=t_d, objective=N - D)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import math
 import subprocess
 import sys
 
@@ -23,6 +22,8 @@ from firmopt.cli import (
     main,
     parse_config,
 )
+
+from conftest import ZERO_SNAP_DOC, schema_valid_documents
 
 BASE_DOC = {
     "params": {
@@ -454,50 +455,16 @@ def test_fuzzed_configs_exit_two_never_a_traceback(tmp_path_factory, text, comma
     assert err.getvalue().startswith("config error: ")
 
 
-def log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
-
-
-MONEY = log_uniform(1e-3, 1e3)
-RATE = log_uniform(1e-4, 5.0)
-
-
-@st.composite
-def schema_valid_documents(draw):
-    """Configs of the right shape with magnitudes over six decades; p,
-    u_max and v_max are drawn as multiples of what profit, demand and
-    purchases need, so that most configs pass validation."""
-    params = {key: draw(MONEY) for key in ("A", "K", "B", "w_max", "S_max")}
-    A, w = params["A"], params["w_max"]
-    p = (A + params["K"] + params["B"] / w) * draw(log_uniform(0.5, 100.0))
-    params.update(
-        p=p,
-        u_max=w * draw(log_uniform(0.8, 10.0)),
-        v_max=max(A * w, p * w - params["B"]) * draw(log_uniform(0.8, 10.0)),
-        r=draw(RATE),
-        alpha=draw(RATE),
-        T=draw(log_uniform(1e-3, 1e3)),
-    )
-    init = {key: draw(st.one_of(st.just(0.0), MONEY)) for key in ("N0", "D0", "S0")}
-    options = {"brute_nt": draw(st.integers(1, 5))}
-    if draw(st.integers(0, 3)) == 0:
-        comps = draw(st.lists(st.sampled_from("uvw"), min_size=1, max_size=3, unique=True))
-        level = st.one_of(st.just(0.0), MONEY)
-        options["brute_levels"] = {
-            c: draw(st.lists(level, min_size=1, max_size=3)) for c in comps
-        }
-    return {"params": params, "init": init, "jump_mode": draw(st.booleans()),
-            "options": options}
-
-
 # the README parameters, once with a search that finds nothing feasible
-# and once with exp(r*T) beyond the float range
+# and once with exp(r*T) beyond the float range; then a t_D that only its
+# log1p form puts on the debt's zero
 @example(
     doc={**BASE_DOC, "init": {"N0": 1, "D0": 0, "S0": 10},
          "options": {"brute_nt": 5, "brute_levels": {"w": [0]}}},
     command="verify",
 )
 @example(doc={**BASE_DOC, "params": {**BASE_DOC["params"], "r": 1, "T": 800}}, command="solve")
+@example(doc=ZERO_SNAP_DOC, command="solve")
 @given(doc=schema_valid_documents(), command=st.sampled_from(COMMANDS))
 def test_schema_valid_configs_never_end_in_a_traceback(tmp_path_factory, doc, command):
     base = tmp_path_factory.getbasetemp()
