@@ -147,17 +147,15 @@ def _segment_violations(
     """
     out: list[Violation] = []
     dt = seg.t_end - seg.t_start
-    checks = (
-        ("N", 0.0, 0.0, False, "N>=0"),
-        ("D", params.r, 0.0, False, "D>=0"),
-        ("S", -params.alpha, 0.0, False, "S>=0"),
-        ("S", -params.alpha, params.S_max, True, "S<=S_max"),
+    N0, D0, S0 = seg.entry
+    N1, D1, S1 = seg.exit
+    rows = (
+        (0.0, 0.0 - N0, 0.0 - N1, "N>=0"),
+        (params.r, 0.0 - D0, 0.0 - D1, "D>=0"),
+        (-params.alpha, 0.0 - S0, 0.0 - S1, "S>=0"),
+        (-params.alpha, S0 - params.S_max, S1 - params.S_max, "S<=S_max"),
     )
-    for comp, k, bound, above, label in checks:
-        e0, e1 = (
-            v - bound if above else bound - v
-            for v in (getattr(seg.entry, comp), getattr(seg.exit, comp))
-        )
+    for k, e0, e1, label in rows:
         worst = max(e0, e1)
         if worst <= tol:
             continue
@@ -195,30 +193,29 @@ def integrate_exact(
     """
     policy.check_bounds(params)
     state = jump.post_state if jump is not None else init
-    scale = _state_scale(state, params)
-    snap = {(round(t, 15), comp) for t, comp in expected_zeros}
+    tol = ZERO_SNAP_RTOL * _state_scale(state, params)
+    zeros: dict[float, set[str]] = {}
+    for t, comp in expected_zeros:
+        zeros.setdefault(round(t, 15), set()).add(comp)
     violations: list[Violation] = []
     segments: list[TrajectorySegment] = []
     for seg in policy.segments:
         entry = state
         rates = _rates(params, seg.value)
         state = _evolve(state, rates, params.r, params.alpha, seg.t_end - seg.t_start)
-        snapped = {}
+        comps = zeros.get(round(seg.t_end, 15), ())
         for comp in ("N", "D", "S"):
-            if (round(seg.t_end, 15), comp) in snap:
+            if comp in comps:
                 residual = getattr(state, comp)
-                if abs(residual) > ZERO_SNAP_RTOL * scale:
+                if abs(residual) > tol:
                     raise AssertionError(
                         f"{comp}({seg.t_end}) = {residual} expected zero"
                     )
-                snapped[comp] = 0.0
-        if snapped:
-            state = State(**{c: snapped.get(c, getattr(state, c)) for c in ("N", "D", "S")})
+                state = state._replace(**{comp: 0.0})
         segments.append(
             TrajectorySegment(seg.t_start, seg.t_end, seg.value, entry, state, rates)
         )
     traj_segments = tuple(segments)
-    tol = ZERO_SNAP_RTOL * scale
     for s in traj_segments:
         violations.extend(_segment_violations(params, s, tol))
     violations.sort(key=lambda v: (v.time, v.constraint))

@@ -26,6 +26,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 #: Largest r*T for which exp(r*T), the debt's growth over the horizon, is
 #: a finite float.
@@ -82,14 +83,14 @@ class ModelParams:
         return (self.p - self.A - self.K) * self.w_max - self.B
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """A point (N, D, S) of the state space.
 
     The type itself is a plain value triple; feasibility with respect to
     the state constraints (N >= 0, D >= 0, 0 <= S <= S_max) is checked
     where trajectories are built, so that infeasible excursions can be
-    represented and reported rather than crash.
+    represented and reported rather than crash.  Being a tuple, a state
+    unpacks, equals the plain tuple (N, D, S) and copies by `_replace`.
     """
 
     N: float

@@ -8,9 +8,10 @@ agreement with the closed forms is a genuine two-sided check.
 The fixed-step RK4 integrator, the bisection event finder over an exact
 `Trajectory` and the closed-form coefficient view of one are the
 package-shaped oracles the tests compare the exact integrator against.
-The closed form with its rates derived per call and the row-by-row CSV
-writer are the plain versions of `Trajectory.sample` and the CLI's CSV;
-those must agree with them bit for bit.
+The closed form with its rates derived per call, the row-by-row CSV
+writer and the per-component violation check are the plain versions of
+`Trajectory.sample`, the CLI's CSV and `integrate_exact`'s feasibility
+report; those must agree with them bit for bit.
 The grid certificate samples the maximum-principle checks at about
 10 points per unit of time plus the breakpoints nudged to either side;
 the exact per-segment certificate is cross-checked against it.  The
@@ -383,6 +384,49 @@ def advance_state_reference(
         S=state.S * math.exp(-params.alpha * dt)
         - q * math.expm1(-params.alpha * dt) / params.alpha,
     )
+
+
+def segment_violations_reference(
+    params: ModelParams, seg: dynamics.TrajectorySegment, tol: float
+) -> list[dynamics.Violation]:
+    """The violation report of one exact segment, each bound looked up by
+    component name; `integrate_exact`'s report must equal it bit for bit.
+
+    On the segment each component is x0 + (x1 - x0)*expm1(k*tau)/expm1(k*dt)
+    (x0 + (x1 - x0)*tau/dt when k = 0), with k = 0, r and -alpha for N, D
+    and S.  The excess over a bound, e0 at entry and e1 at exit, therefore
+    crosses 0 where expm1(k*tau) = g = f*expm1(k*dt), f = e0/(e0 - e1);
+    near g = -1 the equal form 1 + g = (e1 - e0*exp(k*dt))/(e1 - e0)
+    avoids cancellation.  A breach already at entry starts at t_start.
+    """
+    out: list[dynamics.Violation] = []
+    dt = seg.t_end - seg.t_start
+    checks = (
+        ("N", 0.0, 0.0, False, "N>=0"),
+        ("D", params.r, 0.0, False, "D>=0"),
+        ("S", -params.alpha, 0.0, False, "S>=0"),
+        ("S", -params.alpha, params.S_max, True, "S<=S_max"),
+    )
+    for comp, k, bound, above, label in checks:
+        e0, e1 = (
+            v - bound if above else bound - v
+            for v in (getattr(seg.entry, comp), getattr(seg.exit, comp))
+        )
+        worst = max(e0, e1)
+        if worst <= tol:
+            continue
+        tau = 0.0
+        if e0 < 0.0:  # so e1 > 0 and f lies in (0, 1)
+            f = e0 / (e0 - e1)
+            g = f * math.expm1(k * dt)
+            if k == 0.0:
+                tau = f * dt
+            elif g > -0.5:
+                tau = math.log1p(g) / k
+            else:
+                tau = math.log((e1 - e0 * math.exp(k * dt)) / (e1 - e0)) / k
+        out.append(dynamics.Violation(seg.t_start + min(tau, dt), label, worst))
+    return out
 
 
 def trajectory_csv_reference(traj: Trajectory) -> str:

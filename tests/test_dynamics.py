@@ -23,15 +23,24 @@ from firmopt import (
     synthesize_policy,
 )
 from firmopt.cli import _trajectory_csv
-from firmopt.dynamics import ExpSegment, ExpTerm, PiecewiseExpFn, advance_state, extrema
+from firmopt.dynamics import (
+    ZERO_SNAP_RTOL,
+    ExpSegment,
+    ExpTerm,
+    PiecewiseExpFn,
+    _state_scale,
+    advance_state,
+    extrema,
+)
 
-from conftest import ALL_KINDS, BASELINE, draw_scenario_case
+from conftest import ALL_KINDS, BASELINE, draw_profitable_params, draw_scenario_case
 from oracles import (
     AmbiguousRootError,
     advance_state_reference,
     bisect_root,
     find_zero_crossing,
     integrate_rk4,
+    segment_violations_reference,
     trajectory_csv_reference,
 )
 from test_solver import T_D_S3, T_S_BASE
@@ -138,6 +147,58 @@ class TestIntegrateExact:
         with pytest.raises(ControlBoundsError):
             integrate_exact(BASELINE, State(1.0, 0.0, 0.0), policy)
 
+    # selling 5 a year from S0 = 10 empties the stock at 2*ln(2); t1 lies
+    # 1e-11 past it, so S(t1) is about -5e-11, inside the snap tolerance
+    # 1e-9 * 200, and nonzero on any libm
+    T_EMPTY = 2.0 * math.log(2.0) + 1e-11
+
+    @staticmethod
+    def two_segments(t1, first):
+        return PiecewiseControl((
+            ControlSegment(0.0, t1, ControlValue(*first)),
+            ControlSegment(t1, 10.0, ControlValue(5.0, 0.0, 5.0)),
+        ))
+
+    @pytest.mark.parametrize("zeros, named", [
+        ([(2.0, "S")], "S"),
+        # N is checked before S at one instant
+        ([(2.0, "S"), (2.0, "N")], "N"),
+    ])
+    def test_wrong_expected_zero_raises(self, zeros, named):
+        init, control = State(200.0, 10.0, 90.0), (0.0, 0.0, 5.0)
+        residual = getattr(advance_state(BASELINE, init, ControlValue(*control), 2.0), named)
+        assert abs(residual) > 1.0
+        with pytest.raises(AssertionError) as err:
+            integrate_exact(
+                BASELINE, init, self.two_segments(2.0, control), expected_zeros=zeros
+            )
+        assert str(err.value) == f"{named}({2.0}) = {residual} expected zero"
+
+    def test_residual_within_tolerance_snaps_to_positive_zero(self):
+        init, control = State(200.0, 10.0, 10.0), (0.0, 0.0, 5.0)
+        raw = advance_state(BASELINE, init, ControlValue(*control), self.T_EMPTY)
+        assert 0.0 < -raw.S <= ZERO_SNAP_RTOL * _state_scale(init, BASELINE)
+        traj = integrate_exact(
+            BASELINE, init, self.two_segments(self.T_EMPTY, control),
+            expected_zeros=[(self.T_EMPTY, "S")],
+        )
+        exit_state = traj.segments[0].exit
+        assert bits(exit_state) == bits(raw._replace(S=0.0))
+        assert traj.segments[1].entry is exit_state
+
+    def test_tied_stock_and_debt_zeros_both_snap(self):
+        # D0 is the debt that repaying 5 a year clears at 2*ln(2), so D and
+        # S both end near -5e-11 at T_EMPTY
+        debt = 5.0 * -math.expm1(-BASELINE.r * 2.0 * math.log(2.0)) / BASELINE.r
+        init, control = State(200.0, debt, 10.0), (0.0, 5.0, 5.0)
+        raw = advance_state(BASELINE, init, ControlValue(*control), self.T_EMPTY)
+        assert raw.D != 0.0 and raw.S != 0.0
+        traj = integrate_exact(
+            BASELINE, init, self.two_segments(self.T_EMPTY, control),
+            expected_zeros=[(self.T_EMPTY, "S"), (self.T_EMPTY, "D")],
+        )
+        assert bits(traj.segments[0].exit) == bits(State(raw.N, 0.0, 0.0))
+
 
 def bits(state):
     return tuple(float(x).hex() for x in (state.N, state.D, state.S))
@@ -174,6 +235,88 @@ def test_sample_and_csv_are_the_closed_form_bit_for_bit(
         assert bits(closed) == bits(reference)
         assert bits(traj.sample(t)) == bits(seg.exit if t == seg.t_end else closed)
     assert _trajectory_csv(traj) == trajectory_csv_reference(traj)
+
+
+def start_branch(params, seg, tol):
+    """(label, branch) of each breach on `seg`: where its start time comes
+    from in segment_violations_reference."""
+    dt = seg.t_end - seg.t_start
+    (N0, D0, S0), (N1, D1, S1) = seg.entry, seg.exit
+    out = []
+    for label, k, e0, e1 in (
+        ("N>=0", 0.0, -N0, -N1),
+        ("D>=0", params.r, -D0, -D1),
+        ("S>=0", -params.alpha, -S0, -S1),
+        ("S<=S_max", -params.alpha, S0 - params.S_max, S1 - params.S_max),
+    ):
+        if max(e0, e1) <= tol:
+            continue
+        if e0 >= 0.0:
+            branch = "entry"
+        elif k == 0.0:
+            branch = "linear"
+        elif e0 / (e0 - e1) * math.expm1(k * dt) > -0.5:
+            branch = "log1p"
+        else:
+            branch = "log"
+        out.append((label, branch))
+    return out
+
+
+@st.composite
+def violation_cases(draw):
+    """Random params, a state that may already break a bound, and a policy
+    of 1-3 segments with controls anywhere in the box."""
+    params = draw_profitable_params(random.Random(draw(st.integers(0, 2**32 - 1))))
+    # a small storage cap lets production fill it mid-segment
+    params = replace(params, S_max=params.S_max * draw(st.floats(0.01, 1.0)))
+    init = State(
+        draw(st.floats(-20.0, 300.0)),
+        draw(st.floats(-20.0, 300.0)),
+        draw(st.floats(-0.2, 1.2)) * params.S_max,
+    )
+    cuts = sorted({params.T * c for c in draw(st.lists(st.floats(0.01, 0.99), max_size=2))})
+    times = [0.0, *cuts, params.T]
+    box = (params.u_max, params.v_max, params.w_max)
+    policy = PiecewiseControl(tuple(
+        ControlSegment(a, b, ControlValue(*(
+            draw(st.floats(0.0, 1.0)) * hi for hi in box
+        )))
+        for a, b in zip(times, times[1:])
+    ))
+    return params, init, policy
+
+
+def violation_bits(report):
+    return [(v.time.hex(), v.constraint, v.magnitude.hex()) for v in report]
+
+
+def test_violation_report_matches_the_reference_bit_for_bit():
+    """integrate_exact's feasibility report equals the per-component
+    reference on every draw, and the draws reach every bound and every way
+    a breach's start time is found."""
+    reached = set()
+
+    @settings(max_examples=300)
+    @given(case=violation_cases())
+    def matches(case):
+        params, init, policy = case
+        traj = integrate_exact(params, init, policy)
+        tol = ZERO_SNAP_RTOL * _state_scale(init, params)
+        expected = sorted(
+            (v for seg in traj.segments
+             for v in segment_violations_reference(params, seg, tol)),
+            key=lambda v: (v.time, v.constraint),
+        )
+        assert violation_bits(traj.feasibility_report) == violation_bits(expected)
+        for seg in traj.segments:
+            for label, branch in start_branch(params, seg, tol):
+                reached.update((label, branch))
+
+    matches()
+    assert reached >= {
+        "N>=0", "D>=0", "S>=0", "S<=S_max", "entry", "linear", "log1p", "log"
+    }
 
 
 class TestIntegrateRK4:

@@ -162,6 +162,47 @@ class TestClassifyScenario:
             classify_scenario(BASELINE, State(1.0, 0.0, BASELINE.S_max + 1.0))
 
 
+class TestState:
+    """State is an immutable value triple."""
+
+    def test_attributes_cannot_be_set(self):
+        state = State(20.0, 10.0, 10.0)
+        with pytest.raises(AttributeError):
+            state.N = 0.0
+
+    def test_equal_states_hash_equal(self):
+        a, b = State(20.0, 10.0, 10.0), State(20.0, 10.0, 10.0)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_repr_is_embedded_in_error_messages(self):
+        text = "State(N=20.0, D=10.0, S=10.0)"
+        assert repr(State(20.0, 10.0, 10.0)) == text
+        with pytest.raises(ValueError) as err:
+            synthesize_policy(
+                BASELINE, State(20.0, 10.0, 10.0), ScenarioKind.S1_NO_DEBT_WITH_STOCK
+            )
+        assert str(err.value).startswith(f"initial state {text} classifies as ")
+        with pytest.raises(ValueError) as err:
+            classify_scenario(BASELINE, State(-1.0, 0.0, 0.0))
+        assert str(err.value) == (
+            "initial N and D must be nonnegative, got State(N=-1.0, D=0.0, S=0.0)"
+        )
+
+    def test_keyword_construction(self):
+        state = State(N=20.0, D=10.0, S=10.0)
+        assert state == State(20.0, 10.0, 10.0)
+        assert (state.N, state.D, state.S) == (20.0, 10.0, 10.0)
+
+    def test_replace_returns_an_equal_distinct_copy(self):
+        # the synthesis memo is keyed on identity, so a copy must be new
+        state = State(20.0, 10.0, 10.0)
+        copy = state._replace()
+        assert copy == state and copy is not state
+        assert state._replace(D=0.0) == State(20.0, 0.0, 10.0)
+
+
 class TestPiecewiseControl:
     def test_partition_is_enforced(self):
         good = PiecewiseControl(

@@ -616,9 +616,9 @@ class TestClearanceProperties:
     def test_s2_value_rises_with_cash_and_falls_with_debt(self, seed, more_cash, more_debt):
         params, init = draw_scenario_case(random.Random(seed), S2)
         value = objective_value(params, init, S2)
-        assert objective_value(params, replace(init, N=init.N + more_cash), S2) > value
+        assert objective_value(params, init._replace(N=init.N + more_cash), S2) > value
         try:
-            indebted = objective_value(params, replace(init, D=init.D + more_debt), S2)
+            indebted = objective_value(params, init._replace(D=init.D + more_debt), S2)
         except PolicyInfeasibleError:
             reject()  # the extra repayment exhausts the cash before t_D
         assert indebted < value
@@ -714,14 +714,14 @@ class TestSynthesisMemo:
         return calls
 
     def test_same_objects_return_the_same_result(self):
-        params, init = replace(BASELINE), replace(self.INIT)
+        params, init = replace(BASELINE), self.INIT._replace()
         first = synthesize_policy(params, init, S2)
         assert synthesize_policy(params, init, S2) is first
 
     def test_equal_but_distinct_objects_are_synthesized_afresh(self, integrations):
-        params, init = replace(BASELINE), replace(self.INIT)
+        params, init = replace(BASELINE), self.INIT._replace()
         first = synthesize_policy(params, init, S2)
-        for p, i in ((replace(params), init), (params, replace(init))):
+        for p, i in ((replace(params), init), (params, init._replace())):
             again = synthesize_policy(p, i, S2)
             assert again is not first
             assert again == first
@@ -736,7 +736,7 @@ class TestSynthesisMemo:
     def test_infeasible_input_raises_on_every_call(self, integrations):
         # the cash-exhausted repayment rate p*w_max - B = 45 exceeds v_max
         params, init = replace(BASELINE, v_max=40.0), State(20.0, 30.0, 10.0)
-        synthesize_policy(replace(BASELINE), replace(self.INIT), S2)
+        synthesize_policy(replace(BASELINE), self.INIT._replace(), S2)
         for _ in range(3):
             with pytest.raises(PolicyInfeasibleError):
                 synthesize_policy(params, init, A2)
@@ -748,7 +748,7 @@ class TestSynthesisMemo:
             assert len(integrations) == calls + 1
 
     def test_objective_and_certificate_reuse_the_synthesis(self, integrations):
-        params, init = replace(BASELINE), replace(self.INIT)
+        params, init = replace(BASELINE), self.INIT._replace()
         synth = synthesize_policy(params, init, S2)
         assert objective_value(params, init, S2) == synth.objective
         assert certify_policy(params, init, S2).synthesis is synth
@@ -758,6 +758,6 @@ class TestSynthesisMemo:
     def test_chain_integrates_once_per_interval(self, integrations, k):
         params = replace(BASELINE)
         breakpoints = [params.T * i / k for i in range(k + 1)]
-        plan = chain_plan(params, replace(self.INIT), breakpoints)
+        plan = chain_plan(params, self.INIT._replace(), breakpoints)
         assert len(plan.intervals) == k
         assert len(integrations) == k
