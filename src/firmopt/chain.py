@@ -127,13 +127,11 @@ def evaluate_chain(params: ModelParams, plan: ChainPlan) -> tuple[Trajectory, fl
     """
     segments: list[TrajectorySegment] = []
     jumps: list[JumpRecord] = []
-    violations = []
     for iv in plan.intervals:
-        traj = iv.trajectory
         if iv.jump is not None:
             jumps.append(iv.jump)
-        last = traj.segments[-1]
-        for seg in traj.segments:
+        last = iv.trajectory.segments[-1]
+        for seg in iv.trajectory.segments:
             # local T + t_start can miss t_end by an ulp: end the last one exactly
             t_end = iv.t_end if seg is last else seg.t_end + iv.t_start
             segments.append(
@@ -146,12 +144,10 @@ def evaluate_chain(params: ModelParams, plan: ChainPlan) -> tuple[Trajectory, fl
                     rates=seg.rates,
                 )
             )
-        for v in traj.feasibility_report:
-            violations.append(v._replace(time=v.time + iv.t_start))
     combined = Trajectory(
         params=params,
         segments=tuple(segments),
+        tol=plan.intervals[0].trajectory.tol,
         jumps=tuple(jumps),
-        feasibility_report=tuple(violations),
     )
     return combined, combined.objective()

@@ -17,12 +17,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import chain as chain_mod
 from . import solver, verify
-from .dynamics import ZERO_SNAP_RTOL, Trajectory, _state_scale
+from .dynamics import Trajectory
 from .model import (
     ModelParams,
     NoFeasibleCandidateError,
@@ -41,12 +41,7 @@ CSV_GRID_POINTS = 1000
 REPORT_FMT = "%.6g"
 CSV_FMT = "%.9g"
 
-COMMANDS = ("solve", "verify", "simulate", "chain", "brute-force")
-
-_PARAM_KEYS = (
-    "p", "r", "A", "alpha", "K", "B",
-    "u_max", "v_max", "w_max", "S_max", "T",
-)
+_PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 _INIT_KEYS = ("N0", "D0", "S0")
 _OPTION_KEYS = ("brute_nt", "brute_levels", "chain_breakpoints", "out_dir")
 
@@ -57,8 +52,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunOptions:
-    brute_nt: int = 200
-    brute_levels: dict | None = None
+    """Run options; the config's brute_nt and brute_levels fill `grid`."""
+
+    grid: verify.BruteForceGrid = verify.BruteForceGrid()
     chain_breakpoints: tuple[float, ...] | None = None
     out_dir: str = "."
 
@@ -87,6 +83,17 @@ def _reject_unknown(doc: dict, allowed: tuple[str, ...], path: str) -> None:
             raise ConfigError(f"unknown key {where}")
 
 
+def _read_numbers(doc: dict, section: str, keys: tuple[str, ...]) -> list[float]:
+    """The numbers doc[section][key] for each key in order, all required."""
+    _reject_unknown(doc[section], keys, section)
+    values = []
+    for key in keys:
+        if key not in doc[section]:
+            raise ConfigError(f"missing required key {section}.{key}")
+        values.append(_expect_number(doc[section][key], f"{section}.{key}"))
+    return values
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
@@ -106,21 +113,8 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(doc[required], dict):
             raise ConfigError(f"{required}: expected an object")
 
-    _reject_unknown(doc["params"], _PARAM_KEYS, "params")
-    values = {}
-    for key in _PARAM_KEYS:
-        if key not in doc["params"]:
-            raise ConfigError(f"missing required key params.{key}")
-        values[key] = _expect_number(doc["params"][key], f"params.{key}")
-    params = ModelParams(**values)
-
-    _reject_unknown(doc["init"], _INIT_KEYS, "init")
-    ivals = {}
-    for key in _INIT_KEYS:
-        if key not in doc["init"]:
-            raise ConfigError(f"missing required key init.{key}")
-        ivals[key] = _expect_number(doc["init"][key], f"init.{key}")
-    init = State(N=ivals["N0"], D=ivals["D0"], S=ivals["S0"])
+    params = ModelParams(*_read_numbers(doc, "params", _PARAM_KEYS))
+    init = State(*_read_numbers(doc, "init", _INIT_KEYS))
 
     jump_mode = doc.get("jump_mode", False)
     if not isinstance(jump_mode, bool):
@@ -130,27 +124,26 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(opt, dict):
         raise ConfigError("options: expected an object")
     _reject_unknown(opt, _OPTION_KEYS, "options")
-    kwargs = {}
+    grid = {}
     if "brute_nt" in opt:
         nt = opt["brute_nt"]
         if isinstance(nt, bool) or not isinstance(nt, int) or nt < 1:
             raise ConfigError("options.brute_nt: expected a positive integer")
-        kwargs["brute_nt"] = nt
+        grid["n_t"] = nt
     if "brute_levels" in opt:
         levels = opt["brute_levels"]
         if not isinstance(levels, dict):
             raise ConfigError("options.brute_levels: expected an object")
         _reject_unknown(levels, ("u", "v", "w"), "options.brute_levels")
-        parsed: dict = {}
         for comp, arr in levels.items():
             if not isinstance(arr, list) or not arr:
                 raise ConfigError(
                     f"options.brute_levels.{comp}: expected a nonempty array"
                 )
-            parsed[comp] = tuple(
+            grid[f"{comp}_levels"] = tuple(
                 _expect_number(x, f"options.brute_levels.{comp}") for x in arr
             )
-        kwargs["brute_levels"] = parsed
+    kwargs = {"grid": verify.BruteForceGrid(**grid)}
     if "chain_breakpoints" in opt:
         arr = opt["chain_breakpoints"]
         if not isinstance(arr, list) or len(arr) < 2:
@@ -234,8 +227,7 @@ def _trajectory_csv(traj: Trajectory) -> str:
             # k*T/(n-1) can round above T at k = n-1
             times.add(min(T, k * T / (CSV_GRID_POINTS - 1)))
     jump_at = {j.t: j for j in traj.jumps}
-    # the tolerance integrate_exact judged the same trajectory by
-    tol = ZERO_SNAP_RTOL * _state_scale(traj.segments[0].entry, traj.params)
+    tol = traj.tol
     s_top = traj.params.S_max + tol
     row_fmt = ",".join([CSV_FMT] * 7) + ",%s"
     lines = ["t,N,D,S,u,v,w,feasible"]
@@ -276,15 +268,8 @@ def _require_horizon(config: RunConfig, what: str) -> None:
 
 def _brute_force(config: RunConfig, synth: solver.SynthesisResult):
     """The exhaustive search from the synthesized policy's post-jump state."""
-    levels = config.options.brute_levels or {}
-    grid = verify.BruteForceGrid(
-        n_t=config.options.brute_nt,
-        u_levels=levels.get("u"),
-        v_levels=levels.get("v"),
-        w_levels=levels.get("w"),
-    )
-    start = synth.jump.post_state if synth.jump is not None else config.init
-    return verify.brute_force_best(config.params, start, grid)
+    start = synth.trajectory.segments[0].entry
+    return verify.brute_force_best(config.params, start, config.options.grid)
 
 
 def cmd_solve(config: RunConfig) -> tuple[int, str]:
@@ -390,16 +375,19 @@ def cmd_brute_force(config: RunConfig) -> tuple[int, str]:
     return EXIT_OK, text
 
 
+_HANDLERS = {
+    "solve": cmd_solve,
+    "verify": cmd_verify,
+    "simulate": cmd_simulate,
+    "chain": cmd_chain,
+    "brute-force": cmd_brute_force,
+}
+COMMANDS = tuple(_HANDLERS)
+
+
 def execute_command(config: RunConfig, command: str) -> int:
     """Dispatch one command; prints the report and returns the exit code."""
-    handlers = {
-        "solve": cmd_solve,
-        "verify": cmd_verify,
-        "simulate": cmd_simulate,
-        "chain": cmd_chain,
-        "brute-force": cmd_brute_force,
-    }
-    if command not in handlers:
+    if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}")
     if not validate_params(config.params).profitable:
         print(
@@ -409,7 +397,7 @@ def execute_command(config: RunConfig, command: str) -> int:
         )
         return EXIT_INFEASIBLE
     try:
-        code, text = handlers[command](config)
+        code, text = _HANDLERS[command](config)
     except (PolicyInfeasibleError, UncoveredInitialConditionError,
             NoFeasibleCandidateError, chain_mod.ChainJunctionError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -104,6 +104,8 @@ class Trajectory(Piecewise):
 
     params: ModelParams
     segments: tuple[TrajectorySegment, ...]
+    #: integrate_exact's absolute tolerance: a state within tol of a bound is feasible
+    tol: float = field(repr=False, compare=False)
     jumps: tuple[JumpRecord, ...] = ()
     feasibility_report: tuple[Violation, ...] = ()
 
@@ -122,7 +124,7 @@ class Trajectory(Piecewise):
         return self.segments[bisect_right(self._starts, t) - 1].state_at(self.params, t)
 
     def terminal_state(self) -> State:
-        return self.segments[-1].state_at(self.params, self.t_final)
+        return self.segments[-1].exit
 
     def objective(self) -> float:
         final = self.terminal_state()
@@ -223,6 +225,7 @@ def integrate_exact(
     return Trajectory(
         params=params,
         segments=traj_segments,
+        tol=tol,
         jumps=jumps,
         feasibility_report=tuple(violations),
     )

@@ -294,7 +294,7 @@ def synthesize_policy(
         segs.append(ControlSegment(a, b, ControlValue(u, v, w)))
     if params.T == 0.0:  # T = -0.0 passes validation; the segment ends at +0.0
         segs = [ControlSegment(0.0, 0.0, segs[-1].value)]
-    policy = PiecewiseControl(tuple(segs)).merged()
+    policy = PiecewiseControl(tuple(segs))
     # t_S and t_D are exact zeros of the stock and the debt by construction
     traj = dynamics.integrate_exact(
         params, start, policy, jump=jump, expected_zeros=times.zeros

@@ -157,8 +157,17 @@ def log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0**x)
 
 
+# built once: hypothesis validates and analyses each new strategy object
+# on its first draw, a quarter of the drawing time when these were built
+# per document
 MONEY = log_uniform(1e-3, 1e3)
 RATE = log_uniform(1e-4, 5.0)
+PRICE_FACTOR = log_uniform(0.5, 100.0)
+CAPACITY_FACTOR = log_uniform(0.8, 10.0)
+HORIZON = log_uniform(1e-3, 1e3)
+MONEY_OR_ZERO = st.one_of(st.just(0.0), MONEY)
+LEVEL_COMPONENTS = st.lists(st.sampled_from("uvw"), min_size=1, max_size=3, unique=True)
+LEVELS = st.lists(MONEY_OR_ZERO, min_size=1, max_size=3)
 
 
 @st.composite
@@ -168,22 +177,19 @@ def schema_valid_documents(draw):
     purchases need, so that most configs pass validation."""
     params = {key: draw(MONEY) for key in ("A", "K", "B", "w_max", "S_max")}
     A, w = params["A"], params["w_max"]
-    p = (A + params["K"] + params["B"] / w) * draw(log_uniform(0.5, 100.0))
+    p = (A + params["K"] + params["B"] / w) * draw(PRICE_FACTOR)
     params.update(
         p=p,
-        u_max=w * draw(log_uniform(0.8, 10.0)),
-        v_max=max(A * w, p * w - params["B"]) * draw(log_uniform(0.8, 10.0)),
+        u_max=w * draw(CAPACITY_FACTOR),
+        v_max=max(A * w, p * w - params["B"]) * draw(CAPACITY_FACTOR),
         r=draw(RATE),
         alpha=draw(RATE),
-        T=draw(log_uniform(1e-3, 1e3)),
+        T=draw(HORIZON),
     )
-    init = {key: draw(st.one_of(st.just(0.0), MONEY)) for key in ("N0", "D0", "S0")}
+    init = {key: draw(MONEY_OR_ZERO) for key in ("N0", "D0", "S0")}
     options = {"brute_nt": draw(st.integers(1, 5))}
     if draw(st.integers(0, 3)) == 0:
-        comps = draw(st.lists(st.sampled_from("uvw"), min_size=1, max_size=3, unique=True))
-        level = st.one_of(st.just(0.0), MONEY)
-        options["brute_levels"] = {
-            c: draw(st.lists(level, min_size=1, max_size=3)) for c in comps
-        }
+        comps = draw(LEVEL_COMPONENTS)
+        options["brute_levels"] = {c: draw(LEVELS) for c in comps}
     return {"params": params, "init": init, "jump_mode": draw(st.booleans()),
             "options": options}

@@ -15,6 +15,7 @@ from firmopt import (
     objective_value,
     synthesize_policy,
 )
+from firmopt.dynamics import ZERO_SNAP_RTOL
 
 from conftest import ALL_KINDS, BASELINE, draw_scenario_case
 from test_solver import J_A2, J_S3, T_S_BASE
@@ -109,6 +110,18 @@ class TestEvaluateChain:
         pre_D = plan.intervals[1].entry_state.D
         assert junction_jump.delta_N == -min(pre_N, pre_D)
         assert traj.feasible
+
+    def test_combined_trajectory_is_judged_by_the_first_intervals_tolerance(self):
+        # the CSV's feasible column reads tol: it must be the one the
+        # post-jump start state set (scale D = 300 - 20), not a later one
+        plan = chain_plan(BASELINE, State(20.0, 300.0, 10.0), [0.0, 0.2, 10.0], jump_mode=True)
+        traj, _ = evaluate_chain(BASELINE, plan)
+        first, second = (iv.trajectory for iv in plan.intervals)
+        assert traj.tol == first.tol == ZERO_SNAP_RTOL * 280.0
+        assert second.tol != first.tol
+        # tol joins neither equality nor the repr
+        assert replace(traj, tol=0.0) == traj
+        assert repr(replace(traj, tol=0.0)) == repr(traj)
 
     def test_jump_chains_end_debt_free_when_clearance_fits(self):
         rng = random.Random(67)

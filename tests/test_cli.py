@@ -1,6 +1,7 @@
 """Config parsing, command execution, artifacts and exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -48,7 +49,7 @@ class TestParseConfig:
     def test_minimal_document_gets_defaults(self):
         config = parse_config(json.dumps(BASE_DOC))
         assert config.jump_mode is False
-        assert config.options.brute_nt == 200
+        assert config.options.grid == verify.BruteForceGrid()
         assert config.options.out_dir == "."
 
     def test_negative_rate_rejected_with_key_path(self):
@@ -93,6 +94,42 @@ class TestParseConfig:
         doc["options"] = {"brute_levels": {"x": [1]}}
         with pytest.raises(ConfigError, match=r"brute_levels\.x"):
             parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", list(BASE_DOC["params"]))
+    def test_each_missing_param_is_named(self, key):
+        doc = json.loads(json.dumps(BASE_DOC))
+        del doc["params"][key]
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert str(err.value) == f"missing required key params.{key}"
+
+    def test_empty_params_name_the_first_model_field(self):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["params"] = {}
+        first = dataclasses.fields(firmopt.ModelParams)[0].name
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert str(err.value) == f"missing required key params.{first}"
+
+    def test_keys_are_checked_in_order_presence_and_number_together(self):
+        # p comes before T: its bad value is reported, not T's absence
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["params"]["p"] = "ten"
+        del doc["params"]["T"]
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert str(err.value) == "params.p: expected a number"
+
+    def test_search_options_fill_the_brute_force_grid(self):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["options"] = {
+            "brute_nt": 7,
+            "brute_levels": {"u": [0, 8], "v": [1.5], "w": [0, 2.5, 5]},
+        }
+        config = parse_config(json.dumps(doc))
+        assert config.options.grid == verify.BruteForceGrid(
+            n_t=7, u_levels=(0.0, 8.0), v_levels=(1.5,), w_levels=(0.0, 2.5, 5.0)
+        )
 
 
 class TestCommands:

@@ -28,6 +28,7 @@ from firmopt import (
 )
 
 from conftest import (
+    ALL_KINDS,
     BASELINE,
     ZERO_SNAP_DOC,
     draw_profitable_params,
@@ -60,6 +61,17 @@ J_S2 = 244.55600536923753
 J_S3 = 209.87287680628407
 J_A1 = 244.65735902799727
 J_A2 = 224.54457389457087
+
+# the S2 debt that the baseline repays at v_max exactly by t_S: t_D = t_S
+THETA_S2 = BASELINE.v_max * (-math.expm1(-BASELINE.r * T_S_BASE)) / BASELINE.r
+
+
+@st.composite
+def scenario_cases(draw):
+    """(params, init, kind) over the five scenarios, each synthesizable."""
+    kind = draw(st.sampled_from(ALL_KINDS))
+    params, init = draw_scenario_case(random.Random(draw(st.integers(0, 2**32 - 1))), kind)
+    return params, init, kind
 
 
 class TestStockDepletionTime:
@@ -315,6 +327,17 @@ class TestSynthesizePolicy:
         bad = replace(BASELINE, p=6.0)
         with pytest.raises(ValueError):
             synthesize_policy(bad, State(20.0, 0.0, 10.0), ScenarioKind.S1_NO_DEBT_WITH_STOCK)
+
+    # v_max == A*w_max: repaying at v_max and at A*w_max are one control,
+    # but the debt never clears, so no phase boundary separates them
+    @example(case=(replace(BASELINE, v_max=10.0), State(20.0, 20.0, 10.0), S2))
+    @example(case=(BASELINE, State(20.0, THETA_S2, 10.0), S2))
+    @given(case=scenario_cases())
+    def test_neighbouring_controls_differ(self, case):
+        # so the policy is already in PiecewiseControl.merged()'s canonical form
+        policy = synthesize_policy(*case).policy
+        for left, right in zip(policy.segments, policy.segments[1:]):
+            assert left.value != right.value
 
 
 class TestClosedFormTrajectory:
