@@ -59,13 +59,14 @@ def _evolve(
     state: State, rates: tuple[float, float, float], r: float, alpha: float, dt: float
 ) -> State:
     """The closed form: `state` advanced by dt at constant `rates`.  Every
-    exact state of this module is evaluated here."""
+    exact state of this module is evaluated here (built as State._make does)."""
+    N, D, S = state
     slope, c, q = rates
-    return State(
-        state.N + slope * dt,
-        state.D * math.exp(r * dt) + c * math.expm1(r * dt) / r,
-        state.S * math.exp(-alpha * dt) - q * math.expm1(-alpha * dt) / alpha,
-    )
+    return tuple.__new__(State, (
+        N + slope * dt,
+        D * math.exp(r * dt) + c * math.expm1(r * dt) / r,
+        S * math.exp(-alpha * dt) - q * math.expm1(-alpha * dt) / alpha,
+    ))
 
 
 def advance_state(params: ModelParams, state: State, control: ControlValue, dt: float) -> State:
@@ -118,10 +119,15 @@ class Trajectory(Piecewise):
         return not self.feasibility_report
 
     def sample(self, t: float) -> State:
-        if not 0.0 <= t <= self.t_final:
-            raise ValueError(f"t = {t} outside [0, {self.t_final}]")
-        # segment_at inlined: sampling is the hot path of every caller
-        return self.segments[bisect_right(self._starts, t) - 1].state_at(self.params, t)
+        """TrajectorySegment.state_at at t (the snapped exit at t = T), with
+        segment_at and state_at inlined: this is every caller's hot path."""
+        segments = self.segments
+        if not 0.0 <= t <= segments[-1].t_end:
+            raise ValueError(f"t = {t} outside [0, {segments[-1].t_end}]")
+        seg = segments[bisect_right(self._starts, t) - 1]
+        if t == seg.t_end:
+            return seg.exit
+        return _evolve(seg.entry, seg.rates, self.params.r, self.params.alpha, t - seg.t_start)
 
     def terminal_state(self) -> State:
         return self.segments[-1].exit
@@ -236,9 +242,8 @@ def integrate_exact(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpTerm:
-    """coef * exp(rate * (t - anchor)); rate 0 encodes a constant."""
+class ExpTerm(NamedTuple):
+    """coef * exp(rate * (t - anchor)); rate 0 encodes a constant (a value record)."""
 
     coef: float
     rate: float
@@ -250,8 +255,9 @@ class ExpTerm:
         return self.coef * math.exp(self.rate * (t - self.anchor))
 
 
-@dataclass(frozen=True)
-class ExpSegment:
+class ExpSegment(NamedTuple):
+    """The sum of `terms` on [t_start, t_end]; a value record like ExpTerm."""
+
     t_start: float
     t_end: float
     terms: tuple[ExpTerm, ...] = ()

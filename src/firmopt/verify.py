@@ -125,14 +125,16 @@ class CertReport:
 
 
 class _Findings:
-    """Every checked slack, and a violation wherever one is negative."""
+    """The least slack noted, kept until a strictly smaller one (as min() keeps
+    the first of equals, or a NaN), and a violation wherever one is negative."""
 
     def __init__(self) -> None:
-        self.margins: list[CertMargin] = []
+        self.worst: CertMargin | None = None
         self.bad: list[CertViolation] = []
 
     def note(self, t: float, check: str, slack: float, magnitude: float) -> None:
-        self.margins.append(CertMargin(t, check, slack))
+        if self.worst is None or slack < self.worst.margin:
+            self.worst = CertMargin(t, check, slack)
         if slack < 0.0:
             self.bad.append(CertViolation(t, check, magnitude))
 
@@ -141,8 +143,14 @@ class _Findings:
         singular: tuple[SingularSegment, ...] = (),
         lambda_min: float | None = None,
     ) -> CertReport:
-        worst = min(self.margins, key=lambda m: m.margin, default=None)
-        return CertReport(not self.bad, tuple(self.bad), singular, worst, lambda_min)
+        return CertReport(not self.bad, tuple(self.bad), singular, self.worst, lambda_min)
+
+
+#: check labels, built once: per constraint i = 1..4, and per control
+_LAMBDA_SIGN, _LAMBDA_G, _MU_SIGN, _MU_G = zip(
+    *((f"lambda{i}>=0", f"lambda{i}*g{i}=0", f"mu{i}>=0", f"mu{i}*g{i}(T)=0") for i in range(1, 5))
+)
+_ARGMAX = {comp: "argmax_" + comp for comp in "uvw"}
 
 
 def _switching_weights(params: ModelParams) -> dict[str, tuple[float, float, float]]:
@@ -220,19 +228,19 @@ def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
         for i, lam in enumerate(lams):
             lo, t_lo, hi, t_hi = extrema(a, b, (1.0, lam.segment_at(a)))
             lambda_min = min(lambda_min, lo)
-            found.note(t_lo, f"lambda{i + 1}>=0", lo + CERT_TOL, -lo)
+            found.note(t_lo, _LAMBDA_SIGN[i], lo + CERT_TOL, -lo)
             lam_sup, t_sup = (hi, t_hi) if hi >= -lo else (-lo, t_lo)
             if lam_sup == 0.0:  # lambda*g = 0: its slack exceeds the one just noted
                 continue
             seg = traj.segment_at(a)
             ends = (seg.state_at(params, a), seg.state_at(params, b))
             bound = lam_sup * max(abs((x.N, x.D, x.S, x.S - params.S_max)[i]) for x in ends)
-            found.note(t_sup, f"lambda{i + 1}*g{i + 1}=0", limit - bound, bound)
+            found.note(t_sup, _LAMBDA_G[i], limit - bound, bound)
     final = traj.terminal_state()
     gfin = (final.N, final.D, final.S, final.S - params.S_max)
-    for i, (mu, g) in enumerate(zip(mults.mus, gfin), start=1):
-        found.note(T, f"mu{i}>=0", mu, -mu)
-        found.note(T, f"mu{i}*g{i}(T)=0", limit - abs(mu * g), abs(mu * g))
+    for mu, g, sign, product in zip(mults.mus, gfin, _MU_SIGN, _MU_G):
+        found.note(T, sign, mu, -mu)
+        found.note(T, product, limit - abs(mu * g), abs(mu * g))
     return found.report(lambda_min=lambda_min)
 
 
@@ -298,9 +306,9 @@ def check_control_maximizes(
             ctol = 1e-9 * max(1.0, bound)
             # theta above theta_tol demands the bound, below -theta_tol zero
             if abs(actual - bound) > ctol:
-                found.note(t_hi, "argmax_" + comp, theta_tol - hi, abs(actual - bound))
+                found.note(t_hi, _ARGMAX[comp], theta_tol - hi, abs(actual - bound))
             if abs(actual) > ctol:
-                found.note(t_lo, "argmax_" + comp, lo + theta_tol, abs(actual))
+                found.note(t_lo, _ARGMAX[comp], lo + theta_tol, abs(actual))
     segs = tuple(
         SingularSegment(comp, run[0], run[1])
         for comp in ("u", "v", "w")

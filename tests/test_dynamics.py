@@ -31,6 +31,7 @@ from firmopt.dynamics import (
     _state_scale,
     advance_state,
     extrema,
+    piecewise_from_spans,
 )
 
 from conftest import ALL_KINDS, BASELINE, draw_profitable_params, draw_scenario_case
@@ -235,6 +236,42 @@ def test_sample_and_csv_are_the_closed_form_bit_for_bit(
         assert bits(closed) == bits(reference)
         assert bits(traj.sample(t)) == bits(seg.exit if t == seg.t_end else closed)
     assert _trajectory_csv(traj) == trajectory_csv_reference(traj)
+
+
+class TestSampleDomain:
+    """Trajectory.sample on [0, T] exactly, with the snapped exit at T."""
+
+    T_EMPTY = TestIntegrateExact.T_EMPTY
+
+    def emptied_at_horizon(self):
+        # the stock empties exactly at T, so the exit at T is a snapped state
+        init = State(200.0, 10.0, 10.0)
+        traj = integrate_exact(
+            BASELINE, init, constant_policy(0.0, 0.0, 5.0, T=self.T_EMPTY),
+            expected_zeros=[(self.T_EMPTY, "S")],
+        )
+        return init, traj
+
+    @pytest.mark.parametrize("t", [
+        math.nextafter(0.0, -1.0), math.nextafter(T_EMPTY, math.inf), math.nan,
+    ])
+    def test_outside_the_horizon_raises_with_the_exact_message(self, t):
+        _, traj = self.emptied_at_horizon()
+        with pytest.raises(ValueError) as err:
+            traj.sample(t)
+        assert str(err.value) == f"t = {t} outside [0, {self.T_EMPTY}]"
+
+    def test_horizon_gives_the_snapped_exit(self):
+        init, traj = self.emptied_at_horizon()
+        raw = advance_state(BASELINE, init, ControlValue(0.0, 0.0, 5.0), self.T_EMPTY)
+        assert raw.S != 0.0
+        assert traj.sample(self.T_EMPTY) is traj.segments[-1].exit
+        assert bits(traj.sample(self.T_EMPTY)) == bits(raw._replace(S=0.0))
+
+    def test_negative_zero_gives_the_first_segments_state(self):
+        init, traj = self.emptied_at_horizon()
+        assert traj.sample(-0.0) == traj.segments[0].entry == init
+        assert type(traj.sample(-0.0)) is State
 
 
 def start_branch(params, seg, tol):
@@ -561,6 +598,48 @@ class TestPiecewiseExpFn:
         assert fn.breakpoints == (0.0, 1.0, 3.0)
         with pytest.raises(ValueError):
             fn.value(3.5)
+
+
+class TestExpRecords:
+    """ExpTerm and ExpSegment are immutable value records."""
+
+    def test_repr(self):
+        term = ExpTerm(2.0, -0.5, 1.0)
+        assert repr(term) == "ExpTerm(coef=2.0, rate=-0.5, anchor=1.0)"
+        assert repr(ExpSegment(0.0, 1.0, (term,))) == (
+            "ExpSegment(t_start=0.0, t_end=1.0, "
+            "terms=(ExpTerm(coef=2.0, rate=-0.5, anchor=1.0),))"
+        )
+
+    def test_equal_records_hash_equal(self):
+        a, b = ExpTerm(2.0, -0.5, 1.0), ExpTerm(2.0, -0.5, 1.0)
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a != ExpTerm(2.0, -0.5, 0.0)
+        s, t = ExpSegment(0.0, 1.0, (a,)), ExpSegment(0.0, 1.0, (b,))
+        assert s == t and s is not t and hash(s) == hash(t)
+        assert len({s, t}) == 1
+
+    def test_keyword_and_positional_construction_and_defaults(self):
+        assert ExpTerm(coef=2.0, rate=0.0) == ExpTerm(2.0, 0.0, 0.0)
+        assert ExpTerm(3.0, 0.1).anchor == 0.0
+        seg = ExpSegment(t_start=0.0, t_end=1.0)
+        assert seg == ExpSegment(0.0, 1.0, ()) and seg.terms == ()
+        assert seg.value(0.5) == 0.0
+
+    def test_attributes_cannot_be_set(self):
+        term, seg = ExpTerm(2.0, 0.0), ExpSegment(0.0, 1.0)
+        with pytest.raises(AttributeError):
+            term.coef = 1.0
+        with pytest.raises(AttributeError):
+            seg.terms = (term,)
+
+    def test_spans_merge_neighbours_with_equal_terms(self):
+        first, second = (ExpTerm(1.0, -0.1, 2.0),), (ExpTerm(1.0, -0.1, 2.0),)
+        other = (ExpTerm(3.0, 0.0),)
+        fn = piecewise_from_spans(
+            [(0.0, 1.0, first), (1.0, 2.0, second), (2.0, 2.0, other), (2.0, 3.0, other)]
+        )
+        assert fn.segments == (ExpSegment(0.0, 2.0, first), ExpSegment(2.0, 3.0, other))
 
 
 class TestExtrema:

@@ -30,7 +30,7 @@ from firmopt import (
     verify,
 )
 from firmopt.dynamics import PiecewiseExpFn, extrema
-from firmopt.verify import CERT_TOL, SingularSegment
+from firmopt.verify import CERT_TOL, CertMargin, CertViolation, SingularSegment, _Findings
 
 from conftest import ALL_KINDS, BASELINE, draw_profitable_params, draw_scenario_case
 from oracles import (
@@ -596,6 +596,40 @@ class TestWorstMargin:
         cert = self.baseline_s1()
         assert cert.slackness.worst_margin.margin >= 0.0
         assert cert.transversality.worst_margin is None
+
+    def test_of_equal_slacks_the_first_noted_is_kept(self):
+        found = _Findings()
+        found.note(1.0, "first", 0.5, 0.0)
+        found.note(2.0, "second", 0.5, 0.0)
+        assert found.report().worst_margin == CertMargin(1.0, "first", 0.5)
+        found.note(3.0, "smaller", 0.25, 0.0)
+        found.note(4.0, "equal", 0.25, 0.0)
+        assert found.report().worst_margin == CertMargin(3.0, "smaller", 0.25)
+
+    def test_a_nan_slack_is_kept_as_min_keeps_it(self):
+        found = _Findings()
+        found.note(1.0, "nan", math.nan, 0.0)
+        found.note(2.0, "smaller", -1.0, 1.0)
+        worst = found.report().worst_margin
+        assert (worst.time, worst.check, math.isnan(worst.margin)) == (1.0, "nan", True)
+        found = _Findings()
+        found.note(1.0, "number", 0.5, 0.0)
+        found.note(2.0, "nan", math.nan, 0.0)
+        assert found.report().worst_margin == CertMargin(1.0, "number", 0.5)
+
+    def test_no_notes_give_no_margin(self):
+        report = _Findings().report()
+        assert report.passed and report.violations == ()
+        assert report.worst_margin is None
+
+    def test_negative_slack_records_a_violation_with_its_magnitude(self):
+        found = _Findings()
+        found.note(1.0, "ok", 0.5, 0.0)
+        found.note(2.0, "bad", -0.25, 7.0)
+        report = found.report()
+        assert not report.passed
+        assert report.violations == (CertViolation(2.0, "bad", 7.0),)
+        assert report.worst_margin == CertMargin(2.0, "bad", -0.25)
 
 
 class TestBruteForce:
