@@ -55,7 +55,6 @@ class ChainInterval:
 
 @dataclass(frozen=True)
 class ChainPlan:
-    params: ModelParams
     intervals: tuple[ChainInterval, ...]
 
 
@@ -114,7 +113,7 @@ def chain_plan(
         intervals.append(interval)
         entry = interval.exit_state
         scale = max(scale, entry.N, entry.D, entry.S)
-    return ChainPlan(params=params, intervals=tuple(intervals))
+    return ChainPlan(intervals=tuple(intervals))
 
 
 def evaluate_chain(params: ModelParams, plan: ChainPlan) -> tuple[Trajectory, float]:

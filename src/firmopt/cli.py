@@ -209,8 +209,8 @@ def _jump_lines(jump) -> list[str]:
     return [
         "jump: delta_N = %s, delta_D = %s (post N = %s, D = %s)"
         % (
-            _fmt(jump.delta_N),
-            _fmt(jump.delta_D),
+            _fmt(jump.delta),
+            _fmt(jump.delta),
             _fmt(jump.post_state.N),
             _fmt(jump.post_state.D),
         )
@@ -238,7 +238,7 @@ def _trajectory_csv(traj: Trajectory) -> str:
         if t in jump_at:  # the pre-jump row comes first
             j = jump_at[t]
             post = j.post_state
-            states.insert(0, State(post.N - j.delta_N, post.D - j.delta_D, post.S))
+            states.insert(0, State(post.N - j.delta, post.D - j.delta, post.S))
         for x in states:
             feasible = x.N >= -tol and x.D >= -tol and -tol <= x.S <= s_top
             cells = (t, x.N, x.D, x.S, c.u, c.v, c.w, "true" if feasible else "false")

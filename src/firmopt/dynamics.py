@@ -69,11 +69,6 @@ def _evolve(
     ))
 
 
-def advance_state(params: ModelParams, state: State, control: ControlValue, dt: float) -> State:
-    """Exact state after holding `control` for `dt` starting from `state`."""
-    return _evolve(state, _rates(params, control), params.r, params.alpha, dt)
-
-
 @dataclass(frozen=True)
 class TrajectorySegment:
     """One constant-control stretch with its exact entry and exit states;
@@ -100,7 +95,7 @@ class Trajectory(Piecewise):
     sample() is right-continuous; discontinuities (instantaneous debt
     repayments) are recorded in `jumps`, the pre-jump state being the
     previous segment's terminal value (at t = 0, the JumpRecord's post
-    state less its deltas).
+    state less its delta in N and D).
     """
 
     params: ModelParams

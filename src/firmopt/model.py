@@ -111,13 +111,13 @@ class ControlValue:
 class JumpRecord:
     """Instantaneous partial or total debt repayment out of cash.
 
-    Both deltas equal -min(N, D) at the jump instant; inventory is
-    unaffected.  Exactly one of post N, post D is zero unless N == D.
+    N and D both change by `delta` = -min(N, D) at the jump instant;
+    inventory is unaffected.  Exactly one of post N, post D is zero
+    unless N == D.
     """
 
     t: float
-    delta_N: float
-    delta_D: float
+    delta: float
     post_state: State
 
 
@@ -264,15 +264,10 @@ def validate_params(params: ModelParams) -> ValidationReport:
     return ValidationReport(violations=tuple(bad), profitable=profitable)
 
 
-def cost_rate(params: ModelParams, u: float) -> float:
-    """Indirect cost rate Z(u) = K*u + B; B persists even at u = 0."""
-    if not 0.0 <= u <= params.u_max:
-        raise ControlBoundsError(f"u = {u} outside [0, {params.u_max}]")
-    return params.K * u + params.B
-
-
 def check_initial_state(params: ModelParams, init: State) -> None:
     """Validate an initial condition against the state constraints."""
+    if not all(map(math.isfinite, init)):
+        raise ValueError(f"initial state must be finite, got {init}")
     if init.N < 0.0 or init.D < 0.0:
         raise ValueError(f"initial N and D must be nonnegative, got {init}")
     if not 0.0 <= init.S <= params.S_max:

@@ -196,7 +196,7 @@ def initial_jump(init: State) -> JumpRecord:
         raise ValueError("initial_jump requires D0 > 0 (no-op otherwise)")
     paid = min(init.N, init.D)
     post = State(N=init.N - paid, D=init.D - paid, S=init.S)
-    return JumpRecord(t=0.0, delta_N=-paid, delta_D=-paid, post_state=post)
+    return JumpRecord(t=0.0, delta=-paid, post_state=post)
 
 
 def _require_solvable(params: ModelParams) -> None:

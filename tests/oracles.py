@@ -39,19 +39,16 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from firmopt import (
-    AdjointTrajectory,
-    ControlValue,
-    JumpRecord,
     ModelParams,
     NoFeasibleCandidateError,
-    PiecewiseControl,
     ScenarioKind,
     State,
-    Trajectory,
     cli,
     dynamics,
     verify,
 )
+from firmopt.dynamics import AdjointTrajectory, Trajectory
+from firmopt.model import ControlValue, JumpRecord, PiecewiseControl
 
 
 def reference_integrate(
@@ -457,8 +454,8 @@ def trajectory_csv_reference(traj: Trajectory) -> str:
         if t in jump_at:
             j = jump_at[t]
             pre = State(
-                N=j.post_state.N - j.delta_N,
-                D=j.post_state.D - j.delta_D,
+                N=j.post_state.N - j.delta,
+                D=j.post_state.D - j.delta,
                 S=j.post_state.S,
             )
             lines.append(row(t, pre))

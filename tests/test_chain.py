@@ -108,7 +108,7 @@ class TestEvaluateChain:
         assert junction_jump.t == 0.2
         pre_N = plan.intervals[1].entry_state.N
         pre_D = plan.intervals[1].entry_state.D
-        assert junction_jump.delta_N == -min(pre_N, pre_D)
+        assert junction_jump.delta == -min(pre_N, pre_D)
         assert traj.feasible
 
     def test_combined_trajectory_is_judged_by_the_first_intervals_tolerance(self):

@@ -4,8 +4,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -354,16 +356,20 @@ class TestCommands:
         assert run_cli(command, make_config(tmp_path, doc)) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: params.r: r*T <= 709.783")
 
+    @staticmethod
+    def child_env():
+        """The environment of a child interpreter that imports this same firmopt."""
+        return {**os.environ, "PYTHONPATH": str(Path(firmopt.__file__).resolve().parents[1])}
+
     def test_console_entry_point(self, tmp_path):
-        config = make_config(tmp_path, BASE_DOC)
-        doc_dir = tmp_path / "out"
         doc = json.loads(json.dumps(BASE_DOC))
-        doc["options"] = {"out_dir": str(doc_dir)}
+        doc["options"] = {"out_dir": str(tmp_path / "out")}
         config = make_config(tmp_path, doc)
         proc = subprocess.run(
             [sys.executable, "-m", "firmopt.cli", "solve", str(config)],
             capture_output=True,
             text=True,
+            env=self.child_env(),
         )
         assert proc.returncode == 0
         assert "scenario = S1_NoDebtWithStock" in proc.stdout
@@ -378,7 +384,8 @@ class TestCommands:
             "print('numpy' in sys.modules)\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=self.child_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().endswith("False")

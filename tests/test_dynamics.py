@@ -10,16 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from firmopt import (
     ChainJunctionError,
-    ControlSegment,
-    ControlValue,
-    PiecewiseControl,
+    ControlBoundsError,
     ScenarioKind,
     State,
-    adjoint_backward,
     chain_plan,
     evaluate_chain,
     integrate_exact,
-    multiplier_set_for_scenario,
     synthesize_policy,
 )
 from firmopt.cli import _trajectory_csv
@@ -29,10 +25,12 @@ from firmopt.dynamics import (
     ExpTerm,
     PiecewiseExpFn,
     _state_scale,
-    advance_state,
+    adjoint_backward,
     extrema,
     piecewise_from_spans,
 )
+from firmopt.model import ControlSegment, ControlValue, PiecewiseControl
+from firmopt.verify import multiplier_set_for_scenario
 
 from conftest import ALL_KINDS, BASELINE, draw_profitable_params, draw_scenario_case
 from oracles import (
@@ -50,6 +48,12 @@ from test_verify import BASELINE_CASES
 
 def constant_policy(u, v, w, T=10.0):
     return PiecewiseControl((ControlSegment(0.0, T, ControlValue(u, v, w)),))
+
+
+def advance_state(params, state, control, dt):
+    """The unsnapped closed form: `state` after holding `control` for dt."""
+    policy = PiecewiseControl((ControlSegment(0.0, dt, control),))
+    return integrate_exact(params, state, policy).terminal_state()
 
 
 def synthesized(params, init, kind):
@@ -142,8 +146,6 @@ class TestIntegrateExact:
         assert traj.sample(0.0) == State(0.0, 10.0, 10.0)
 
     def test_out_of_bounds_policy_rejected(self):
-        from firmopt import ControlBoundsError
-
         policy = constant_policy(9.0, 0.0, 5.0)
         with pytest.raises(ControlBoundsError):
             integrate_exact(BASELINE, State(1.0, 0.0, 0.0), policy)

@@ -1,4 +1,4 @@
-"""Parameter validation, cost function and scenario classification."""
+"""Parameter validation and scenario classification."""
 
 import math
 import random
@@ -9,18 +9,16 @@ import pytest
 
 from firmopt import (
     ControlBoundsError,
-    ControlSegment,
-    ControlValue,
     ModelParams,
-    PiecewiseControl,
     ScenarioKind,
     State,
     UncoveredInitialConditionError,
+    certify_policy,
     classify_scenario,
-    cost_rate,
     synthesize_policy,
     validate_params,
 )
+from firmopt.model import ControlSegment, ControlValue, PiecewiseControl
 
 from conftest import BASELINE, draw_profitable_params
 
@@ -70,29 +68,6 @@ class TestValidateParams:
             params = draw_profitable_params(rng)
             report = validate_params(params)
             assert report.profitable == (params.profit_rate() > 0.0)
-
-
-class TestCostRate:
-    def test_fixed_cost_persists_at_zero_production(self):
-        assert cost_rate(BASELINE, 0.0) == BASELINE.B
-
-    def test_affine_values(self):
-        assert cost_rate(BASELINE, 5.0) == 20.0
-        assert cost_rate(BASELINE, 8.0) == 29.0
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(ControlBoundsError):
-            cost_rate(BASELINE, -1.0)
-        with pytest.raises(ControlBoundsError):
-            cost_rate(BASELINE, BASELINE.u_max + 0.1)
-
-    def test_affinity(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            u1 = rng.uniform(0.0, BASELINE.u_max / 2)
-            u2 = rng.uniform(0.0, BASELINE.u_max / 2)
-            lhs = cost_rate(BASELINE, u1) + cost_rate(BASELINE, u2) - BASELINE.B
-            assert lhs == pytest.approx(cost_rate(BASELINE, u1 + u2), rel=1e-12)
 
 
 class TestClassifyScenario:
@@ -160,6 +135,18 @@ class TestClassifyScenario:
             classify_scenario(BASELINE, State(-1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             classify_scenario(BASELINE, State(1.0, 0.0, BASELINE.S_max + 1.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("component", ["N", "D", "S"])
+    def test_non_finite_initial_state_rejected(self, component, value):
+        # nan passes the sign checks, and inf in N or D gives an objective
+        # of +-inf that the certificate would pass
+        init = State(20.0, 0.0, 10.0)._replace(**{component: value})
+        for jump_mode in (False, True):
+            with pytest.raises(ValueError, match="initial state must be finite"):
+                classify_scenario(BASELINE, init, jump_mode)
+        with pytest.raises(ValueError, match="initial state must be finite"):
+            certify_policy(BASELINE, init, ScenarioKind.S1_NO_DEBT_WITH_STOCK)
 
 
 class TestState:

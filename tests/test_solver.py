@@ -9,8 +9,6 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 from firmopt import (
-    ControlSegment,
-    ControlValue,
     ModelParams,
     PolicyInfeasibleError,
     ScenarioKind,
@@ -20,12 +18,13 @@ from firmopt import (
     classify_scenario,
     debt_clearance_time,
     dynamics,
-    initial_jump,
     integrate_exact,
     objective_value,
     stock_depletion_time,
     synthesize_policy,
 )
+from firmopt.model import ControlSegment, ControlValue, PiecewiseControl
+from firmopt.solver import initial_jump
 
 from conftest import (
     ALL_KINDS,
@@ -209,12 +208,12 @@ class TestInitialJump:
     def test_total_repayment(self):
         rec = initial_jump(State(30.0, 10.0, 5.0))
         assert rec.post_state == State(20.0, 0.0, 5.0)
-        assert rec.delta_N == rec.delta_D == -10.0
+        assert rec.delta == -10.0
 
     def test_partial_repayment(self):
         rec = initial_jump(State(20.0, 30.0, 5.0))
         assert rec.post_state == State(0.0, 10.0, 5.0)
-        assert rec.delta_N == -20.0
+        assert rec.delta == -20.0
 
     def test_exact_cancellation(self):
         rec = initial_jump(State(10.0, 10.0, 0.0))
@@ -356,8 +355,6 @@ class TestClosedFormTrajectory:
         assert coeff.c1 == coeff.c2 == 0.0
 
     def test_pure_exponential_debt_growth(self):
-        from firmopt import ControlSegment, ControlValue, PiecewiseControl
-
         idle = PiecewiseControl(
             (ControlSegment(0.0, 10.0, ControlValue(0.0, 0.0, 0.0)),)
         )

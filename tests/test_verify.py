@@ -10,27 +10,30 @@ from hypothesis import given, strategies as st
 
 from firmopt import (
     BruteForceGrid,
-    ControlSegment,
-    ControlValue,
     NoFeasibleCandidateError,
-    PiecewiseControl,
     PolicyInfeasibleError,
     ScenarioKind,
     State,
-    adjoint_backward,
     brute_force_best,
     certify_policy,
-    check_control_maximizes,
-    check_slackness,
     classify_scenario,
     integrate_exact,
-    multiplier_set_for_scenario,
     objective_value,
     synthesize_policy,
     verify,
 )
-from firmopt.dynamics import PiecewiseExpFn, extrema
-from firmopt.verify import CERT_TOL, CertMargin, CertViolation, SingularSegment, _Findings
+from firmopt.dynamics import PiecewiseExpFn, adjoint_backward, extrema
+from firmopt.model import ControlSegment, ControlValue, PiecewiseControl
+from firmopt.verify import (
+    CERT_TOL,
+    CertMargin,
+    CertViolation,
+    SingularSegment,
+    _Findings,
+    check_control_maximizes,
+    check_slackness,
+    multiplier_set_for_scenario,
+)
 
 from conftest import ALL_KINDS, BASELINE, draw_profitable_params, draw_scenario_case
 from oracles import (
@@ -384,6 +387,18 @@ class TestCertifyPolicy:
         assert traj.feasible
         assert traj.objective() > objective_value(params, init, kind) + 1.0
 
+    def test_certificate_can_pass_outside_the_sufficient_condition(self):
+        # A*exp(r*T) < p - K is sufficient for immediate production, not
+        # necessary: here the credit costs 5.74 times the sales margin over
+        # the horizon, yet the certificate passes and the search agrees
+        params = replace(BASELINE, r=0.5, B=1.0, T=6.0)
+        init = State(40.0, 40.0, 0.0)
+        kind = ScenarioKind.S3_DEBT_NO_STOCK
+        assert params.A * math.exp(params.r * params.T) > params.p - params.K
+        assert certify_policy(params, init, kind).passed
+        _, searched = brute_force_best(params, init, BruteForceGrid(n_t=60))
+        assert searched <= objective_value(params, init, kind)
+
 
 def assert_argmax_agrees(params, adjoint, policy):
     """The exact argmax check against the grid oracle.
@@ -525,8 +540,6 @@ class TestExactAgainstGrid:
         assert flagged > 0
 
     def test_spurious_multipliers(self):
-        from firmopt.dynamics import PiecewiseExpFn
-
         synth = synthesize_policy(
             BASELINE, State(20.0, 0.0, 10.0), ScenarioKind.S1_NO_DEBT_WITH_STOCK
         )
