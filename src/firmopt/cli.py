@@ -29,6 +29,7 @@ from .model import (
     PolicyInfeasibleError,
     State,
     UncoveredInitialConditionError,
+    check_initial_state,
     classify_scenario,
     validate_params,
 )
@@ -162,10 +163,10 @@ def parse_config(text: str) -> RunConfig:
     if not report.ok:
         fld, msg = report.violations[0]
         raise ConfigError(f"params.{fld}: {msg}")
-    if init.N < 0.0 or init.D < 0.0:
-        raise ConfigError("init: N0 and D0 must be nonnegative")
-    if not 0.0 <= init.S <= params.S_max:
-        raise ConfigError("init.S0: must lie in [0, S_max]")
+    try:
+        check_initial_state(params, init)
+    except ValueError as exc:
+        raise ConfigError(f"init: {exc}") from exc
 
     return RunConfig(
         params=params, init=init, jump_mode=jump_mode, options=RunOptions(**kwargs)
@@ -219,30 +220,38 @@ def _jump_lines(jump) -> list[str]:
 
 def _trajectory_csv(traj: Trajectory) -> str:
     """CSV rows at all breakpoints plus a uniform grid; a jump at time t
-    is emitted as two rows sharing t (pre- and post-jump)."""
+    is emitted as two rows sharing t (pre- and post-jump).
+
+    One pass over the sorted times (Trajectory.walk); each segment's
+    constant controls are formatted once."""
     T = traj.t_final
     times = set(traj.breakpoints)
     if T > 0.0:
-        for k in range(CSV_GRID_POINTS):
-            # k*T/(n-1) can round above T at k = n-1
-            times.add(min(T, k * T / (CSV_GRID_POINTS - 1)))
+        n = CSV_GRID_POINTS - 1
+        times.update([k * T / n for k in range(n)])
+        times.add(min(T, n * T / n))  # n*T/n can round above T
+    times = sorted(times)
     jump_at = {j.t: j for j in traj.jumps}
     tol = traj.tol
     s_top = traj.params.S_max + tol
-    row_fmt = ",".join([CSV_FMT] * 7) + ",%s"
+    row_fmt = ",".join([CSV_FMT] * 4) + "%s"
+    control_fmt = "," + ",".join([CSV_FMT] * 3)
     lines = ["t,N,D,S,u,v,w,feasible"]
-    for t in sorted(times):
-        seg = traj.segment_at(t)
-        c = seg.control
-        states = [seg.state_at(traj.params, t)]
+    shown = None
+    for t, (seg, N, D, S) in zip(times, traj.walk(times)):
+        if seg is not shown:
+            shown = seg
+            c = seg.control
+            controls = control_fmt % (c.u, c.v, c.w)
+            tails = (controls + ",false", controls + ",true")
         if t in jump_at:  # the pre-jump row comes first
             j = jump_at[t]
-            post = j.post_state
-            states.insert(0, State(post.N - j.delta, post.D - j.delta, post.S))
-        for x in states:
-            feasible = x.N >= -tol and x.D >= -tol and -tol <= x.S <= s_top
-            cells = (t, x.N, x.D, x.S, c.u, c.v, c.w, "true" if feasible else "false")
-            lines.append(row_fmt % cells)
+            pre_N, pre_D, pre_S = j.post_state
+            pre_N, pre_D = pre_N - j.delta, pre_D - j.delta
+            feasible = pre_N >= -tol and pre_D >= -tol and -tol <= pre_S <= s_top
+            lines.append(row_fmt % (t, pre_N, pre_D, pre_S, tails[feasible]))
+        feasible = N >= -tol and D >= -tol and -tol <= S <= s_top
+        lines.append(row_fmt % (t, N, D, S, tails[feasible]))
     return "\n".join(lines) + "\n"
 
 

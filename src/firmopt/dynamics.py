@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .model import (
     ControlValue,
@@ -59,7 +59,8 @@ def _evolve(
     state: State, rates: tuple[float, float, float], r: float, alpha: float, dt: float
 ) -> State:
     """The closed form: `state` advanced by dt at constant `rates`.  Every
-    exact state of this module is evaluated here (built as State._make does)."""
+    exact state of this module is evaluated here (built as State._make does),
+    or in Trajectory.walk's inlined copy, which must stay bit-identical."""
     N, D, S = state
     slope, c, q = rates
     return tuple.__new__(State, (
@@ -94,8 +95,9 @@ class Trajectory(Piecewise):
 
     sample() is right-continuous; discontinuities (instantaneous debt
     repayments) are recorded in `jumps`, the pre-jump state being the
-    previous segment's terminal value (at t = 0, the JumpRecord's post
-    state less its delta in N and D).
+    JumpRecord's post state less its delta in N and D.  At a chain
+    junction that is the next interval's snapped entry, not the previous
+    segment's exit: a residual such as N = -3.2e-15 there reads 0.
     """
 
     params: ModelParams
@@ -123,6 +125,40 @@ class Trajectory(Piecewise):
         if t == seg.t_end:
             return seg.exit
         return _evolve(seg.entry, seg.rates, self.params.r, self.params.alpha, t - seg.t_start)
+
+    def walk(
+        self, times: Sequence[float]
+    ) -> Iterator[tuple[TrajectorySegment, float, float, float]]:
+        """(segment_at(t), *sample(t)) for each of the ascending `times`, bit
+        for bit, in one forward pass with _evolve's closed form inlined (a
+        time at a segment's start goes through it at dt = 0).  The state
+        comes unboxed: building a State costs about as much as the closed form."""
+        segments = self.segments
+        if times and not (0.0 <= times[0] and times[-1] <= segments[-1].t_end):
+            raise ValueError(f"times outside [0, {segments[-1].t_end}]")
+        r, alpha = self.params.r, self.params.alpha
+        exp, expm1 = math.exp, math.expm1
+        switches = self._starts[1:] + (math.inf,)
+        k = 0
+        switch = -math.inf
+        for t in times:
+            if t >= switch:
+                while t >= switches[k]:
+                    k += 1
+                seg = segments[k]
+                switch = switches[k]
+                (N, D, S), (slope, c, q) = seg.entry, seg.rates
+                t_start, t_end = seg.t_start, seg.t_end
+            if t == t_end:
+                yield (seg, *seg.exit)
+                continue
+            dt = t - t_start
+            yield (
+                seg,
+                N + slope * dt,
+                D * exp(r * dt) + c * expm1(r * dt) / r,
+                S * exp(-alpha * dt) - q * expm1(-alpha * dt) / alpha,
+            )
 
     def terminal_state(self) -> State:
         return self.segments[-1].exit

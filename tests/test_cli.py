@@ -259,6 +259,26 @@ class TestCommands:
         assert run_cli("solve", tmp_path / "absent.json") == EXIT_CONFIG
 
     @pytest.mark.parametrize(
+        "init, message",
+        [
+            ((-1, 0, 10), "initial N and D must be nonnegative, "
+                          "got State(N=-1.0, D=0.0, S=10.0)"),
+            ((20, -1, 10), "initial N and D must be nonnegative, "
+                           "got State(N=20.0, D=-1.0, S=10.0)"),
+            ((20, 0, -1), "initial S must lie in [0, 100.0], got -1.0"),
+            ((20, 0, 101), "initial S must lie in [0, 100.0], got 101.0"),
+        ],
+    )
+    def test_initial_state_outside_the_constraints_exit_two(
+        self, tmp_path, capsys, init, message
+    ):
+        # the library's check_initial_state decides, its message prefixed
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["init"] = dict(zip(("N0", "D0", "S0"), init))
+        assert run_cli("solve", make_config(tmp_path, doc)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: init: {message}\n"
+
+    @pytest.mark.parametrize(
         "command, T, breakpoints, key",
         [
             ("verify", 0, None, "params.T"),
@@ -428,6 +448,33 @@ class TestSinglePass:
             "synthesize_policy": synthesized,
             "integrate_exact": integrated,
         }
+
+    @pytest.mark.parametrize("command", ["simulate", "chain"])
+    def test_csv_rows_are_written_in_one_walk(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # the CSV's 1000-odd rows take no segment lookup of their own: one
+        # Trajectory.walk moves forward through the segments
+        calls = {}
+        for owner, name in (
+            (dynamics.Trajectory, "walk"),
+            (dynamics.Trajectory, "segment_at"),
+            (dynamics.Trajectory, "sample"),
+            (dynamics.TrajectorySegment, "state_at"),
+        ):
+            calls[name] = 0
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["init"] = {"N0": 20, "D0": 10, "S0": 10}
+        doc["options"] = {"out_dir": str(tmp_path / "out"), "chain_breakpoints": [0, 2, 5, 10]}
+        assert run_cli(command, make_config(tmp_path, doc)) == EXIT_OK
+        assert calls == {"walk": 1, "segment_at": 0, "sample": 0, "state_at": 0}
 
 
 # JSON-ish characters; a fixed alphabet also spares building a unicode table

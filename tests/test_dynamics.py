@@ -14,6 +14,7 @@ from firmopt import (
     ScenarioKind,
     State,
     chain_plan,
+    classify_scenario,
     evaluate_chain,
     integrate_exact,
     synthesize_policy,
@@ -207,6 +208,17 @@ def bits(state):
     return tuple(float(x).hex() for x in (state.N, state.D, state.S))
 
 
+def assert_sample_and_csv_are_the_closed_form(params, traj, fractions=()):
+    grid = [k / 40 for k in range(41)]
+    for t in [params.T * f for f in [*fractions, *grid]] + list(traj.breakpoints):
+        seg = [s for s in traj.segments if s.t_start <= t][-1]
+        closed = advance_state(params, seg.entry, seg.control, t - seg.t_start)
+        reference = advance_state_reference(params, seg.entry, seg.control, t - seg.t_start)
+        assert bits(closed) == bits(reference)
+        assert bits(traj.sample(t)) == bits(seg.exit if t == seg.t_end else closed)
+    assert _trajectory_csv(traj) == trajectory_csv_reference(traj)
+
+
 @settings(max_examples=50)
 @given(
     kind=st.sampled_from(ALL_KINDS),
@@ -230,14 +242,51 @@ def test_sample_and_csv_are_the_closed_form_bit_for_bit(
         traj, _ = evaluate_chain(params, plan)
     else:
         traj = synthesize_policy(params, init, kind).trajectory
-    grid = [k / 40 for k in range(41)]
-    for t in [params.T * f for f in fractions + grid] + list(traj.breakpoints):
-        seg = [s for s in traj.segments if s.t_start <= t][-1]
-        closed = advance_state(params, seg.entry, seg.control, t - seg.t_start)
-        reference = advance_state_reference(params, seg.entry, seg.control, t - seg.t_start)
-        assert bits(closed) == bits(reference)
-        assert bits(traj.sample(t)) == bits(seg.exit if t == seg.t_end else closed)
-    assert _trajectory_csv(traj) == trajectory_csv_reference(traj)
+    assert_sample_and_csv_are_the_closed_form(params, traj, fractions)
+
+
+#: the horizon whose last CSV grid time 999*T/999 rounds above T
+OVERSHOOT_T = 4.57920600019801
+#: a junction that is also the CSV grid time 333*T/999 at T = 10
+GRID_JUNCTION = 333 * 10.0 / 999
+
+
+@pytest.mark.parametrize(
+    "T, init, jump_mode, breakpoints, jumps",
+    [
+        pytest.param(0.0, (20.0, 10.0, 10.0), False, None, 0, id="zero-horizon"),
+        pytest.param(0.0, (20.0, 10.0, 10.0), True, None, 1, id="zero-horizon-jump"),
+        # the closed form at dt = 0 turns the entry's -0.0 debt into 0.0
+        pytest.param(10.0, (20.0, -0.0, 10.0), False, None, 0, id="negative-zero-debt"),
+        pytest.param(
+            10.0, (20.0, 10.0, 10.0), False, [0.0, GRID_JUNCTION, 10.0], 0,
+            id="junction-on-a-grid-time",
+        ),
+        pytest.param(
+            10.0, (20.0, 120.0, 10.0), True, [0.0, 0.2, 10.0], 2, id="junction-jump"
+        ),
+        pytest.param(OVERSHOOT_T, (20.0, 10.0, 10.0), False, None, 0, id="overshoot"),
+        pytest.param(
+            OVERSHOOT_T, (20.0, 10.0, 10.0), False, [0.0, 2.0, OVERSHOOT_T], 0,
+            id="overshoot-chain",
+        ),
+    ],
+)
+def test_csv_edge_cases_match_the_row_by_row_reference(
+    T, init, jump_mode, breakpoints, jumps
+):
+    """The one-pass CSV writer against the oracle that looks each row up on
+    its own, on the times where a forward walk could go wrong."""
+    assert 999 * OVERSHOOT_T / 999 > OVERSHOOT_T
+    assert GRID_JUNCTION in {k * 10.0 / 999 for k in range(1000)}
+    params, init = replace(BASELINE, T=T), State(*init)
+    if breakpoints is None:
+        kind = classify_scenario(params, init, jump_mode)
+        traj = synthesize_policy(params, init, kind).trajectory
+    else:
+        traj, _ = evaluate_chain(params, chain_plan(params, init, breakpoints, jump_mode))
+    assert len(traj.jumps) == jumps
+    assert_sample_and_csv_are_the_closed_form(params, traj)
 
 
 class TestSampleDomain:
@@ -274,6 +323,23 @@ class TestSampleDomain:
         init, traj = self.emptied_at_horizon()
         assert traj.sample(-0.0) == traj.segments[0].entry == init
         assert type(traj.sample(-0.0)) is State
+
+    def test_walk_and_csv_end_on_the_snapped_exit(self):
+        _, traj = self.emptied_at_horizon()
+        (_, *first), (_, *last) = traj.walk([0.0, self.T_EMPTY])
+        assert bits(State(*first)) == bits(traj.sample(0.0))
+        assert bits(State(*last)) == bits(traj.segments[-1].exit)
+        csv = _trajectory_csv(traj)
+        assert csv == trajectory_csv_reference(traj)
+        assert csv.endswith(",0,0,0,5,true\n")
+
+    @pytest.mark.parametrize("times", [
+        [math.nextafter(0.0, -1.0), 1.0], [1.0, math.nextafter(T_EMPTY, math.inf)],
+    ])
+    def test_walk_outside_the_horizon_raises(self, times):
+        _, traj = self.emptied_at_horizon()
+        with pytest.raises(ValueError, match=r"times outside \[0, "):
+            list(traj.walk(times))
 
 
 def start_branch(params, seg, tol):
