@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from bisect import insort_left
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from . import chain as chain_mod
 from . import solver, verify
 from .dynamics import Trajectory
 from .model import (
+    ControlBoundsError,
     ModelParams,
     NoFeasibleCandidateError,
     PolicyInfeasibleError,
@@ -167,6 +169,10 @@ def parse_config(text: str) -> RunConfig:
         check_initial_state(params, init)
     except ValueError as exc:
         raise ConfigError(f"init: {exc}") from exc
+    try:
+        kwargs["grid"].levels(params)
+    except ControlBoundsError as exc:
+        raise ConfigError(f"options.brute_levels.{exc}") from exc
 
     return RunConfig(
         params=params, init=init, jump_mode=jump_mode, options=RunOptions(**kwargs)
@@ -225,20 +231,21 @@ def _trajectory_csv(traj: Trajectory) -> str:
     One pass over the sorted times (Trajectory.walk); each segment's
     constant controls are formatted once."""
     T = traj.t_final
-    times = set(traj.breakpoints)
-    if T > 0.0:
-        n = CSV_GRID_POINTS - 1
-        times.update([k * T / n for k in range(n)])
-        times.add(min(T, n * T / n))  # n*T/n can round above T
-    times = sorted(times)
+    n = CSV_GRID_POINTS - 1  # the grid's last time n*T/n can round above T
+    times = [k * T / n for k in range(n)] + [min(T, n * T / n)] if T > 0.0 else []
+    for b in reversed(traj.breakpoints):  # ahead of the grid times equal to it
+        insort_left(times, b)
     jump_at = {j.t: j for j in traj.jumps}
     tol = traj.tol
     s_top = traj.params.S_max + tol
     row_fmt = ",".join([CSV_FMT] * 4) + "%s"
     control_fmt = "," + ",".join([CSV_FMT] * 3)
     lines = ["t,N,D,S,u,v,w,feasible"]
-    shown = None
+    shown = last = None
     for t, (seg, N, D, S) in zip(times, traj.walk(times)):
+        if t == last:  # of equal times the first stands for all
+            continue
+        last = t
         if seg is not shown:
             shown = seg
             c = seg.control
@@ -269,12 +276,6 @@ def _synthesize(config: RunConfig):
     return kind, synth
 
 
-def _require_horizon(config: RunConfig, what: str) -> None:
-    """Reject a zero horizon before any work is done for it."""
-    if config.params.T <= 0.0:
-        raise ConfigError(f"params.T: {what} needs a positive horizon")
-
-
 def _brute_force(config: RunConfig, synth: solver.SynthesisResult):
     """The exhaustive search from the synthesized policy's post-jump state."""
     start = synth.trajectory.segments[0].entry
@@ -288,20 +289,15 @@ def cmd_solve(config: RunConfig) -> tuple[int, str]:
     lines.append(f"objective = {_fmt(synth.objective)}")
     lines += _jump_lines(synth.jump)
     lines += _policy_lines(synth.policy)
-    text = "\n".join(lines) + "\n"
-    _write(config.options.out_dir, "solve_report.txt", text)
-    return EXIT_OK, text
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
 def cmd_simulate(config: RunConfig) -> tuple[int, str]:
     _, synth = _synthesize(config)
-    csv_text = _trajectory_csv(synth.trajectory)
-    _write(config.options.out_dir, "trajectory.csv", csv_text)
-    return EXIT_OK, csv_text
+    return EXIT_OK, _trajectory_csv(synth.trajectory)
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, str]:
-    _require_horizon(config, "the brute-force search")
     kind = classify_scenario(config.params, config.init, config.jump_mode)
     cert = verify.certify_policy(config.params, config.init, kind)
     closed = cert.synthesis.objective
@@ -329,16 +325,11 @@ def cmd_verify(config: RunConfig) -> tuple[int, str]:
         f"brute_force_best = {_fmt(best)}",
     ]
     ok = cert.passed and brute_ok
-    text = "\n".join(lines) + "\n"
-    _write(config.options.out_dir, "verify_report.txt", text)
-    return (EXIT_OK if ok else EXIT_INFEASIBLE), text
+    return (EXIT_OK if ok else EXIT_INFEASIBLE), "\n".join(lines) + "\n"
 
 
 def cmd_chain(config: RunConfig) -> tuple[int, str]:
-    _require_horizon(config, "a chain")
-    breakpoints = config.options.chain_breakpoints
-    if breakpoints is None:
-        breakpoints = (0.0, config.params.T)
+    breakpoints = config.options.chain_breakpoints or (0.0, config.params.T)
     try:
         plan = chain_mod.chain_plan(
             config.params, config.init, list(breakpoints), config.jump_mode
@@ -361,14 +352,11 @@ def cmd_chain(config: RunConfig) -> tuple[int, str]:
             )
         )
         lines += ["  " + ln for ln in _jump_lines(iv.jump)]
-    text = "\n".join(lines) + "\n"
-    _write(config.options.out_dir, "chain_report.txt", text)
     _write(config.options.out_dir, "chain_trajectory.csv", _trajectory_csv(traj))
-    return EXIT_OK, text
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
 def cmd_brute_force(config: RunConfig) -> tuple[int, str]:
-    _require_horizon(config, "the brute-force search")
     kind, synth = _synthesize(config)
     closed = synth.objective
     policy, best = _brute_force(config, synth)
@@ -379,25 +367,25 @@ def cmd_brute_force(config: RunConfig) -> tuple[int, str]:
         f"gap = {_fmt(best - closed)}",
     ]
     lines += _policy_lines(policy)
-    text = "\n".join(lines) + "\n"
-    _write(config.options.out_dir, "brute_force_report.txt", text)
-    return EXIT_OK, text
+    return EXIT_OK, "\n".join(lines) + "\n"
 
 
-_HANDLERS = {
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-    "chain": cmd_chain,
-    "brute-force": cmd_brute_force,
+#: command -> (handler, report file, what needs a positive horizon or None)
+_COMMANDS = {
+    "solve": (cmd_solve, "solve_report.txt", None),
+    "verify": (cmd_verify, "verify_report.txt", "the brute-force search"),
+    "simulate": (cmd_simulate, "trajectory.csv", None),
+    "chain": (cmd_chain, "chain_report.txt", "a chain"),
+    "brute-force": (cmd_brute_force, "brute_force_report.txt", "the brute-force search"),
 }
-COMMANDS = tuple(_HANDLERS)
+COMMANDS = tuple(_COMMANDS)
 
 
 def execute_command(config: RunConfig, command: str) -> int:
-    """Dispatch one command; prints the report and returns the exit code."""
-    if command not in _HANDLERS:
+    """Run one command: write its report, print it, return the exit code."""
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    handler, report, horizon_user = _COMMANDS[command]
     if not validate_params(config.params).profitable:
         print(
             "infeasible: parameters are not profitable "
@@ -405,25 +393,31 @@ def execute_command(config: RunConfig, command: str) -> int:
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
+    if horizon_user is not None and config.params.T <= 0.0:
+        raise ConfigError(f"params.T: {horizon_user} needs a positive horizon")
     try:
-        code, text = _HANDLERS[command](config)
+        code, text = handler(config)
     except (PolicyInfeasibleError, UncoveredInitialConditionError,
             NoFeasibleCandidateError, chain_mod.ChainJunctionError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    _write(config.options.out_dir, report, text)
     sys.stdout.write(text)
     return code
 
 
+# built once: building it costs several times what parsing does
+_PARSER = argparse.ArgumentParser(
+    prog="firmopt",
+    description="Optimal production, sales and debt-repayment planning "
+    "for a single-product firm with linear dynamics.",
+)
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("config", help="path to a JSON run configuration")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="firmopt",
-        description="Optimal production, sales and debt-repayment planning "
-        "for a single-product firm with linear dynamics.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("config", help="path to a JSON run configuration")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except OSError as exc:

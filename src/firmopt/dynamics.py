@@ -83,11 +83,6 @@ class TrajectorySegment:
     #: `control`'s closed-form rates (see _rates), derived once by integrate_exact
     rates: tuple[float, float, float] = field(repr=False, compare=False)
 
-    def state_at(self, params: ModelParams, t: float) -> State:
-        if t == self.t_end:
-            return self.exit
-        return _evolve(self.entry, self.rates, params.r, params.alpha, t - self.t_start)
-
 
 @dataclass(frozen=True)
 class Trajectory(Piecewise):
@@ -116,8 +111,8 @@ class Trajectory(Piecewise):
         return not self.feasibility_report
 
     def sample(self, t: float) -> State:
-        """TrajectorySegment.state_at at t (the snapped exit at t = T), with
-        segment_at and state_at inlined: this is every caller's hot path."""
+        """The state at t: the closed form from segment_at(t)'s entry, or that
+        segment's snapped exit at its end (t = T), with segment_at inlined."""
         segments = self.segments
         if not 0.0 <= t <= segments[-1].t_end:
             raise ValueError(f"t = {t} outside [0, {segments[-1].t_end}]")

@@ -50,6 +50,7 @@ from .dynamics import (
     piecewise_from_spans,
 )
 from .model import (
+    ControlBoundsError,
     ControlSegment,
     ControlValue,
     ModelParams,
@@ -224,7 +225,11 @@ def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
     found = _Findings()
     lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
     lambda_min = math.inf
-    for a, b in _pieces(T, mults.breakpoints, traj.breakpoints):
+    pieces = _pieces(T, mults.breakpoints, traj.breakpoints)
+    # |g| at the piece ends, in one walk: a segment start reads its entry at dt = 0
+    ends = traj.walk([0.0] + [b for _, b in pieces])
+    g_ends = [(abs(N), abs(D), abs(S), abs(S - params.S_max)) for _, N, D, S in ends]
+    for (a, b), g_a, g_b in zip(pieces, g_ends, g_ends[1:]):
         for i, lam in enumerate(lams):
             lo, t_lo, hi, t_hi = extrema(a, b, (1.0, lam.segment_at(a)))
             lambda_min = min(lambda_min, lo)
@@ -232,9 +237,7 @@ def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
             lam_sup, t_sup = (hi, t_hi) if hi >= -lo else (-lo, t_lo)
             if lam_sup == 0.0:  # lambda*g = 0: its slack exceeds the one just noted
                 continue
-            seg = traj.segment_at(a)
-            ends = (seg.state_at(params, a), seg.state_at(params, b))
-            bound = lam_sup * max(abs((x.N, x.D, x.S, x.S - params.S_max)[i]) for x in ends)
+            bound = lam_sup * max(g_a[i], g_b[i])
             found.note(t_sup, _LAMBDA_G[i], limit - bound, bound)
     final = traj.terminal_state()
     gfin = (final.N, final.D, final.S, final.S - params.S_max)
@@ -334,11 +337,17 @@ class BruteForceGrid:
     w_levels: tuple[float, ...] | None = None
 
     def levels(self, params: ModelParams) -> tuple[tuple[float, ...], ...]:
+        """(u, v, w); ControlBoundsError names a level outside its box [0, bound]."""
         u = self.u_levels or tuple(sorted({0.0, params.w_max, params.u_max}))
         v = self.v_levels or tuple(
             sorted({0.0, params.A * params.w_max, params.v_max})
         )
         w = self.w_levels or tuple(sorted({0.0, params.w_max}))
+        bounds = (params.u_max, params.v_max, params.w_max)
+        for comp, levels, bound in zip("uvw", (u, v, w), bounds):
+            for level in levels:
+                if not 0.0 <= level <= bound:
+                    raise ControlBoundsError(f"{comp}: level {level} outside [0, {bound}]")
         return (u, v, w)
 
 
@@ -398,7 +407,8 @@ def brute_force_best(
     Trajectories violating a state constraint are discarded.  Evaluation
     is deterministic and exact objective ties are broken by earliest
     first switch, then lexicographic levels.  Raises
-    NoFeasibleCandidateError when nothing feasible exists.
+    NoFeasibleCandidateError when nothing feasible exists, and
+    ControlBoundsError for a level outside the control box.
     """
     import numpy as np  # only the search needs it; keeps `import firmopt` light
 

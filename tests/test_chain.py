@@ -1,16 +1,20 @@
 """Decision chains: myopic composition over subintervals."""
 
+import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, reject, strategies as st
 
 from firmopt import (
     ChainJunctionError,
+    PolicyInfeasibleError,
     ScenarioKind,
     State,
     chain_plan,
+    classify_scenario,
     evaluate_chain,
     objective_value,
     synthesize_policy,
@@ -178,3 +182,52 @@ class TestEvaluateChain:
         assert traj.terminal_state() == synth.trajectory.terminal_state()
         assert value == synth.trajectory.objective()
         assert value == pytest.approx(synth.objective, rel=1e-9, abs=1e-9)
+
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        jump_mode=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        event=st.integers(0, 1),
+        fractions=st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=6
+        ),
+    )
+    def test_chains_split_anywhere_reproduce_the_single_solve(
+        self, kind, jump_mode, seed, event, fractions
+    ):
+        # Bellman's principle for the feedback law the policies implement:
+        # re-solved from any junction state, the law continues the same
+        # trajectory, so a chain split at t_S or t_D and up to six other
+        # times ends where the single solve ends, up to rounding
+        params, init = draw_scenario_case(random.Random(seed), kind)
+        try:
+            synth = synthesize_policy(params, init, classify_scenario(params, init, jump_mode))
+        except PolicyInfeasibleError:
+            reject()  # an A2 debt repaid at v_max instead outlasts the cash
+        T = params.T
+        events = [t for t in (synth.times.t_s, synth.times.t_d) if t and 0.0 < t < T]
+        assume(events)
+        cuts = {events[event % len(events)], *(f * T for f in fractions)}
+        junctions = sorted(cuts - {0.0, T})
+        plan = chain_plan(params, init, [0.0, *junctions, T], jump_mode=jump_mode)
+        traj, value = evaluate_chain(params, plan)
+        # The tolerance, derived from the junction count m and the state scale M.
+        # Every segment end is one closed-form evaluation: n in the single solve,
+        # at most n + m in the chain, and the two share no rounding.  Each state
+        # component is monotone per segment, so M, the largest |N|, |D|, |S| at
+        # the single solve's segment ends, bounds the states throughout, and the
+        # debt's two terms stay within M*exp(r*T).  One evaluation rounds r*dt,
+        # an exp or expm1 (1 ulp, amplified up to r*T by r*dt's rounding) and at
+        # most four more operations, each within eps/2: at most (5 + r*T)*eps
+        # relative to those terms.  A debt error carried on to T compounds with
+        # the debt, which exp(r*T) covers from the evaluation's start; a stock
+        # error moves the re-derived t_S, and each unit missed costs A + K.
+        segments = synth.trajectory.segments
+        n, m = len(segments), len(junctions)
+        M = max(1.0, *(abs(x) for seg in segments for x in (*seg.entry, *seg.exit)))
+        eps = sys.float_info.epsilon
+        tol = (2 * n + m) * (5.0 + params.r * T) * eps * M * math.exp(params.r * T)
+        tol *= max(1.0, params.A + params.K)
+        assert abs(value - synth.objective) <= tol
+        for chained, single in zip(traj.terminal_state(), synth.trajectory.terminal_state()):
+            assert abs(chained - single) <= tol

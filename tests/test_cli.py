@@ -1,5 +1,6 @@
 """Config parsing, command execution, artifacts and exit codes."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -367,6 +368,22 @@ class TestCommands:
         assert err.startswith("infeasible: no feasible")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["verify", "brute-force"])
+    def test_search_levels_outside_the_control_box_exit_two(self, tmp_path, capsys, command):
+        # searched, u = w = 50 "beats" the certified S2 optimum 244.556 with 2083.68
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["init"] = {"N0": 20, "D0": 10, "S0": 10}
+        doc["options"] = {
+            "out_dir": str(tmp_path / "out"),
+            "brute_nt": 20,
+            "brute_levels": {"u": [0, 5, 50], "w": [0, 5, 50]},
+        }
+        assert run_cli(command, make_config(tmp_path, doc)) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", "config error: options.brute_levels.u: level 50.0 outside [0, 8.0]\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_debt_growth_beyond_float_range_rejected(self, tmp_path, capsys, command):
         # exp(r*T) overflows a float past r*T = ln(sys.float_info.max)
@@ -393,6 +410,23 @@ class TestCommands:
         )
         assert proc.returncode == 0
         assert "scenario = S1_NoDebtWithStock" in proc.stdout
+
+    def test_the_argument_parser_is_built_once_per_process(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        built = []
+
+        class CountedParser(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(args or kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(argparse, "ArgumentParser", CountedParser)
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["options"] = {"out_dir": str(tmp_path / "out")}
+        config = make_config(tmp_path, doc)
+        assert [run_cli("solve", config), run_cli("simulate", config)] == [EXIT_OK, EXIT_OK]
+        assert built == []
 
     def test_solve_does_not_import_numpy(self, tmp_path):
         doc = json.loads(json.dumps(BASE_DOC))
@@ -431,7 +465,13 @@ class TestSinglePass:
 
     @pytest.mark.parametrize(
         "command, synthesized, integrated",
-        [("solve", 1, 1), ("simulate", 1, 1), ("verify", 1, 1), ("chain", 3, 3)],
+        [
+            ("solve", 1, 1),
+            ("simulate", 1, 1),
+            ("verify", 1, 1),
+            ("chain", 3, 3),
+            ("brute-force", 1, 1),
+        ],
     )
     def test_calls_per_command(
         self, tmp_path, capsys, counts, command, synthesized, integrated
@@ -460,7 +500,6 @@ class TestSinglePass:
             (dynamics.Trajectory, "walk"),
             (dynamics.Trajectory, "segment_at"),
             (dynamics.Trajectory, "sample"),
-            (dynamics.TrajectorySegment, "state_at"),
         ):
             calls[name] = 0
             original = getattr(owner, name)
@@ -474,7 +513,7 @@ class TestSinglePass:
         doc["init"] = {"N0": 20, "D0": 10, "S0": 10}
         doc["options"] = {"out_dir": str(tmp_path / "out"), "chain_breakpoints": [0, 2, 5, 10]}
         assert run_cli(command, make_config(tmp_path, doc)) == EXIT_OK
-        assert calls == {"walk": 1, "segment_at": 0, "sample": 0, "state_at": 0}
+        assert calls == {"walk": 1, "segment_at": 0, "sample": 0}
 
 
 # JSON-ish characters; a fixed alphabet also spares building a unicode table

@@ -130,7 +130,7 @@ class TestIntegrateExact:
                 params, start, synth.policy, jump=synth.jump, expected_zeros=zeros
             )
             for seg_prev, seg_next in zip(traj.segments, traj.segments[1:]):
-                before = seg_prev.state_at(params, seg_prev.t_end)
+                before = seg_prev.exit
                 after = seg_next.entry
                 assert abs(before.N - after.N) < 1e-12 * max(1.0, abs(after.N))
                 assert abs(before.D - after.D) < 1e-12 * max(1.0, abs(after.D))

@@ -388,9 +388,7 @@ class TestClosedFormTrajectory:
         )
         traj = cft.trajectory
         for b in traj.breakpoints[1:-1]:
-            before = traj.segments[
-                [s.t_end for s in traj.segments].index(b)
-            ].state_at(BASELINE, b)
+            before = traj.segments[[s.t_end for s in traj.segments].index(b)].exit
             after = traj.sample(b)
             assert abs(before.N - after.N) < 1e-12
             assert abs(before.D - after.D) < 1e-12

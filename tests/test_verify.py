@@ -23,7 +23,7 @@ from firmopt import (
     verify,
 )
 from firmopt.dynamics import PiecewiseExpFn, adjoint_backward, extrema
-from firmopt.model import ControlSegment, ControlValue, PiecewiseControl
+from firmopt.model import ControlBoundsError, ControlSegment, ControlValue, PiecewiseControl
 from firmopt.verify import (
     CERT_TOL,
     CertMargin,
@@ -688,6 +688,23 @@ class TestBruteForce:
         grid = BruteForceGrid(n_t=20, v_levels=(0.0, 45.0))
         policy, best = brute_force_best(BASELINE, State(0.0, 10.0, 10.0), grid)
         assert all(seg.value.v in (0.0, 45.0) for seg in policy.segments)
+
+    @pytest.mark.parametrize(
+        "levels, message",
+        [
+            ({"u_levels": (0.0, 5.0, 50.0)}, "u: level 50.0 outside [0, 8.0]"),
+            ({"v_levels": (-1.0, 45.0)}, "v: level -1.0 outside [0, 50.0]"),
+            ({"w_levels": (0.0, 5.0, 50.0)}, "w: level 50.0 outside [0, 5.0]"),
+            ({"w_levels": (math.nan,)}, "w: level nan outside [0, 5.0]"),
+        ],
+    )
+    def test_levels_outside_the_control_box_are_rejected(self, levels, message):
+        # a level outside the box is no admissible policy: u = w = 50 would
+        # "beat" the certified optimum by 1839
+        grid = BruteForceGrid(n_t=10, **levels)
+        with pytest.raises(ControlBoundsError) as err:
+            brute_force_best(BASELINE, State(20.0, 10.0, 10.0), grid)
+        assert str(err.value) == message
 
 
 # the five baseline scenarios where the search starts: S1, S2, S3, then
