@@ -10,23 +10,18 @@ repay-min(N, D)-at-once rule as at t = 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from . import solver
-from .dynamics import Trajectory, TrajectorySegment
+from .dynamics import ZERO_SNAP_RTOL, Trajectory, TrajectorySegment
 from .model import (
     JumpRecord,
     ModelParams,
-    PiecewiseControl,
     PolicyInfeasibleError,
-    ScenarioKind,
     State,
     classify_scenario,
 )
-
-#: Junction states this close to zero (relative to the running scale) are
-#: treated as exactly zero when classifying the next interval.
-JUNCTION_SNAP_RTOL = 1e-9
 
 
 class ChainJunctionError(RuntimeError):
@@ -37,29 +32,21 @@ class ChainJunctionError(RuntimeError):
         self.junction = junction
 
 
-@dataclass(frozen=True)
-class ChainInterval:
-    """One solved subinterval; policy, times and trajectory use the local
-    clock (0 at t_start), the jump is stamped with the global time."""
+class ChainInterval(NamedTuple):
+    """One solved subinterval.  The synthesis uses the local clock (0 at
+    t_start) and starts from entry_state, the state before any junction
+    jump."""
 
     t_start: float
     t_end: float
-    kind: ScenarioKind
-    entry_state: State  # before any junction jump
-    jump: JumpRecord | None
-    policy: PiecewiseControl
-    times: solver.SwitchingTimes
-    exit_state: State
-    trajectory: Trajectory
-
-
-@dataclass(frozen=True)
-class ChainPlan:
-    intervals: tuple[ChainInterval, ...]
+    entry_state: State
+    synthesis: solver.SynthesisResult
 
 
 def _snap_state(state: State, scale: float) -> State:
-    tol = JUNCTION_SNAP_RTOL * max(1.0, scale)
+    """Junction components within ZERO_SNAP_RTOL of zero, relative to the
+    running scale, become exactly zero before the next classification."""
+    tol = ZERO_SNAP_RTOL * max(1.0, scale)
     return State(
         N=0.0 if abs(state.N) < tol else state.N,
         D=0.0 if abs(state.D) < tol else state.D,
@@ -72,7 +59,7 @@ def chain_plan(
     init: State,
     breakpoints: list[float],
     jump_mode: bool = False,
-) -> ChainPlan:
+) -> tuple[ChainInterval, ...]:
     """Solve each subinterval myopically and chain the terminal states.
 
     `breakpoints` must run strictly increasing from 0 to T.  Any
@@ -84,7 +71,7 @@ def chain_plan(
     if any(b >= c for b, c in zip(breakpoints, breakpoints[1:])):
         raise ValueError("breakpoints must be strictly increasing")
 
-    scale = max(1.0, init.N, init.D, init.S)
+    scale = max(1.0, *init)
     intervals: list[ChainInterval] = []
     entry = init
     for idx, (t0, t1) in enumerate(zip(breakpoints[:-1], breakpoints[1:])):
@@ -96,46 +83,35 @@ def chain_plan(
             synth = solver.synthesize_policy(local, entry, kind)
         except (ValueError, PolicyInfeasibleError) as exc:
             raise ChainJunctionError(idx, str(exc)) from exc
-        jump = None
-        if synth.jump is not None:
-            jump = replace(synth.jump, t=t0)
-        interval = ChainInterval(
-            t_start=t0,
-            t_end=t1,
-            kind=kind,
-            entry_state=entry,
-            jump=jump,
-            policy=synth.policy,
-            times=synth.times,
-            exit_state=synth.trajectory.terminal_state(),
-            trajectory=synth.trajectory,
-        )
-        intervals.append(interval)
-        entry = interval.exit_state
-        scale = max(scale, entry.N, entry.D, entry.S)
-    return ChainPlan(intervals=tuple(intervals))
+        intervals.append(ChainInterval(t0, t1, entry, synth))
+        entry = synth.trajectory.terminal_state()
+        scale = max(scale, *entry)
+    return tuple(intervals)
 
 
-def evaluate_chain(params: ModelParams, plan: ChainPlan) -> tuple[Trajectory, float]:
+def evaluate_chain(
+    params: ModelParams, plan: tuple[ChainInterval, ...]
+) -> tuple[Trajectory, float]:
     """Concatenated exact trajectory over [0, T] and its objective.
 
-    Junction jumps become interior discontinuities of the combined
-    trajectory; all other junctions are exactly continuous because each
-    interval starts from the previous terminal state.  The segments tile
-    [0, T] exactly: each interval's last one ends at its t_end.
+    Junction jumps, stamped with their interval's t_start, become interior
+    discontinuities of the combined trajectory; all other junctions are
+    exactly continuous because each interval starts from the previous
+    terminal state.  The segments tile [0, T] exactly: each interval's
+    last one ends at its t_end.
     """
     segments: list[TrajectorySegment] = []
     jumps: list[JumpRecord] = []
-    for iv in plan.intervals:
-        if iv.jump is not None:
-            jumps.append(iv.jump)
-        last = iv.trajectory.segments[-1]
-        for seg in iv.trajectory.segments:
-            # local T + t_start can miss t_end by an ulp: end the last one exactly
-            t_end = iv.t_end if seg is last else seg.t_end + iv.t_start
+    for t0, t1, _, synth in plan:
+        if synth.jump is not None:
+            jumps.append(replace(synth.jump, t=t0))
+        last = synth.trajectory.segments[-1]
+        for seg in synth.trajectory.segments:
+            # local T + t0 can miss t1 by an ulp: end the last one exactly
+            t_end = t1 if seg is last else seg.t_end + t0
             segments.append(
                 TrajectorySegment(
-                    t_start=seg.t_start + iv.t_start,
+                    t_start=seg.t_start + t0,
                     t_end=t_end,
                     control=seg.control,
                     entry=seg.entry,
@@ -146,7 +122,7 @@ def evaluate_chain(params: ModelParams, plan: ChainPlan) -> tuple[Trajectory, fl
     combined = Trajectory(
         params=params,
         segments=tuple(segments),
-        tol=plan.intervals[0].trajectory.tol,
+        tol=plan[0].synthesis.trajectory.tol,
         jumps=tuple(jumps),
     )
     return combined, combined.objective()

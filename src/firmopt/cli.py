@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from bisect import insort_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import chain as chain_mod
@@ -54,20 +54,15 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunOptions:
-    """Run options; the config's brute_nt and brute_levels fill `grid`."""
-
-    grid: verify.BruteForceGrid = verify.BruteForceGrid()
-    chain_breakpoints: tuple[float, ...] | None = None
-    out_dir: str = "."
-
-
-@dataclass(frozen=True)
 class RunConfig:
+    """A parsed run; the options' brute_nt and brute_levels fill `grid`."""
+
     params: ModelParams
     init: State
     jump_mode: bool = False
-    options: RunOptions = field(default_factory=RunOptions)
+    grid: verify.BruteForceGrid = verify.BruteForceGrid()
+    chain_breakpoints: tuple[float, ...] | None = None
+    out_dir: str = "."
 
 
 def _expect_number(value, path: str) -> float:
@@ -174,9 +169,7 @@ def parse_config(text: str) -> RunConfig:
     except ControlBoundsError as exc:
         raise ConfigError(f"options.brute_levels.{exc}") from exc
 
-    return RunConfig(
-        params=params, init=init, jump_mode=jump_mode, options=RunOptions(**kwargs)
-    )
+    return RunConfig(params, init, jump_mode, **kwargs)
 
 
 def _fmt(value: float) -> str:
@@ -270,21 +263,20 @@ def _write(out_dir: str, name: str, text: str) -> Path:
     return target
 
 
-def _synthesize(config: RunConfig):
+def _synthesize(config: RunConfig) -> solver.SynthesisResult:
     kind = classify_scenario(config.params, config.init, config.jump_mode)
-    synth = solver.synthesize_policy(config.params, config.init, kind)
-    return kind, synth
+    return solver.synthesize_policy(config.params, config.init, kind)
 
 
 def _brute_force(config: RunConfig, synth: solver.SynthesisResult):
     """The exhaustive search from the synthesized policy's post-jump state."""
     start = synth.trajectory.segments[0].entry
-    return verify.brute_force_best(config.params, start, config.options.grid)
+    return verify.brute_force_best(config.params, start, config.grid)
 
 
 def cmd_solve(config: RunConfig) -> tuple[int, str]:
-    kind, synth = _synthesize(config)
-    lines = [f"scenario = {kind.value}"]
+    synth = _synthesize(config)
+    lines = [f"scenario = {synth.kind.value}"]
     lines += _times_lines(synth.times)
     lines.append(f"objective = {_fmt(synth.objective)}")
     lines += _jump_lines(synth.jump)
@@ -293,15 +285,15 @@ def cmd_solve(config: RunConfig) -> tuple[int, str]:
 
 
 def cmd_simulate(config: RunConfig) -> tuple[int, str]:
-    _, synth = _synthesize(config)
-    return EXIT_OK, _trajectory_csv(synth.trajectory)
+    return EXIT_OK, _trajectory_csv(_synthesize(config).trajectory)
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, str]:
     kind = classify_scenario(config.params, config.init, config.jump_mode)
     cert = verify.certify_policy(config.params, config.init, kind)
-    closed = cert.synthesis.objective
-    _, best = _brute_force(config, cert.synthesis)
+    synth = cert.synthesis
+    closed = synth.objective
+    _, best = _brute_force(config, synth)
     gap = max(0.0, best - closed)
     brute_ok = gap <= 1e-4
 
@@ -310,7 +302,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, str]:
 
     n_sing = len(cert.hamiltonian_argmax.singular_segments)
     lines = [
-        f"scenario = {kind.value}",
+        f"scenario = {synth.kind.value}",
         f"slackness: {verdict(cert.slackness.passed)}",
         f"transversality: {verdict(cert.transversality.passed)}",
         "hamiltonian-argmax: %s (%d singular segment%s)"
@@ -329,7 +321,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, str]:
 
 
 def cmd_chain(config: RunConfig) -> tuple[int, str]:
-    breakpoints = config.options.chain_breakpoints or (0.0, config.params.T)
+    breakpoints = config.chain_breakpoints or (0.0, config.params.T)
     try:
         plan = chain_mod.chain_plan(
             config.params, config.init, list(breakpoints), config.jump_mode
@@ -338,30 +330,23 @@ def cmd_chain(config: RunConfig) -> tuple[int, str]:
         raise ConfigError(f"options.chain_breakpoints: {exc}") from exc
     traj, objective = chain_mod.evaluate_chain(config.params, plan)
     lines = [f"objective = {_fmt(objective)}"]
-    for idx, iv in enumerate(plan.intervals):
+    for idx, (t_start, t_end, _, synth) in enumerate(plan):
+        exit_state = map(_fmt, synth.trajectory.terminal_state())
         lines.append(
             "interval %d: [%s, %s] scenario = %s exit N = %s D = %s S = %s"
-            % (
-                idx,
-                _fmt(iv.t_start),
-                _fmt(iv.t_end),
-                iv.kind.value,
-                _fmt(iv.exit_state.N),
-                _fmt(iv.exit_state.D),
-                _fmt(iv.exit_state.S),
-            )
+            % (idx, _fmt(t_start), _fmt(t_end), synth.kind.value, *exit_state)
         )
-        lines += ["  " + ln for ln in _jump_lines(iv.jump)]
-    _write(config.options.out_dir, "chain_trajectory.csv", _trajectory_csv(traj))
+        lines += ["  " + ln for ln in _jump_lines(synth.jump)]
+    _write(config.out_dir, "chain_trajectory.csv", _trajectory_csv(traj))
     return EXIT_OK, "\n".join(lines) + "\n"
 
 
 def cmd_brute_force(config: RunConfig) -> tuple[int, str]:
-    kind, synth = _synthesize(config)
+    synth = _synthesize(config)
     closed = synth.objective
     policy, best = _brute_force(config, synth)
     lines = [
-        f"scenario = {kind.value}",
+        f"scenario = {synth.kind.value}",
         f"closed_form = {_fmt(closed)}",
         f"brute_force_best = {_fmt(best)}",
         f"gap = {_fmt(best - closed)}",
@@ -401,7 +386,7 @@ def execute_command(config: RunConfig, command: str) -> int:
             NoFeasibleCandidateError, chain_mod.ChainJunctionError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    _write(config.options.out_dir, report, text)
+    _write(config.out_dir, report, text)
     sys.stdout.write(text)
     return code
 

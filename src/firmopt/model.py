@@ -239,9 +239,11 @@ def validate_params(params: ModelParams) -> ValidationReport:
         p*w_max > K*w_max + B + A*w_max
 
     All synthesized policies operate at that point, so the test is
-    evaluated there only.  T = 0 is tolerated as a degenerate horizon;
-    r*T above MAX_RATE_TIMES_HORIZON (about 709.78) is rejected, since
-    the debt's growth factor exp(r*T) would overflow.
+    evaluated there only, as profit_rate() > 0: the net gain A2's debt
+    clearance uses, so the two agree to the last bit.  T = 0 is tolerated
+    as a degenerate horizon; r*T above MAX_RATE_TIMES_HORIZON (about
+    709.78) is rejected, since the debt's growth factor exp(r*T) would
+    overflow.
     """
     bad: list[tuple[str, str]] = []
     positive = ("p", "r", "A", "alpha", "K", "B", "u_max", "v_max", "w_max", "S_max")
@@ -258,9 +260,7 @@ def validate_params(params: ModelParams) -> ValidationReport:
         bad.append(("w_max", "w_max <= u_max violated (demand exceeds capacity)"))
     if params.A * params.w_max > params.v_max:
         bad.append(("v_max", "A*w_max <= v_max violated (cannot service purchases)"))
-    profitable = params.p * params.w_max > (
-        params.K * params.w_max + params.B + params.A * params.w_max
-    )
+    profitable = params.profit_rate() > 0.0
     return ValidationReport(violations=tuple(bad), profitable=profitable)
 
 

@@ -98,11 +98,12 @@ class SwitchingTimes:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """A synthesized policy with its exact trajectory and objective.
+    """A synthesized policy with its scenario, exact trajectory and objective.
 
     The trajectory starts from the post-jump state and records the jump.
     """
 
+    kind: ScenarioKind
     policy: PiecewiseControl
     times: SwitchingTimes
     jump: JumpRecord | None
@@ -212,7 +213,7 @@ def _require_solvable(params: ModelParams) -> None:
         )
 
 
-#: (params, init, kind, result) of the last synthesize_policy call that returned
+#: (params, init, result) of the last synthesize_policy call that returned
 _last_synthesis: tuple | None = None
 
 
@@ -250,8 +251,8 @@ def synthesize_policy(
     """
     global _last_synthesis
     last = _last_synthesis
-    if last is not None and last[0] is params and last[1] is init and last[2] is kind:
-        return last[3]
+    if last and last[0] is params and last[1] is init and last[2].kind is kind:
+        return last[2]
     _require_solvable(params)
     expected = classify_scenario(params, init, jump_mode=kind.name.startswith("A"))
     if expected is not kind:
@@ -305,8 +306,8 @@ def synthesize_policy(
             f"synthesized policy violates {first.constraint} from t = {first.time:.6g} "
             f"(magnitude {first.magnitude:.3g}) for these inputs"
         )
-    result = SynthesisResult(policy, times, jump, traj)
-    _last_synthesis = (params, init, kind, result)
+    result = SynthesisResult(kind, policy, times, jump, traj)
+    _last_synthesis = (params, init, result)
     return result
 
 

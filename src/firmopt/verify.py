@@ -404,9 +404,11 @@ def brute_force_best(
     the same feasibility tolerances), so every value, and the policy
     picked, is the same bit for bit.
 
-    Trajectories violating a state constraint are discarded.  Evaluation
-    is deterministic and exact objective ties are broken by earliest
-    first switch, then lexicographic levels.  Raises
+    Trajectories violating a state constraint are discarded.  Each bound
+    is judged to ZERO_SNAP_RTOL times its own component's scale:
+    max(1, |N0|) for N, max(1, |D0|) for D and max(1, S_max) for S.
+    Evaluation is deterministic and exact objective ties are broken by
+    earliest first switch, then lexicographic levels.  Raises
     NoFeasibleCandidateError when nothing feasible exists, and
     ControlBoundsError for a level outside the control box.
     """
@@ -425,8 +427,10 @@ def brute_force_best(
     slopes = p * W - V - K * U - B
     cin = A * U - V
     qin = U - W
-    ftol = ZERO_SNAP_RTOL * _state_scale(init, params)
-    s_hi = params.S_max + ftol
+    n_lo, d_lo, s_lo = (
+        -ZERO_SNAP_RTOL * max(1.0, abs(x)) for x in (init.N, init.D, params.S_max)
+    )
+    s_hi = params.S_max - s_lo
 
     cut_times = np.array([k * T / grid.n_t for k in range(1, grid.n_t)])
     if cut_times.size == 0:
@@ -451,7 +455,7 @@ def brute_force_best(
         return N0 + slopes * dt, D0 * er + cin * em1r, S0 * ea - qin * em1a
 
     def feasible(N, D, S):
-        return (N >= -ftol) & (D >= -ftol) & (S >= -ftol) & (S <= s_hi)
+        return (N >= n_lo) & (D >= d_lo) & (S >= s_lo) & (S <= s_hi)
 
     for i, t_a in enumerate(cut_times):
         N1, D1, S1 = propagate(init.N, init.D, init.S, step(t_a))
@@ -491,7 +495,7 @@ def brute_force_best(
         )
     policies = (
         _policy_from_candidate(
-            T, t_a, t_b, (tuple(U[seq]), tuple(V[seq]), tuple(W[seq]))
+            T, t_a, t_b, (U[seq].tolist(), V[seq].tolist(), W[seq].tolist())
         )
         for t_a, t_b, seq in ties
     )

@@ -20,6 +20,7 @@ from firmopt import (
     synthesize_policy,
     validate_params,
 )
+from firmopt.dynamics import _evolve
 
 # derandomized and without an example database: property tests draw the
 # same examples on every run; hypothesis's own caches go to a directory
@@ -127,6 +128,23 @@ def draw_scenario_case(
             if not synth.times.t_d_within_horizon:
                 continue
         return params, init
+
+
+def assert_segments_join(traj, expected_zeros) -> None:
+    """Each segment's closed form, evaluated from its entry to its end,
+    gives the next segment's entry bit for bit.  Only a component that
+    `expected_zeros` lists at that time may differ: the integrator snaps
+    it to exactly zero, from a residual within traj.tol."""
+    params = traj.params
+    snapped = {(round(t, 15), comp) for t, comp in expected_zeros}
+    for prev, nxt in zip(traj.segments, traj.segments[1:]):
+        dt = prev.t_end - prev.t_start
+        left = _evolve(prev.entry, prev.rates, params.r, params.alpha, dt)
+        for comp, before, after in zip("NDS", left, nxt.entry):
+            if (round(prev.t_end, 15), comp) in snapped:
+                assert after == 0.0 and abs(before) <= traj.tol, (prev.t_end, comp)
+            else:
+                assert before.hex() == after.hex(), (prev.t_end, comp)
 
 
 ALL_KINDS = (

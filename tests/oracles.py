@@ -822,8 +822,14 @@ def grid_brute_force_best(
     slopes = p * W - V - K * U - B  # (M, 3)
     cin = A * U - V
     qin = U - W
-    ftol = 1e-9 * max(1.0, init.N, init.D, init.S, params.S_max)
-    s_hi = params.S_max + ftol
+    # each state bound judged to 1e-9 times its own component's scale
+    n_tol = 1e-9 * max(1.0, abs(init.N))
+    d_tol = 1e-9 * max(1.0, abs(init.D))
+    s_tol = 1e-9 * max(1.0, params.S_max)
+    s_hi = params.S_max + s_tol
+
+    def within_bounds(N, D, S):
+        return (N >= -n_tol) & (D >= -d_tol) & (S >= -s_tol) & (S <= s_hi)
 
     cut_times = np.array([k * T / grid.n_t for k in range(1, grid.n_t)])
     if cut_times.size == 0:
@@ -846,28 +852,20 @@ def grid_brute_force_best(
 
     for i, t_a in enumerate(cut_times):
         N1, D1, S1 = propagate(init.N, init.D, init.S, t_a, 0)
-        ok1 = (N1 >= -ftol) & (D1 >= -ftol) & (S1 >= -ftol) & (S1 <= s_hi)
+        ok1 = within_bounds(N1, D1, S1)
         tb = cut_times[i:]
         d2 = (tb - t_a)[:, None]
         d3 = (T - tb)[:, None]
         N2, D2, S2 = propagate(N1[None, :], D1[None, :], S1[None, :], d2, 1)
         N3, D3, S3 = propagate(N2, D2, S2, d3, 2)
-        feasible = (
-            ok1[None, :]
-            & (N2 >= -ftol) & (D2 >= -ftol) & (S2 >= -ftol) & (S2 <= s_hi)
-            & (N3 >= -ftol) & (D3 >= -ftol) & (S3 >= -ftol) & (S3 <= s_hi)
-        )
+        feasible = ok1[None, :] & within_bounds(N2, D2, S2) & within_bounds(N3, D3, S3)
         value = np.where(feasible, N3 - D3, -np.inf)
         chunk_best = value.max()
         if chunk_best == -math.inf or chunk_best < best_value:
             continue
         rows, cols = np.nonzero(value == chunk_best)
         for j_idx, m_idx in zip(rows.tolist(), cols.tolist()):
-            levels = (
-                tuple(U[m_idx]),
-                tuple(V[m_idx]),
-                tuple(W[m_idx]),
-            )
+            levels = (U[m_idx].tolist(), V[m_idx].tolist(), W[m_idx].tolist())
             policy = verify._policy_from_candidate(
                 T, float(t_a), float(tb[j_idx]), levels
             )

@@ -28,15 +28,15 @@ from test_solver import J_A2, J_S3, T_S_BASE
 class TestChainPlan:
     def test_two_period_split_after_stock_runs_out(self):
         plan = chain_plan(BASELINE, State(20.0, 0.0, 10.0), [0.0, 5.0, 10.0])
-        assert len(plan.intervals) == 2
-        first, second = plan.intervals
-        assert first.kind is ScenarioKind.S1_NO_DEBT_WITH_STOCK
+        assert len(plan) == 2
+        first, second = plan
+        assert first.synthesis.kind is ScenarioKind.S1_NO_DEBT_WITH_STOCK
         # stock and debt are exhausted by t = 5, so the second interval
         # starts producing immediately
-        assert second.kind is ScenarioKind.S1_NO_DEBT_WITH_STOCK
+        assert second.synthesis.kind is ScenarioKind.S1_NO_DEBT_WITH_STOCK
         assert second.entry_state.S == 0.0
         assert second.entry_state.D == 0.0
-        assert second.times.t_s == 0.0
+        assert second.synthesis.times.t_s == 0.0
 
     def test_single_interval_reduces_to_base_case(self):
         plan = chain_plan(
@@ -44,14 +44,15 @@ class TestChainPlan:
         )
         _, value = evaluate_chain(BASELINE, plan)
         assert value == pytest.approx(J_A2, rel=1e-12)
-        assert plan.intervals[0].kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
+        assert plan[0].synthesis.kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
 
     def test_stock_is_continuous_at_junctions(self):
         plan = chain_plan(BASELINE, State(20.0, 0.0, 10.0), [0.0, 0.7, 5.0, 10.0])
         traj, _ = evaluate_chain(BASELINE, plan)
-        for iv, nxt in zip(plan.intervals, plan.intervals[1:]):
-            assert iv.exit_state.S == nxt.entry_state.S
-            assert traj.sample(iv.t_end).S == iv.exit_state.S
+        for iv, nxt in zip(plan, plan[1:]):
+            exit_state = iv.synthesis.trajectory.terminal_state()
+            assert exit_state.S == nxt.entry_state.S
+            assert traj.sample(iv.t_end).S == exit_state.S
 
     def test_uncovered_junction_aborts_with_index(self):
         # the first interval drains the cash to exactly zero with debt
@@ -62,7 +63,7 @@ class TestChainPlan:
         assert err.value.junction == 1
         # the same entry state is solvable when junction jumps are allowed
         plan = chain_plan(BASELINE, init, [0.0, 0.8, 10.0], jump_mode=True)
-        assert len(plan.intervals) == 2
+        assert len(plan) == 2
 
     def test_invalid_breakpoints_rejected(self):
         with pytest.raises(ValueError):
@@ -110,8 +111,9 @@ class TestEvaluateChain:
         assert len(traj.jumps) == 2
         junction_jump = traj.jumps[1]
         assert junction_jump.t == 0.2
-        pre_N = plan.intervals[1].entry_state.N
-        pre_D = plan.intervals[1].entry_state.D
+        assert plan[1].synthesis.jump == replace(junction_jump, t=0.0)  # local clock
+        pre_N = plan[1].entry_state.N
+        pre_D = plan[1].entry_state.D
         assert junction_jump.delta == -min(pre_N, pre_D)
         assert traj.feasible
 
@@ -120,7 +122,7 @@ class TestEvaluateChain:
         # post-jump start state set (scale D = 300 - 20), not a later one
         plan = chain_plan(BASELINE, State(20.0, 300.0, 10.0), [0.0, 0.2, 10.0], jump_mode=True)
         traj, _ = evaluate_chain(BASELINE, plan)
-        first, second = (iv.trajectory for iv in plan.intervals)
+        first, second = (iv.synthesis.trajectory for iv in plan)
         assert traj.tol == first.tol == ZERO_SNAP_RTOL * 280.0
         assert second.tol != first.tol
         # tol joins neither equality nor the repr
@@ -133,7 +135,7 @@ class TestEvaluateChain:
             D0 = rng.uniform(25.0, 60.0)
             init = State(20.0, D0, rng.uniform(0.0, 20.0))
             plan = chain_plan(BASELINE, init, [0.0, 5.0, 10.0], jump_mode=True)
-            last = plan.intervals[-1]
+            last = plan[-1].synthesis
             if last.times.t_d is not None and not last.times.t_d_within_horizon:
                 continue
             traj, value = evaluate_chain(BASELINE, plan)
@@ -163,7 +165,7 @@ class TestEvaluateChain:
         assert segs[0].t_start == 0.0
         assert all(a.t_end == b.t_start for a, b in zip(segs, segs[1:]))
         assert traj.t_final == params.T
-        assert traj.sample(params.T) == plan.intervals[-1].exit_state
+        assert traj.sample(params.T) == plan[-1].synthesis.trajectory.terminal_state()
         assert value == traj.sample(params.T).N - traj.sample(params.T).D
 
     @given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
@@ -175,9 +177,9 @@ class TestEvaluateChain:
         )
         synth = synthesize_policy(params, init, kind)
         plan = chain_plan(params, init, [0.0, params.T], jump_mode=jump_mode)
-        (interval,) = plan.intervals
-        assert interval.kind is kind
-        assert interval.policy == synth.policy
+        (interval,) = plan
+        assert interval.synthesis.kind is kind
+        assert interval.synthesis.policy == synth.policy
         traj, value = evaluate_chain(params, plan)
         assert traj.terminal_state() == synth.trajectory.terminal_state()
         assert value == synth.trajectory.objective()

@@ -52,8 +52,9 @@ class TestParseConfig:
     def test_minimal_document_gets_defaults(self):
         config = parse_config(json.dumps(BASE_DOC))
         assert config.jump_mode is False
-        assert config.options.grid == verify.BruteForceGrid()
-        assert config.options.out_dir == "."
+        assert config.grid == verify.BruteForceGrid()
+        assert config.chain_breakpoints is None
+        assert config.out_dir == "."
 
     def test_negative_rate_rejected_with_key_path(self):
         doc = json.loads(json.dumps(BASE_DOC))
@@ -130,7 +131,7 @@ class TestParseConfig:
             "brute_levels": {"u": [0, 8], "v": [1.5], "w": [0, 2.5, 5]},
         }
         config = parse_config(json.dumps(doc))
-        assert config.options.grid == verify.BruteForceGrid(
+        assert config.grid == verify.BruteForceGrid(
             n_t=7, u_levels=(0.0, 8.0), v_levels=(1.5,), w_levels=(0.0, 2.5, 5.0)
         )
 
@@ -383,6 +384,20 @@ class TestCommands:
             "", "config error: options.brute_levels.u: level 50.0 outside [0, 8.0]\n"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_search_holds_no_stock_the_firm_does_not_hold(self, tmp_path, capsys):
+        # cash N0 = 1e10 once excused 10 units of stock: verify failed the
+        # certified optimum and brute-force sold 50 units from an empty store
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["init"] = {"N0": 1e10, "D0": 0, "S0": 0}
+        doc["options"] = {"out_dir": str(tmp_path / "out"), "brute_nt": 10}
+        config = make_config(tmp_path, doc)
+        assert run_cli("verify", config) == EXIT_OK
+        assert "brute-force gap <= tol: PASS\n" in capsys.readouterr().out
+        assert run_cli("brute-force", config) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "gap = 0\n" in out
+        assert out.endswith("policy:\n  [0, 10]  u = 5  v = 10  w = 5\n")
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_debt_growth_beyond_float_range_rejected(self, tmp_path, capsys, command):

@@ -64,10 +64,16 @@ class TestValidateParams:
 
     def test_profitability_equivalence(self):
         rng = random.Random(31)
-        for _ in range(200):
-            params = draw_profitable_params(rng)
+        boundary = [  # profit_rate() = -4.9e-15, then +1.8e-15
+            replace(BASELINE, p=12.788534138743314, A=5.474840655098684,
+                    K=6.913079099672355, B=2.664951319351086, w_max=6.652160845865958),
+            replace(BASELINE, p=10.26245201728328, A=1.4302060167127721,
+                    K=8.489593995678604, B=2.6251833548202748, w_max=7.661368727868479),
+        ]
+        for params in boundary + [draw_profitable_params(rng) for _ in range(200)]:
             report = validate_params(params)
             assert report.profitable == (params.profit_rate() > 0.0)
+        assert [validate_params(params).profitable for params in boundary] == [False, True]
 
 
 class TestClassifyScenario:

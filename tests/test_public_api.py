@@ -6,7 +6,9 @@ python examples.  Each name they import from `firmopt`, or read as
 from the package would otherwise break the benchmark run without
 failing any other test.  The sources are read with `ast`, not imported.
 Each exported name must in turn be used by a caller, be an exception a
-public function raises, or be documented in the README.
+public function raises, or be documented in the README.  Each README
+example also runs, in a fresh namespace, so an example that drifts from
+the API fails.
 """
 
 import ast
@@ -20,6 +22,7 @@ import firmopt
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
 SUBMODULES = {m.name for m in pkgutil.iter_modules(firmopt.__path__)}
 
 
@@ -28,7 +31,7 @@ def caller_sources() -> dict[str, str]:
         str(path.relative_to(ROOT)): path.read_text()
         for path in sorted(ROOT.glob("benchmarks/*.py"))
     }
-    for k, block in enumerate(re.findall(r"```python\n(.*?)```", README, re.S)):
+    for k, block in enumerate(README_BLOCKS):
         sources[f"README.md python block {k}"] = block
     return sources
 
@@ -56,6 +59,11 @@ USED = {name: where for where, src in SOURCES.items() for name in names_used(src
 def test_callers_are_found():
     assert any(where.startswith("README.md") for where in SOURCES)
     assert {"synthesize_policy", "certify_policy", "evaluate_chain"} <= set(USED)
+
+
+@pytest.mark.parametrize("k", range(len(README_BLOCKS)))
+def test_each_readme_example_runs(k):
+    exec(compile(README_BLOCKS[k], f"README.md python block {k}", "exec"), {})
 
 
 @pytest.mark.parametrize("name", sorted(USED))

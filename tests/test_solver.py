@@ -30,6 +30,7 @@ from conftest import (
     ALL_KINDS,
     BASELINE,
     ZERO_SNAP_DOC,
+    assert_segments_join,
     draw_profitable_params,
     draw_scenario_case,
     schema_valid_documents,
@@ -382,17 +383,13 @@ class TestClosedFormTrajectory:
         synth = synthesize_policy(
             BASELINE, State(20.0, 30.0, 10.0), ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
         )
+        zeros = ((T_D_A2, "D"), (T_S_BASE, "S"))
         cft = closed_form_trajectory(
             BASELINE, State(20.0, 30.0, 10.0), synth.policy, jump=synth.jump,
-            expected_zeros=((T_D_A2, "D"), (T_S_BASE, "S")),
+            expected_zeros=zeros,
         )
-        traj = cft.trajectory
-        for b in traj.breakpoints[1:-1]:
-            before = traj.segments[[s.t_end for s in traj.segments].index(b)].exit
-            after = traj.sample(b)
-            assert abs(before.N - after.N) < 1e-12
-            assert abs(before.D - after.D) < 1e-12
-            assert abs(before.S - after.S) < 1e-12
+        assert len(cft.trajectory.segments) == 3
+        assert_segments_join(cft.trajectory, zeros)
 
 
 class TestObjectiveValue:
@@ -745,6 +742,15 @@ class TestSynthesisMemo:
             assert again == first
         assert len(integrations) == 3
 
+    def test_another_kind_of_the_same_objects_is_synthesized_afresh(self, integrations):
+        # the kept result carries its kind, and a call for another kind misses
+        params, init = replace(BASELINE), self.INIT._replace()
+        first = synthesize_policy(params, init, S2)
+        again = synthesize_policy(params, init, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP)
+        assert (first.kind, again.kind) == (S2, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP)
+        assert synthesize_policy(params, init, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP) is again
+        assert len(integrations) == 2
+
     def test_signed_zero_horizons_never_share_a_result(self):
         # the two compare equal (-0.0 == 0.0); each result must carry its own
         negative, positive = replace(BASELINE, T=-0.0), replace(BASELINE, T=0.0)
@@ -777,5 +783,5 @@ class TestSynthesisMemo:
         params = replace(BASELINE)
         breakpoints = [params.T * i / k for i in range(k + 1)]
         plan = chain_plan(params, self.INIT._replace(), breakpoints)
-        assert len(plan.intervals) == k
+        assert len(plan) == k
         assert len(integrations) == k

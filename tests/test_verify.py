@@ -6,7 +6,7 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 from firmopt import (
     BruteForceGrid,
@@ -676,6 +676,48 @@ class TestBruteForce:
         p2, b2 = brute_force_best(BASELINE, State(20.0, 10.0, 10.0), grid)
         assert b1 == b2
         assert p1 == p2
+
+    def test_search_sells_no_stock_the_firm_does_not_hold(self):
+        # a tolerance from the largest state component let cash N0 = 1e10
+        # excuse 10 units of stock: the search sold 50 units from an empty
+        # store, ended at S = -9.93 and beat the certified optimum by 250
+        init = State(1e10, 0.0, 0.0)
+        policy, best = brute_force_best(BASELINE, init, BruteForceGrid(n_t=10))
+        traj = integrate_exact(BASELINE, init, policy)
+        assert min(min(seg.entry.S, seg.exit.S) for seg in traj.segments) >= -1e-7
+        assert best - objective_value(BASELINE, init, ScenarioKind.S1_NO_DEBT_WITH_STOCK) <= 1e-4
+
+    @given(
+        kind=st.sampled_from(ALL_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 8),
+        n_t=st.sampled_from((5, 10, 20)),
+    )
+    def test_no_money_scale_lets_the_search_beat_a_certified_optimum(self, kind, seed, k, n_t):
+        # money (p, A, K, B, v_max, N0, D0) scaled by 10**k leaves the stock
+        # and its bounds as they were; the objective stays below 1e10, where
+        # its ulp is under 2e-6
+        params, init = draw_scenario_case(random.Random(seed), kind)
+        scale = 10.0**k
+        params = replace(
+            params, p=params.p * scale, A=params.A * scale, K=params.K * scale,
+            B=params.B * scale, v_max=params.v_max * scale,
+        )
+        init = init._replace(N=init.N * scale, D=init.D * scale)
+        try:
+            cert = certify_policy(params, init, kind)
+        except (ValueError, PolicyInfeasibleError):
+            reject()  # scaling rounded the draw out of its scenario
+        if not cert.passed or abs(cert.synthesis.objective) >= 1e10:
+            reject()
+        start = cert.synthesis.trajectory.segments[0].entry
+        _, best = brute_force_best(params, start, BruteForceGrid(n_t=n_t))
+        assert best - cert.synthesis.objective <= 1e-4
+
+    def test_policy_levels_are_python_floats(self):
+        policy, _ = brute_force_best(BASELINE, State(20.0, 10.0, 10.0), BruteForceGrid(n_t=10))
+        values = [x for seg in policy.segments for x in (seg.value.u, seg.value.v, seg.value.w)]
+        assert [type(x) for x in values] == [float] * len(values)
 
     def test_infeasible_start_raises(self):
         # fixed costs exceed any possible revenue, so zero cash cannot
