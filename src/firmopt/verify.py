@@ -351,30 +351,45 @@ class BruteForceGrid:
         return (u, v, w)
 
 
-def _policy_from_candidate(
-    T: float,
-    t_a: float,
-    t_b: float,
-    levels: tuple[tuple[float, float, float], ...],
-) -> PiecewiseControl:
-    bounds = (0.0, t_a, t_b, T)
-    segs = tuple(
-        ControlSegment(a, b, ControlValue(u, v, w))
-        for a, b, u, v, w in zip(bounds, bounds[1:], *levels)
-        if b > a
-    )
-    return PiecewiseControl(segs).merged()
+#: (t_a, t_b, first triple, middle triple) elements one block of cuts may
+#: span: the n_t = 10 grid with 18 level triples is one block, n_t = 200 takes
+#: one t_a per block.
+SEARCH_BLOCK_ELEMENTS = 2**15
+
+#: Relative slack of the prefix bound.  A candidate's value
+#: fl(fl(N_b + a) - fl(b + c)) and the bound fl(fl(N_b - b) + max fl(a - c))
+#: share the rounded products a = slope*dt, b = D_b*exp(r*dt) and
+#: c = cin*expm1(r*dt)/r.  Their other roundings, three each and one more to
+#: add the slack, each move a sum of magnitude at most
+#: M = |N_b| + |b| + max(|a| + |c|) by at most u*M (u = 2**-53): 7u*M in all,
+#: which 8u*M covers with room for the second-order terms.
+_BOUND_SLACK = 8 * 2.0**-53
 
 
-def _candidate_key(policy: PiecewiseControl) -> tuple:
-    """Deterministic tie-break key: earliest first switch, then levels."""
-    bp = policy.breakpoints
-    first = bp[0] if bp else math.inf
-    flat = tuple(
-        (seg.t_start, seg.value.u, seg.value.v, seg.value.w)
-        for seg in policy.segments
+def _candidate_key(T: float, t_a: float, t_b: float, levels: tuple) -> tuple:
+    """Deterministic tie-break key: earliest first switch, then levels.
+
+    Its rows (t_start, u, v, w) are the candidate's nonempty intervals, cut
+    at (t_a, t_b) with (u, v, w) = zip(*levels) per interval, and adjacent
+    equal levels merged into the later one (as PiecewiseControl.merged).
+    """
+    rows: list[tuple[float, ...]] = []
+    for a, b, value in zip((0.0, t_a, t_b), (t_a, t_b, T), zip(*levels)):
+        if b > a:
+            if rows and rows[-1][1:] == value:
+                rows[-1] = (rows[-1][0], *value)
+            else:
+                rows.append((a, *value))
+    return (rows[1][0] if len(rows) > 1 else math.inf, tuple(rows))
+
+
+def _policy_from_candidate(T: float, t_a: float, t_b: float, levels: tuple) -> PiecewiseControl:
+    """The candidate's policy: one segment per row of its tie-break key."""
+    rows = _candidate_key(T, t_a, t_b, levels)[1]
+    ends = [row[0] for row in rows[1:]] + [T]
+    return PiecewiseControl(
+        tuple(ControlSegment(a, b, ControlValue(u, v, w)) for (a, u, v, w), b in zip(rows, ends))
     )
-    return (first, flat)
 
 
 def brute_force_best(
@@ -385,32 +400,47 @@ def brute_force_best(
     """Exhaustively search gridded bang-bang policies for the best value.
 
     Candidates are piecewise-constant on at most three intervals whose
-    two cut times range over the uniform grid k*T/n_t (k = 1..n_t-1,
-    coincident cuts giving single-switch and constant policies), with
-    each component drawing its per-interval level from its level list.
-    Every optimal policy shape of this model (at most two switching
-    times shared across components) lies in this class.
+    two cut times t_a <= t_b range over the uniform grid k*T/n_t
+    (k = 1..n_t-1, coincident cuts giving single-switch and constant
+    policies), with each component drawing its per-interval level from
+    its level list.  The search is exhaustive over this gridded class
+    and promises no more: it finds the model's optimum only as far as
+    the grid and the level lists contain it.
 
-    The search is factorized by prefix.  For each t_a, segment 1 is
-    propagated once per level triple (L = |u|*|v|*|w| of them, 18 by
-    default), segment 2 once per feasible first triple, middle triple
-    and t_b, and segment 3 once per feasible two-segment prefix and last
-    triple; a prefix that leaves the state constraints is dropped before
-    it widens.  At t_b = t_a the middle interval has zero length, so its
-    triples give one policy and only the first is evaluated.  Each
-    candidate still sees the same floating-point operations as when all
-    L**3 sequences were broadcast over every cut pair (the same
-    durations t_a, t_b - t_a and T - t_b, the same exact segment step,
-    the same feasibility tolerances), so every value, and the policy
-    picked, is the same bit for bit.
+    The exact segment factors are computed once for every duration t_a,
+    t_b - t_a and T - t_b, and segment 1 is propagated for every t_a and
+    level triple (L = |u|*|v|*|w| of them, 18 by default) in one step.
+    The cuts t_a are then walked in blocks of consecutive cuts, each
+    spanning at most SEARCH_BLOCK_ELEMENTS (t_a, t_b, first, middle
+    triple) elements; the factors of t_b - t_a are computed per block,
+    so memory grows with the block, not with n_t**2.  In a block segment
+    2 is propagated once per feasible (t_a, first triple) pair,
+    t_b >= t_a and middle triple, and segment 3 once per feasible
+    two-segment prefix and last triple; a prefix that leaves the state
+    constraints is dropped before it widens.  At t_b = t_a the middle
+    interval has zero length, so its triples give one policy and only
+    the first is evaluated.
+
+    From the second block on, a prefix ending in state (N_b, D_b) at t_b
+    is skipped when its bound N_b - D_b*exp(r*(T - t_b)) + max_c g_c,
+    g_c being last triple c's closed-form N - D gain over [t_b, T], falls
+    below the best value already found.  The bound ignores feasibility,
+    and is padded by _BOUND_SLACK times the magnitudes it sums, which
+    covers every rounding between it and a candidate's computed value:
+    a skipped prefix is provably below the best.  Every candidate still
+    evaluated sees the same floating-point operations as when each t_a
+    was searched on its own (the same durations, exact factors and
+    feasibility tolerances), so the value, and the policy picked, are
+    the same bit for bit.
 
     Trajectories violating a state constraint are discarded.  Each bound
     is judged to ZERO_SNAP_RTOL times its own component's scale:
     max(1, |N0|) for N, max(1, |D0|) for D and max(1, S_max) for S.
-    Evaluation is deterministic and exact objective ties are broken by
-    earliest first switch, then lexicographic levels.  Raises
-    NoFeasibleCandidateError when nothing feasible exists, and
-    ControlBoundsError for a level outside the control box.
+    Exact objective ties are broken by earliest first switch, then
+    lexicographic levels, on plain (t, level) tuples; only the winner's
+    policy is built.  Raises NoFeasibleCandidateError when nothing
+    feasible exists, and ControlBoundsError for a level outside the
+    control box.
     """
     import numpy as np  # only the search needs it; keeps `import firmopt` light
 
@@ -422,6 +452,7 @@ def brute_force_best(
     u_levels, v_levels, w_levels = (np.array(lv) for lv in grid.levels(params))
     iu, iv, iw = np.indices((len(u_levels), len(v_levels), len(w_levels))).reshape(3, -1)
     U, V, W = u_levels[iu], v_levels[iv], w_levels[iw]  # one entry per level triple
+    n_lv = U.size
 
     p, r, A, al, K, B = params.p, params.r, params.A, params.alpha, params.K, params.B
     slopes = p * W - V - K * U - B
@@ -432,15 +463,12 @@ def brute_force_best(
     )
     s_hi = params.S_max - s_lo
 
-    cut_times = np.array([k * T / grid.n_t for k in range(1, grid.n_t)])
-    if cut_times.size == 0:
-        cut_times = np.array([0.0])
-
-    best_value = -math.inf
-    ties: list[tuple[float, float, list[int]]] = []  # (t_a, t_b, triples)
+    cuts = [k * T / grid.n_t for k in range(1, grid.n_t)] or [0.0]
+    cut_times = np.array(cuts)
+    n_c = len(cuts)
 
     def step(dt):
-        """Exact segment factors for a duration (scalar or array)."""
+        """Exact segment factors for an array of durations."""
         return (
             dt,
             np.exp(r * dt),
@@ -457,49 +485,86 @@ def brute_force_best(
     def feasible(N, D, S):
         return (N >= n_lo) & (D >= d_lo) & (S >= s_lo) & (S <= s_hi)
 
-    for i, t_a in enumerate(cut_times):
-        N1, D1, S1 = propagate(init.N, init.D, init.S, step(t_a))
-        first = np.flatnonzero(feasible(N1, D1, S1))
-        if first.size == 0:
+    # segment 1 for every t_a, axes (t_a, first triple)
+    N1, D1, S1 = propagate(init.N, init.D, init.S, step(cut_times[:, None]))
+    ok1 = feasible(N1, D1, S1)
+    # the last segment per t_b: its factors, and per last triple c its
+    # rounded products, N - D gain and the gain's magnitude
+    dt3, er3, em1r3, ea3, em1a3 = step(T - cut_times)
+    n_gain3 = slopes * dt3[:, None]
+    d_gain3 = cin * em1r3[:, None]
+    s_loss3 = qin * em1a3[:, None]
+    gain_max = (n_gain3 - d_gain3).max(axis=1)
+    gain_mag = (np.abs(n_gain3) + np.abs(d_gain3)).max(axis=1)
+
+    best_value = -math.inf
+    ties: list[tuple[int, int, int, int, int]] = []  # (t_a, t_b, first, middle, last)
+    block = max(1, SEARCH_BLOCK_ELEMENTS // (n_lv * n_lv * n_c))
+    first_middle = np.arange(n_lv) == 0
+    for i0 in range(0, n_c, block):
+        ka, first = np.nonzero(ok1[i0 : i0 + block])
+        if ka.size == 0:
             continue
-        tb = cut_times[i:]
-        # axes: (t_b, first triple, middle triple)
+        ia = ka + i0
+        # factors of t_b - t_a for the block's t_a and t_b from cut i0; only
+        # t_b >= t_a is read, so the rest is clamped to 0
+        factors2 = step(np.maximum(cut_times[i0:] - cut_times[i0 : i0 + block, None], 0.0))
+        # axes: (feasible (t_a, first) pair, t_b from cut i0, middle triple)
         N2, D2, S2 = propagate(
-            N1[first, None], D1[first, None], S1[first, None],
-            tuple(x[:, :, None] for x in step((tb - t_a)[:, None])),
+            N1[ia, first, None, None], D1[ia, first, None, None], S1[ia, first, None, None],
+            tuple(x[ka, :, None] for x in factors2),
         )
         ok2 = feasible(N2, D2, S2)
-        ok2[0, :, 1:] = False  # t_b = t_a: the middle triple never acts
-        jb, ja, jm = np.nonzero(ok2)
+        # t_b > t_a, or t_b = t_a with the first middle triple (it never acts)
+        ok2 &= np.arange(i0, n_c)[:, None] > ia[:, None, None] - first_middle
+        kp, jb, jm = np.nonzero(ok2)
+        N2, D2, S2 = N2[kp, jb, jm], D2[kp, jb, jm], S2[kp, jb, jm]
+        jb += i0
+        D2e = D2 * er3[jb]
+        if best_value > -math.inf:
+            bound = N2 - D2e + gain_max[jb]
+            slack = _BOUND_SLACK * (np.abs(N2) + np.abs(D2e) + gain_mag[jb])
+            keep = np.flatnonzero(~(bound + slack < best_value))
+            kp, jb, jm, N2, D2e, S2 = (x[keep] for x in (kp, jb, jm, N2, D2e, S2))
         if jb.size == 0:
             continue
-        # axes: (feasible prefix, last triple)
-        factors3 = tuple(x[jb] for x in step((T - tb)[:, None]))
-        N3, D3, S3 = propagate(
-            N2[jb, ja, jm, None], D2[jb, ja, jm, None], S2[jb, ja, jm, None], factors3
-        )
-        value = np.where(feasible(N3, D3, S3), N3 - D3, -np.inf)
-        chunk_best = value.max()
-        if chunk_best == -math.inf or chunk_best < best_value:
+        # axes: (prefix, last triple); each sum is formed in its gathered
+        # last-segment term, and N3 turns into the value in place
+        N3 = n_gain3.take(jb, axis=0)
+        N3 += N2[:, None]
+        D3 = d_gain3.take(jb, axis=0)
+        D3 += D2e[:, None]
+        S3 = s_loss3.take(jb, axis=0)
+        np.subtract((S2 * ea3[jb])[:, None], S3, out=S3)
+        infeasible = ~feasible(N3, D3, S3)
+        value = np.subtract(N3, D3, out=N3)
+        value[infeasible] = -np.inf
+        block_best = value.max()
+        if block_best == -math.inf or block_best < best_value:
             continue
-        if chunk_best > best_value:
-            best_value, ties = float(chunk_best), []
-        rows, last = np.nonzero(value == chunk_best)
-        ties += [
-            (float(t_a), float(tb[jb[row]]), [first[ja[row]], jm[row], c])
-            for row, c in zip(rows.tolist(), last.tolist())
-        ]
+        if block_best > best_value:
+            best_value, ties = float(block_best), []
+        rows, last = np.divmod(np.flatnonzero(value == block_best), n_lv)
+        ties += zip(
+            ia[kp[rows]].tolist(), jb[rows].tolist(), first[kp[rows]].tolist(),
+            jm[rows].tolist(), last.tolist(),
+        )
     if not ties:
         raise NoFeasibleCandidateError(
             "no feasible piecewise-constant candidate on the search grid"
         )
-    policies = (
-        _policy_from_candidate(
-            T, t_a, t_b, (U[seq].tolist(), V[seq].tolist(), W[seq].tolist())
-        )
-        for t_a, t_b, seq in ties
-    )
-    return min(policies, key=_candidate_key), best_value
+    levels = (U.tolist(), V.tolist(), W.tolist())
+
+    def candidate(tie):
+        i, j, *seq = tie
+        return T, cuts[i], cuts[j], tuple([lv[s] for s in seq] for lv in levels)
+
+    # min keeps the first of equal keys.  Such ties differ at most in the sign
+    # of a zero level, and a first triple that differs only so ties at every
+    # t_b alike, so this (t_a, first, t_b) order keeps the same one as
+    # (t_a, t_b, first) order would.
+    winner = min(ties, key=lambda tie: _candidate_key(*candidate(tie)))
+    return _policy_from_candidate(*candidate(winner)), best_value
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,11 @@ the exact per-segment certificate is cross-checked against it.  The
 pointwise Hamiltonian and switching values it samples are built on the
 certificate's own switching weights (`verify._switching_weights`).
 The broadcast exhaustive search is the one `verify.brute_force_best`
-factorized by prefix; it shares that search's candidate policy and
-tie-break key, so the two must agree bit for bit.
+factorized by prefix, and the per-t_a search the one it walks in pruned
+blocks; both build every tied candidate's policy with
+`PiecewiseControl.merged` (`candidate_policy`) and rank them by the
+tie-break key read off the built policy (`candidate_key`), so all three
+must agree bit for bit.
 The paper's closed-form objective values cross-check the value the
 library reads from the exact trajectory, and the 50-digit reference
 restates the phase rule in mpmath to check t_S, t_D and the objective
@@ -51,7 +54,7 @@ from firmopt import (
     verify,
 )
 from firmopt.dynamics import AdjointTrajectory, Trajectory
-from firmopt.model import ControlValue, JumpRecord, PiecewiseControl
+from firmopt.model import ControlSegment, ControlValue, JumpRecord, PiecewiseControl
 
 
 def reference_integrate(
@@ -789,6 +792,31 @@ def grid_multipliers_nonnegative(mults, T: float) -> bool:
     )
 
 
+def candidate_policy(T: float, t_a: float, t_b: float, levels) -> PiecewiseControl:
+    """A candidate's policy: its nonempty intervals cut at (t_a, t_b), with
+    per-component `levels`, merged by `PiecewiseControl.merged`."""
+    bounds = (0.0, t_a, t_b, T)
+    segs = tuple(
+        ControlSegment(a, b, ControlValue(u, v, w))
+        for a, b, u, v, w in zip(bounds, bounds[1:], *levels)
+        if b > a
+    )
+    return PiecewiseControl(segs).merged()
+
+
+def candidate_key(policy: PiecewiseControl) -> tuple:
+    """The search's tie-break key read off a built policy: earliest first
+    switch, then levels.  `verify._candidate_key` reads it off plain
+    (t, level) tuples without building the policy."""
+    bp = policy.breakpoints
+    first = bp[0] if bp else math.inf
+    flat = tuple(
+        (seg.t_start, seg.value.u, seg.value.v, seg.value.w)
+        for seg in policy.segments
+    )
+    return (first, flat)
+
+
 def grid_brute_force_best(
     params: ModelParams,
     init: State,
@@ -866,10 +894,8 @@ def grid_brute_force_best(
         rows, cols = np.nonzero(value == chunk_best)
         for j_idx, m_idx in zip(rows.tolist(), cols.tolist()):
             levels = (U[m_idx].tolist(), V[m_idx].tolist(), W[m_idx].tolist())
-            policy = verify._policy_from_candidate(
-                T, float(t_a), float(tb[j_idx]), levels
-            )
-            key = verify._candidate_key(policy)
+            policy = candidate_policy(T, float(t_a), float(tb[j_idx]), levels)
+            key = candidate_key(policy)
             if chunk_best > best_value or best_key is None or key < best_key:
                 best_value = float(chunk_best)
                 best_key = key
@@ -879,3 +905,100 @@ def grid_brute_force_best(
             "no feasible piecewise-constant candidate on the search grid"
         )
     return best_policy, best_value
+
+
+def prefix_brute_force_best(
+    params: ModelParams,
+    init: State,
+    grid: verify.BruteForceGrid = verify.BruteForceGrid(),
+) -> tuple[PiecewiseControl, float]:
+    """The per-t_a search `verify.brute_force_best` walks in blocks.
+
+    For each t_a on its own, segment 1 is propagated once per level
+    triple, segment 2 once per feasible first triple, middle triple and
+    t_b >= t_a, and segment 3 once per feasible two-segment prefix and
+    last triple, with every duration's exact factors computed afresh.
+    No prefix is pruned, and every tie's policy is built by
+    `candidate_policy` and ranked by `candidate_key`.  The blocked search must return the same policy and
+    value bit for bit.
+    """
+    if grid.n_t < 1:
+        raise ValueError("n_t must be at least 1")
+    T = params.T
+    if T <= 0.0:
+        raise ValueError("brute force needs a positive horizon")
+    u_levels, v_levels, w_levels = (np.array(lv) for lv in grid.levels(params))
+    iu, iv, iw = np.indices((len(u_levels), len(v_levels), len(w_levels))).reshape(3, -1)
+    U, V, W = u_levels[iu], v_levels[iv], w_levels[iw]
+
+    p, r, A, al, K, B = params.p, params.r, params.A, params.alpha, params.K, params.B
+    slopes = p * W - V - K * U - B
+    cin = A * U - V
+    qin = U - W
+    n_lo, d_lo, s_lo = (
+        -dynamics.ZERO_SNAP_RTOL * max(1.0, abs(x)) for x in (init.N, init.D, params.S_max)
+    )
+    s_hi = params.S_max - s_lo
+
+    cut_times = np.array([k * T / grid.n_t for k in range(1, grid.n_t)])
+    if cut_times.size == 0:
+        cut_times = np.array([0.0])
+
+    best_value = -math.inf
+    ties: list[tuple[float, float, list[int]]] = []
+
+    def step(dt):
+        return (
+            dt,
+            np.exp(r * dt),
+            np.expm1(r * dt) / r,
+            np.exp(-al * dt),
+            np.expm1(-al * dt) / al,
+        )
+
+    def propagate(N0, D0, S0, factors):
+        dt, er, em1r, ea, em1a = factors
+        return N0 + slopes * dt, D0 * er + cin * em1r, S0 * ea - qin * em1a
+
+    def feasible(N, D, S):
+        return (N >= n_lo) & (D >= d_lo) & (S >= s_lo) & (S <= s_hi)
+
+    for i, t_a in enumerate(cut_times):
+        N1, D1, S1 = propagate(init.N, init.D, init.S, step(t_a))
+        first = np.flatnonzero(feasible(N1, D1, S1))
+        if first.size == 0:
+            continue
+        tb = cut_times[i:]
+        N2, D2, S2 = propagate(
+            N1[first, None], D1[first, None], S1[first, None],
+            tuple(x[:, :, None] for x in step((tb - t_a)[:, None])),
+        )
+        ok2 = feasible(N2, D2, S2)
+        ok2[0, :, 1:] = False
+        jb, ja, jm = np.nonzero(ok2)
+        if jb.size == 0:
+            continue
+        factors3 = tuple(x[jb] for x in step((T - tb)[:, None]))
+        N3, D3, S3 = propagate(
+            N2[jb, ja, jm, None], D2[jb, ja, jm, None], S2[jb, ja, jm, None], factors3
+        )
+        value = np.where(feasible(N3, D3, S3), N3 - D3, -np.inf)
+        chunk_best = value.max()
+        if chunk_best == -math.inf or chunk_best < best_value:
+            continue
+        if chunk_best > best_value:
+            best_value, ties = float(chunk_best), []
+        rows, last = np.nonzero(value == chunk_best)
+        ties += [
+            (float(t_a), float(tb[jb[row]]), [first[ja[row]], jm[row], c])
+            for row, c in zip(rows.tolist(), last.tolist())
+        ]
+    if not ties:
+        raise NoFeasibleCandidateError(
+            "no feasible piecewise-constant candidate on the search grid"
+        )
+    policies = (
+        candidate_policy(T, t_a, t_b, (U[seq].tolist(), V[seq].tolist(), W[seq].tolist()))
+        for t_a, t_b, seq in ties
+    )
+    return min(policies, key=candidate_key), best_value

@@ -399,6 +399,45 @@ class TestCommands:
         assert "gap = 0\n" in out
         assert out.endswith("policy:\n  [0, 10]  u = 5  v = 10  w = 5\n")
 
+    def test_verify_forgives_the_rounding_of_a_large_objective(self, tmp_path, capsys):
+        # money scaled by 1e11: the search beats the closed form 1.4e13 by
+        # one ulp (0.00195), which an absolute tolerance of 1e-4 failed
+        doc = json.loads(json.dumps(BASE_DOC))
+        for key in ("p", "A", "K", "B", "v_max"):
+            doc["params"][key] *= 1e11
+        doc["params"]["T"] = 6
+        doc["init"] = {"N0": 2e12, "D0": 0, "S0": 0}
+        doc["options"] = {"out_dir": str(tmp_path / "out"), "brute_nt": 10}
+        config = make_config(tmp_path, doc)
+        parsed = parse_config(config.read_text())
+        synth = solver.synthesize_policy(
+            parsed.params, parsed.init, firmopt.classify_scenario(parsed.params, parsed.init)
+        )
+        _, best = verify.brute_force_best(parsed.params, parsed.init, parsed.grid)
+        assert best - synth.objective > 1e-4
+        assert run_cli("verify", config) == EXIT_OK
+        verdicts = [ln for ln in capsys.readouterr().out.splitlines() if ": " in ln]
+        assert len(verdicts) == 5
+        assert all(ln.split(": ")[1].startswith("PASS") for ln in verdicts)
+
+    def test_verify_fails_a_search_that_beats_the_closed_form_by_a_little(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # at objective 254.657 a gain of 1e-6 is millions of ulps, not rounding
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["options"] = {"out_dir": str(tmp_path / "out"), "brute_nt": 10}
+        config = make_config(tmp_path, doc)
+        parsed = parse_config(config.read_text())
+        closed = solver.synthesize_policy(
+            parsed.params, parsed.init, firmopt.classify_scenario(parsed.params, parsed.init)
+        ).objective
+        search = verify.brute_force_best
+        monkeypatch.setattr(
+            verify, "brute_force_best", lambda *args: (search(*args)[0], closed + 1e-6)
+        )
+        assert run_cli("verify", config) == EXIT_INFEASIBLE
+        assert "brute-force gap <= tol: FAIL\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_debt_growth_beyond_float_range_rejected(self, tmp_path, capsys, command):
         # exp(r*T) overflows a float past r*T = ln(sys.float_info.max)

@@ -35,6 +35,7 @@ from firmopt.verify import (
     multiplier_set_for_scenario,
 )
 
+import oracles
 from conftest import ALL_KINDS, BASELINE, draw_profitable_params, draw_scenario_case
 from oracles import (
     grid_brute_force_best,
@@ -42,6 +43,7 @@ from oracles import (
     grid_check_slackness,
     grid_multipliers_nonnegative,
     hamiltonian,
+    prefix_brute_force_best,
     switching_from_psi,
     switching_values,
 )
@@ -813,3 +815,51 @@ class TestFactorizedSearch:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < bound_mb < peaks[1]
+
+
+class TestBlockedSearch:
+    """The blocked search, pruned against the best so far, against the
+    per-t_a search it replaced."""
+
+    @staticmethod
+    def assert_same_as_prefix_search(params, start, grid):
+        got = brute_force_best(params, start, grid)
+        assert repr(got) == repr(prefix_brute_force_best(params, start, grid))
+
+    @pytest.mark.parametrize("start", BASELINE_STARTS)
+    def test_baseline_cases_with_pruning(self, start):
+        # n_t = 100 takes one t_a per block, and every block after the
+        # first skips over half of its two-segment prefixes
+        self.assert_same_as_prefix_search(BASELINE, start, BruteForceGrid(n_t=100))
+
+    def test_fine_grid_with_many_ties(self):
+        # the S3 start ties 199 candidates at n_t = 200
+        self.assert_same_as_prefix_search(
+            BASELINE, State(20.0, 10.0, 0.0), BruteForceGrid(n_t=200)
+        )
+
+    def test_equal_keys_keep_the_first_candidate(self):
+        # -0.0 and 0.0 levels tie with equal tie-break keys but different
+        # policies: the one picked carries the per-t_a search's zero signs
+        grid = BruteForceGrid(n_t=10, u_levels=(0.0, -0.0, 5.0))
+        self.assert_same_as_prefix_search(BASELINE, State(0.0, 10.0, 10.0), grid)
+
+    def test_only_the_winning_policy_is_built(self, monkeypatch):
+        built = {verify: 0, oracles: 0}
+
+        def count_calls(module, name):
+            build = getattr(module, name)
+
+            def counting(*args):
+                built[module] += 1
+                return build(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        count_calls(verify, "_policy_from_candidate")
+        count_calls(oracles, "candidate_policy")
+        start, grid = State(20.0, 10.0, 10.0), BruteForceGrid(n_t=10)
+        got = brute_force_best(BASELINE, start, grid)
+        want = prefix_brute_force_best(BASELINE, start, grid)
+        assert (built[verify], built[oracles]) == (1, 9)  # the S2 start ties 9 candidates
+        assert repr(got) == repr(want)
