@@ -14,7 +14,7 @@ from dataclasses import replace
 from typing import NamedTuple
 
 from . import solver
-from .dynamics import ZERO_SNAP_RTOL, Trajectory, TrajectorySegment
+from .dynamics import Tolerance, Trajectory, TrajectorySegment
 from .model import (
     JumpRecord,
     ModelParams,
@@ -43,17 +43,6 @@ class ChainInterval(NamedTuple):
     synthesis: solver.SynthesisResult
 
 
-def _snap_state(state: State, scale: float) -> State:
-    """Junction components within ZERO_SNAP_RTOL of zero, relative to the
-    running scale, become exactly zero before the next classification."""
-    tol = ZERO_SNAP_RTOL * max(1.0, scale)
-    return State(
-        N=0.0 if abs(state.N) < tol else state.N,
-        D=0.0 if abs(state.D) < tol else state.D,
-        S=0.0 if abs(state.S) < tol else state.S,
-    )
-
-
 def chain_plan(
     params: ModelParams,
     init: State,
@@ -62,21 +51,23 @@ def chain_plan(
 ) -> tuple[ChainInterval, ...]:
     """Solve each subinterval myopically and chain the terminal states.
 
-    `breakpoints` must run strictly increasing from 0 to T.  Any
-    uncovered junction state (cash exhausted while indebted, without
-    jump mode) aborts with the junction index.
+    `breakpoints` must run strictly increasing from 0 to T.  At each
+    junction, a component within the chain's tolerance of zero
+    (Tolerance.of(params, init).state, over the whole horizon) becomes
+    exactly zero before the next classification.  Any uncovered junction
+    state (cash exhausted while indebted, without jump mode) aborts with
+    the junction index.
     """
     if len(breakpoints) < 2 or breakpoints[0] != 0.0 or breakpoints[-1] != params.T:
         raise ValueError("breakpoints must run from 0 to T")
     if any(b >= c for b, c in zip(breakpoints, breakpoints[1:])):
         raise ValueError("breakpoints must be strictly increasing")
 
-    scale = max(1.0, *init)
+    snap = Tolerance.of(params, init).state
     intervals: list[ChainInterval] = []
     entry = init
     for idx, (t0, t1) in enumerate(zip(breakpoints[:-1], breakpoints[1:])):
         local = replace(params, T=t1 - t0)
-        entry = _snap_state(entry, scale)
         use_jump = jump_mode and entry.D > 0.0
         try:
             kind = classify_scenario(local, entry, jump_mode=use_jump)
@@ -84,8 +75,8 @@ def chain_plan(
         except (ValueError, PolicyInfeasibleError) as exc:
             raise ChainJunctionError(idx, str(exc)) from exc
         intervals.append(ChainInterval(t0, t1, entry, synth))
-        entry = synth.trajectory.terminal_state()
-        scale = max(scale, *entry)
+        final = synth.trajectory.terminal_state()
+        entry = State._make(0.0 if abs(x) < tol else x for x, tol in zip(final, snap))
     return tuple(intervals)
 
 
@@ -98,7 +89,8 @@ def evaluate_chain(
     discontinuities of the combined trajectory; all other junctions are
     exactly continuous because each interval starts from the previous
     terminal state.  The segments tile [0, T] exactly: each interval's
-    last one ends at its t_end.
+    last one ends at its t_end.  The combined trajectory is judged by the
+    chain's tolerance, Tolerance.of(params, init) over the whole horizon.
     """
     segments: list[TrajectorySegment] = []
     jumps: list[JumpRecord] = []
@@ -109,20 +101,13 @@ def evaluate_chain(
         for seg in synth.trajectory.segments:
             # local T + t0 can miss t1 by an ulp: end the last one exactly
             t_end = t1 if seg is last else seg.t_end + t0
-            segments.append(
-                TrajectorySegment(
-                    t_start=seg.t_start + t0,
-                    t_end=t_end,
-                    control=seg.control,
-                    entry=seg.entry,
-                    exit=seg.exit,
-                    rates=seg.rates,
-                )
-            )
+            segments.append(TrajectorySegment(
+                seg.t_start + t0, t_end, seg.control, seg.entry, seg.exit, seg.rates
+            ))
     combined = Trajectory(
         params=params,
         segments=tuple(segments),
-        tol=plan[0].synthesis.trajectory.tol,
+        tol=Tolerance.of(params, plan[0].entry_state),
         jumps=tuple(jumps),
     )
     return combined, combined.objective()

@@ -33,9 +33,41 @@ from .model import (
     State,
 )
 
-#: Relative tolerance used to accept an analytically expected zero and to
-#: flag state-constraint violations.
+#: A state within this fraction of its unit's scale (Tolerance) of a bound is
+#: on it: some 1e7 ulps, room for the rounding t_S and t_D carry, which the
+#: states inherit at their rates, above the few ulps each closed-form sum adds.
 ZERO_SNAP_RTOL = 1e-9
+
+
+class Tolerance(NamedTuple):
+    """The one owner of "close enough": a scale for money (N and D) and one
+    for stock (S), built once per solve from the params and start state.
+
+    Rounding moves a sum by a few ulps of its terms' magnitudes (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 2-3), so each
+    scale bounds what the closed form sums over [0, T] at the box's worst
+    rates: N sums |N0| + (p*w_max + v_max + K*u_max + B)*T, D sums
+    |D0|*exp(r*T) + (A*u_max + v_max)*expm1(r*T)/r, money is the larger,
+    and a feasible S and both its terms lie in [0, S_max].  No absolute
+    floor, and every term a product or quotient of model numbers: scaling
+    money, stock or time by a power of 2 scales both exactly.
+    """
+
+    money: float
+    stock: float
+
+    @classmethod
+    def of(cls, params: ModelParams, start: State) -> "Tolerance":
+        P, rT = params, params.r * params.T
+        cash = abs(start.N) + (P.p * P.w_max + P.v_max + P.K * P.u_max + P.B) * P.T
+        debt = abs(start.D) * math.exp(rT) + (P.A * P.u_max + P.v_max) * (math.expm1(rT) / P.r)
+        return cls(max(cash, debt), P.S_max)
+
+    @property
+    def state(self) -> State:
+        """The absolute tolerance of N, D and S: ZERO_SNAP_RTOL of their scales."""
+        money = ZERO_SNAP_RTOL * self.money
+        return State(money, money, ZERO_SNAP_RTOL * self.stock)
 
 
 class Violation(NamedTuple):
@@ -97,14 +129,10 @@ class Trajectory(Piecewise):
 
     params: ModelParams
     segments: tuple[TrajectorySegment, ...]
-    #: integrate_exact's absolute tolerance: a state within tol of a bound is feasible
-    tol: float = field(repr=False, compare=False)
+    #: the scales its states are judged on: within tol.state of a bound is feasible
+    tol: Tolerance = field(repr=False, compare=False)
     jumps: tuple[JumpRecord, ...] = ()
     feasibility_report: tuple[Violation, ...] = ()
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return self._starts + (self.t_final,)
 
     @property
     def feasible(self) -> bool:
@@ -163,14 +191,11 @@ class Trajectory(Piecewise):
         return final.N - final.D
 
 
-def _state_scale(init: State, params: ModelParams) -> float:
-    return max(1.0, abs(init.N), abs(init.D), abs(init.S), params.S_max)
-
-
 def _segment_violations(
-    params: ModelParams, seg: TrajectorySegment, tol: float
+    params: ModelParams, seg: TrajectorySegment, tol: State
 ) -> list[Violation]:
-    """Each bound the segment breaks by more than tol, from where it starts.
+    """Each bound the segment breaks by more than its component's tol, from
+    where it starts.
 
     On the segment each component is x0 + (x1 - x0)*expm1(k*tau)/expm1(k*dt)
     (x0 + (x1 - x0)*tau/dt when k = 0), with k = 0, r and -alpha for N, D
@@ -184,14 +209,14 @@ def _segment_violations(
     N0, D0, S0 = seg.entry
     N1, D1, S1 = seg.exit
     rows = (
-        (0.0, 0.0 - N0, 0.0 - N1, "N>=0"),
-        (params.r, 0.0 - D0, 0.0 - D1, "D>=0"),
-        (-params.alpha, 0.0 - S0, 0.0 - S1, "S>=0"),
-        (-params.alpha, S0 - params.S_max, S1 - params.S_max, "S<=S_max"),
+        (0.0, 0.0 - N0, 0.0 - N1, tol.N, "N>=0"),
+        (params.r, 0.0 - D0, 0.0 - D1, tol.D, "D>=0"),
+        (-params.alpha, 0.0 - S0, 0.0 - S1, tol.S, "S>=0"),
+        (-params.alpha, S0 - params.S_max, S1 - params.S_max, tol.S, "S<=S_max"),
     )
-    for k, e0, e1, label in rows:
+    for k, e0, e1, bound_tol, label in rows:
         worst = max(e0, e1)
-        if worst <= tol:
+        if worst <= bound_tol:
             continue
         tau = 0.0
         if e0 < 0.0:  # so e1 > 0 and f lies in (0, 1)
@@ -218,30 +243,30 @@ def integrate_exact(
 
     `expected_zeros` lists (time, component) pairs where the policy was
     constructed so that the component reaches zero exactly (stock
-    depletion, debt clearance).  At such breakpoints the residual left
-    by floating-point evaluation is snapped to 0 provided it is below
-    ZERO_SNAP_RTOL * max(1, initial component value); a larger residual
-    means the caller's construction was wrong and raises.
+    depletion, debt clearance).  At the segment end equal to such a time,
+    float for float, the residual left by floating-point evaluation is
+    snapped to +0.0 provided it is within that component's tolerance,
+    Tolerance.of(params, start).state with start the post-jump state; a
+    larger residual means the caller's construction was wrong and raises.
 
-    Constraint violations are reported, never raised.
+    Each bound broken by more than its component's tolerance is reported,
+    never raised; the trajectory keeps the Tolerance as `tol`.
     """
     policy.check_bounds(params)
     state = jump.post_state if jump is not None else init
-    tol = ZERO_SNAP_RTOL * _state_scale(state, params)
-    zeros: dict[float, set[str]] = {}
-    for t, comp in expected_zeros:
-        zeros.setdefault(round(t, 15), set()).add(comp)
+    tol = Tolerance.of(params, state)
+    state_tol = tol.state
     violations: list[Violation] = []
     segments: list[TrajectorySegment] = []
     for seg in policy.segments:
         entry = state
         rates = _rates(params, seg.value)
         state = _evolve(state, rates, params.r, params.alpha, seg.t_end - seg.t_start)
-        comps = zeros.get(round(seg.t_end, 15), ())
-        for comp in ("N", "D", "S"):
+        comps = [comp for t, comp in expected_zeros if t == seg.t_end]
+        for comp, comp_tol in zip(("N", "D", "S"), state_tol):
             if comp in comps:
                 residual = getattr(state, comp)
-                if abs(residual) > tol:
+                if abs(residual) > comp_tol:
                     raise AssertionError(
                         f"{comp}({seg.t_end}) = {residual} expected zero"
                     )
@@ -251,7 +276,7 @@ def integrate_exact(
         )
     traj_segments = tuple(segments)
     for s in traj_segments:
-        violations.extend(_segment_violations(params, s, tol))
+        violations.extend(_segment_violations(params, s, state_tol))
     violations.sort(key=lambda v: (v.time, v.constraint))
     jumps = (jump,) if jump is not None else ()
     return Trajectory(
@@ -354,14 +379,6 @@ class PiecewiseExpFn(Piecewise):
     @classmethod
     def constant(cls, value: float, t0: float, t1: float) -> "PiecewiseExpFn":
         return cls((ExpSegment(t0, t1, (ExpTerm(value, 0.0),)),))
-
-    @classmethod
-    def zero(cls, t0: float, t1: float) -> "PiecewiseExpFn":
-        return cls.constant(0.0, t0, t1)
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return self._starts + (self.t_final,)
 
     def value(self, t: float) -> float:
         if not self.segments[0].t_start <= t <= self.t_final:

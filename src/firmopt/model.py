@@ -142,6 +142,11 @@ class Piecewise:
     def t_final(self) -> float:
         return self.segments[-1].t_end
 
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Every segment's start, and the end (a policy's excludes 0 and T)."""
+        return self._starts + (self.t_final,)
+
     def segment_at(self, t: float):
         """The segment in force at t (right-continuous, t = T in the last)."""
         return self.segments[bisect.bisect_right(self._starts, t) - 1]
@@ -177,16 +182,6 @@ class PiecewiseControl(Piecewise):
     def breakpoints(self) -> tuple[float, ...]:
         """Interior switching times (excludes 0 and T)."""
         return self._starts[1:]
-
-    def merged(self) -> "PiecewiseControl":
-        """Canonical form with adjacent equal control values merged."""
-        out: list[ControlSegment] = [self.segments[0]]
-        for seg in self.segments[1:]:
-            if seg.value == out[-1].value:
-                out[-1] = ControlSegment(out[-1].t_start, seg.t_end, seg.value)
-            else:
-                out.append(seg)
-        return PiecewiseControl(tuple(out))
 
     def check_bounds(self, params: ModelParams) -> None:
         """Raise ControlBoundsError if any segment leaves the control box."""

@@ -38,13 +38,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dynamics import (
-    ZERO_SNAP_RTOL,
     AdjointTrajectory,
     ExpTerm,
     PiecewiseExpFn,
+    Tolerance,
     Trajectory,
     _pieces,
-    _state_scale,
     adjoint_backward,
     extrema,
     piecewise_from_spans,
@@ -61,7 +60,8 @@ from .model import (
 )
 from .solver import SwitchingTimes, SynthesisResult, synthesize_policy
 
-#: Absolute tolerance for certification checks.
+#: Relative tolerance of the certificate's checks, each against the scale
+#: of its own quantity's unit (see check_slackness, check_control_maximizes).
 CERT_TOL = 1e-9
 
 
@@ -204,24 +204,27 @@ def multiplier_set_for_scenario(
         spans[2].append((a, b, (paid_off if cleared else indebted) if producing else ()))
     lam1, lam2, lam3 = (piecewise_from_spans(s) for s in spans)
     mu3 = a_ + k_ if times.t_s <= T else 0.0
-    zero = PiecewiseExpFn.zero(0.0, T)
+    zero = PiecewiseExpFn.constant(0.0, 0.0, T)
     return MultiplierSet(lam1, lam2, lam3, zero, 0.0, 0.0, mu3, 0.0)
 
 
 def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
     """Verify complementary slackness and multiplier nonnegativity.
 
-    Per piece between multiplier and trajectory breakpoints: each lambda's
-    exact minimum must be >= -CERT_TOL, and as each constraint value g is
-    monotone there, sup|lambda| * sup|g| from the piece's ends soundly
-    bounds |lambda*g|, which must stay within CERT_TOL * scale.  Every mu
-    must be nonnegative and mu_i * g_i(X(T)) vanish within CERT_TOL *
-    scale.  The least lambda value over all pieces is reported as
-    `lambda_min`.
+    lambda*g is money per time: its limit is CERT_TOL * traj.tol.money / T
+    (none at T = 0).  Per piece between multiplier and trajectory
+    breakpoints: each lambda's exact minimum times its g's scale (money
+    or stock) must be >= -limit, and as each g is monotone there,
+    sup|lambda| * sup|g| from the piece's ends soundly bounds |lambda*g|,
+    which must stay within limit.  Every mu must be nonnegative and
+    mu_i * g_i(X(T)), money, within CERT_TOL * traj.tol.money of 0.  The
+    least lambda value over all pieces is reported as `lambda_min`.
     """
     T = traj.t_final
     params = traj.params
-    limit = CERT_TOL * _state_scale(traj.segments[0].entry, params)
+    money, stock = traj.tol
+    limit = CERT_TOL * money / T if T > 0.0 else math.inf
+    g_scales = (money, money, stock, stock)
     found = _Findings()
     lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
     lambda_min = math.inf
@@ -233,7 +236,7 @@ def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
         for i, lam in enumerate(lams):
             lo, t_lo, hi, t_hi = extrema(a, b, (1.0, lam.segment_at(a)))
             lambda_min = min(lambda_min, lo)
-            found.note(t_lo, _LAMBDA_SIGN[i], lo + CERT_TOL, -lo)
+            found.note(t_lo, _LAMBDA_SIGN[i], lo * g_scales[i] + limit, -lo)
             lam_sup, t_sup = (hi, t_hi) if hi >= -lo else (-lo, t_lo)
             if lam_sup == 0.0:  # lambda*g = 0: its slack exceeds the one just noted
                 continue
@@ -243,7 +246,7 @@ def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
     gfin = (final.N, final.D, final.S, final.S - params.S_max)
     for mu, g, sign, product in zip(mults.mus, gfin, _MU_SIGN, _MU_G):
         found.note(T, sign, mu, -mu)
-        found.note(T, product, limit - abs(mu * g), abs(mu * g))
+        found.note(T, product, CERT_TOL * money - abs(mu * g), abs(mu * g))
     return found.report(lambda_min=lambda_min)
 
 
@@ -269,16 +272,18 @@ def check_control_maximizes(
 ) -> CertReport:
     """Check the policy against the box argmax of the Hamiltonian.
 
-    Per piece between costate and policy breakpoints, from each switching
-    value's exact extrema: a max above theta_tol = CERT_TOL * max(1, p)
-    demands the upper bound, a min below -theta_tol demands zero, and
+    theta_u and theta_w are money per stock, judged to theta_tol =
+    CERT_TOL * p; theta_v has no unit: theta_tol = CERT_TOL.  Per piece
+    between costate and policy breakpoints, from each switching value's
+    exact extrema: a max above theta_tol demands the upper bound (within
+    CERT_TOL * bound), a min below -theta_tol demands zero, and
     |theta| <= theta_tol on the whole piece leaves the component singular
     (any admissible value maximizes H); contiguous singular pieces merge, and
     where theta only touches the band at a breakpoint, that instant is a
     singular segment.  A violation is reported once per piece, at its
     worst time.
     """
-    theta_tol = CERT_TOL * max(1.0, params.p)
+    theta_tols = {"u": CERT_TOL * params.p, "v": CERT_TOL, "w": CERT_TOL * params.p}
     bounds = {"u": params.u_max, "v": params.v_max, "w": params.w_max}
     weights = _switching_weights(params)
     found = _Findings()
@@ -296,6 +301,7 @@ def check_control_maximizes(
         segs = [psi.segment_at(a) for psi in (adjoint.psi1, adjoint.psi2, adjoint.psi3)]
         control = policy.segment_at(a).value
         for comp, bound in bounds.items():
+            theta_tol = theta_tols[comp]
             parts = [(w, seg) for w, seg in zip(weights[comp], segs) if w != 0.0]
             lo, t_lo, hi, t_hi = extrema(a, b, *parts)
             if -theta_tol <= lo and hi <= theta_tol:
@@ -306,7 +312,7 @@ def check_control_maximizes(
                     if abs(sum(w * seg.value(t) for w, seg in parts)) <= theta_tol:
                         mark_singular(comp, t, t)
             actual = getattr(control, comp)
-            ctol = 1e-9 * max(1.0, bound)
+            ctol = CERT_TOL * bound
             # theta above theta_tol demands the bound, below -theta_tol zero
             if abs(actual - bound) > ctol:
                 found.note(t_hi, _ARGMAX[comp], theta_tol - hi, abs(actual - bound))
@@ -371,7 +377,7 @@ def _candidate_key(T: float, t_a: float, t_b: float, levels: tuple) -> tuple:
 
     Its rows (t_start, u, v, w) are the candidate's nonempty intervals, cut
     at (t_a, t_b) with (u, v, w) = zip(*levels) per interval, and adjacent
-    equal levels merged into the later one (as PiecewiseControl.merged).
+    equal levels merged into the later one (as `merged` in tests/oracles.py).
     """
     rows: list[tuple[float, ...]] = []
     for a, b, value in zip((0.0, t_a, t_b), (t_a, t_b, T), zip(*levels)):
@@ -433,12 +439,11 @@ def brute_force_best(
     feasibility tolerances), so the value, and the policy picked, are
     the same bit for bit.
 
-    Trajectories violating a state constraint are discarded.  Each bound
-    is judged to ZERO_SNAP_RTOL times its own component's scale:
-    max(1, |N0|) for N, max(1, |D0|) for D and max(1, S_max) for S.
-    Exact objective ties are broken by earliest first switch, then
-    lexicographic levels, on plain (t, level) tuples; only the winner's
-    policy is built.  Raises NoFeasibleCandidateError when nothing
+    Trajectories violating a state constraint are discarded, each bound
+    judged to its component's tolerance, Tolerance.of(params, init).state,
+    as integrate_exact judges it.  Exact objective ties are broken by
+    earliest first switch, then lexicographic levels, on plain (t, level)
+    tuples; only the winner's policy is built.  Raises NoFeasibleCandidateError when nothing
     feasible exists, and ControlBoundsError for a level outside the
     control box.
     """
@@ -458,10 +463,8 @@ def brute_force_best(
     slopes = p * W - V - K * U - B
     cin = A * U - V
     qin = U - W
-    n_lo, d_lo, s_lo = (
-        -ZERO_SNAP_RTOL * max(1.0, abs(x)) for x in (init.N, init.D, params.S_max)
-    )
-    s_hi = params.S_max - s_lo
+    n_tol, d_tol, s_tol = Tolerance.of(params, init).state
+    s_hi = params.S_max + s_tol
 
     cuts = [k * T / grid.n_t for k in range(1, grid.n_t)] or [0.0]
     cut_times = np.array(cuts)
@@ -483,7 +486,7 @@ def brute_force_best(
         return N0 + slopes * dt, D0 * er + cin * em1r, S0 * ea - qin * em1a
 
     def feasible(N, D, S):
-        return (N >= n_lo) & (D >= d_lo) & (S >= s_lo) & (S <= s_hi)
+        return (N >= -n_tol) & (D >= -d_tol) & (S >= -s_tol) & (S <= s_hi)
 
     # segment 1 for every t_a, axes (t_a, first triple)
     N1, D1, S1 = propagate(init.N, init.D, init.S, step(cut_times[:, None]))

@@ -133,16 +133,16 @@ def draw_scenario_case(
 def assert_segments_join(traj, expected_zeros) -> None:
     """Each segment's closed form, evaluated from its entry to its end,
     gives the next segment's entry bit for bit.  Only a component that
-    `expected_zeros` lists at that time may differ: the integrator snaps
-    it to exactly zero, from a residual within traj.tol."""
+    `expected_zeros` lists at exactly that time may differ: the integrator
+    snaps it to exactly zero, from a residual within its traj.tol.state."""
     params = traj.params
-    snapped = {(round(t, 15), comp) for t, comp in expected_zeros}
+    snapped = set(expected_zeros)
     for prev, nxt in zip(traj.segments, traj.segments[1:]):
         dt = prev.t_end - prev.t_start
         left = _evolve(prev.entry, prev.rates, params.r, params.alpha, dt)
-        for comp, before, after in zip("NDS", left, nxt.entry):
-            if (round(prev.t_end, 15), comp) in snapped:
-                assert after == 0.0 and abs(before) <= traj.tol, (prev.t_end, comp)
+        for comp, before, after, tol in zip("NDS", left, nxt.entry, traj.tol.state):
+            if (prev.t_end, comp) in snapped:
+                assert after == 0.0 and abs(before) <= tol, (prev.t_end, comp)
             else:
                 assert before.hex() == after.hex(), (prev.t_end, comp)
 
@@ -185,14 +185,18 @@ CAPACITY_FACTOR = log_uniform(0.8, 10.0)
 HORIZON = log_uniform(1e-3, 1e3)
 MONEY_OR_ZERO = st.one_of(st.just(0.0), MONEY)
 LEVEL_COMPONENTS = st.lists(st.sampled_from("uvw"), min_size=1, max_size=3, unique=True)
-LEVELS = st.lists(MONEY_OR_ZERO, min_size=1, max_size=3)
+#: a search level as a fraction of its control's bound: the box's ends or inside
+LEVEL_FRACTIONS = st.lists(
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)), min_size=1, max_size=3
+)
 
 
 @st.composite
 def schema_valid_documents(draw):
     """Configs of the right shape with magnitudes over six decades; p,
     u_max and v_max are drawn as multiples of what profit, demand and
-    purchases need, so that most configs pass validation."""
+    purchases need, so that most configs pass validation.  Search levels
+    lie in their control's box, so that the configs reach the search."""
     params = {key: draw(MONEY) for key in ("A", "K", "B", "w_max", "S_max")}
     A, w = params["A"], params["w_max"]
     p = (A + params["K"] + params["B"] / w) * draw(PRICE_FACTOR)
@@ -208,6 +212,7 @@ def schema_valid_documents(draw):
     options = {"brute_nt": draw(st.integers(1, 5))}
     if draw(st.integers(0, 3)) == 0:
         comps = draw(LEVEL_COMPONENTS)
-        options["brute_levels"] = {c: draw(LEVELS) for c in comps}
+        box = {"u": params["u_max"], "v": params["v_max"], "w": params["w_max"]}
+        options["brute_levels"] = {c: [f * box[c] for f in draw(LEVEL_FRACTIONS)] for c in comps}
     return {"params": params, "init": init, "jump_mode": draw(st.booleans()),
             "options": options}

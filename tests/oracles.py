@@ -23,7 +23,7 @@ certificate's own switching weights (`verify._switching_weights`).
 The broadcast exhaustive search is the one `verify.brute_force_best`
 factorized by prefix, and the per-t_a search the one it walks in pruned
 blocks; both build every tied candidate's policy with
-`PiecewiseControl.merged` (`candidate_policy`) and rank them by the
+`merged` (`candidate_policy`) and rank them by the
 tie-break key read off the built policy (`candidate_key`), so all three
 must agree bit for bit.
 The paper's closed-form objective values cross-check the value the
@@ -390,10 +390,11 @@ def advance_state_reference(
 
 
 def segment_violations_reference(
-    params: ModelParams, seg: dynamics.TrajectorySegment, tol: float
+    params: ModelParams, seg: dynamics.TrajectorySegment, tol: State
 ) -> list[dynamics.Violation]:
-    """The violation report of one exact segment, each bound looked up by
-    component name; `integrate_exact`'s report must equal it bit for bit.
+    """The violation report of one exact segment, each bound and its
+    tolerance looked up by component name; `integrate_exact`'s report must
+    equal it bit for bit.
 
     On the segment each component is x0 + (x1 - x0)*expm1(k*tau)/expm1(k*dt)
     (x0 + (x1 - x0)*tau/dt when k = 0), with k = 0, r and -alpha for N, D
@@ -416,7 +417,7 @@ def segment_violations_reference(
             for v in (getattr(seg.entry, comp), getattr(seg.exit, comp))
         )
         worst = max(e0, e1)
-        if worst <= tol:
+        if worst <= getattr(tol, comp):
             continue
         tau = 0.0
         if e0 < 0.0:  # so e1 > 0 and f lies in (0, 1)
@@ -442,15 +443,15 @@ def trajectory_csv_reference(traj: Trajectory) -> str:
         for k in range(cli.CSV_GRID_POINTS):
             times.add(min(T, k * T / (cli.CSV_GRID_POINTS - 1)))
     jump_at = {j.t: j for j in traj.jumps}
-    tol = dynamics.ZERO_SNAP_RTOL * dynamics._state_scale(traj.segments[0].entry, traj.params)
+    tol = traj.tol.state
     lines = ["t,N,D,S,u,v,w,feasible"]
 
     def row(t: float, state: State) -> str:
         c = traj.segment_at(t).control
         feasible = (
-            state.N >= -tol
-            and state.D >= -tol
-            and -tol <= state.S <= traj.params.S_max + tol
+            state.N >= -tol.N
+            and state.D >= -tol.D
+            and -tol.S <= state.S <= traj.params.S_max + tol.S
         )
         cells = [cli.CSV_FMT % x for x in (t, state.N, state.D, state.S, c.u, c.v, c.w)]
         cells.append("true" if feasible else "false")
@@ -714,29 +715,32 @@ def check_grid(T: float, breakpoints: Sequence[float]) -> list[float]:
 
 
 def grid_check_slackness(mults, traj: Trajectory, tol: float = verify.CERT_TOL):
-    """Slackness and multiplier signs sampled on `check_grid`."""
+    """Slackness and multiplier signs sampled on `check_grid`, on the
+    trajectory's own scales: lambda*g (money per time) within tol of the
+    money scale per unit of time, lambda within that per unit of its g,
+    and mu*g(T) (money) within tol of the money scale."""
     T = traj.t_final
     grid = check_grid(T, tuple(mults.breakpoints) + traj.breakpoints)
-    x0 = traj.sample(0.0)
-    scale = max(1.0, abs(x0.N), abs(x0.D), abs(x0.S), traj.params.S_max)
+    money, stock = traj.tol
+    limit = tol * money / T if T > 0.0 else math.inf
     bad = []
     lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
     for t in grid:
         st = traj.sample(t)
         gvals = (st.N, st.D, st.S, st.S - traj.params.S_max)
-        for i, (lam, g) in enumerate(zip(lams, gvals), start=1):
+        for i, (lam, g, unit) in enumerate(zip(lams, gvals, (money, money, stock, stock)), 1):
             lv = lam.value(t)
-            if lv < -tol:
+            if lv * unit < -limit:
                 bad.append(verify.CertViolation(t, f"lambda{i}>=0", -lv))
             prod = lv * g
-            if abs(prod) > tol * scale:
+            if abs(prod) > limit:
                 bad.append(verify.CertViolation(t, f"lambda{i}*g{i}=0", abs(prod)))
     final = traj.terminal_state()
     gfin = (final.N, final.D, final.S, final.S - traj.params.S_max)
     for i, (mu, g) in enumerate(zip(mults.mus, gfin), start=1):
         if mu < 0.0:
             bad.append(verify.CertViolation(T, f"mu{i}>=0", -mu))
-        if abs(mu * g) > tol * scale:
+        if abs(mu * g) > tol * money:
             bad.append(verify.CertViolation(T, f"mu{i}*g{i}(T)=0", abs(mu * g)))
     return verify.CertReport(passed=not bad, violations=tuple(bad))
 
@@ -744,11 +748,12 @@ def grid_check_slackness(mults, traj: Trajectory, tol: float = verify.CERT_TOL):
 def grid_check_control_maximizes(
     params: ModelParams, adjoint, policy: PiecewiseControl, tol: float = verify.CERT_TOL
 ):
-    """Box argmax sampled on `check_grid`; singular grid times closer
-    than two grid steps merge into one reported segment."""
+    """Box argmax sampled on `check_grid`, theta_u and theta_w (money per
+    stock) judged to tol * p and theta_v (no unit) to tol; singular grid
+    times closer than two grid steps merge into one reported segment."""
     T = policy.t_final
     grid = check_grid(T, tuple(adjoint.breakpoints) + tuple(policy.breakpoints))
-    theta_tol = tol * max(1.0, params.p)
+    theta_tols = {"u": tol * params.p, "v": tol, "w": tol * params.p}
     spacing = T / (10 * max(1, math.ceil(T))) if T > 0.0 else 1.0
     bounds = {"u": params.u_max, "v": params.v_max, "w": params.w_max}
     bad = []
@@ -761,7 +766,7 @@ def grid_check_control_maximizes(
             ("v", theta.theta_v, control.v),
             ("w", theta.theta_w, control.w),
         ):
-            if abs(th) <= theta_tol:
+            if abs(th) <= theta_tols[comp]:
                 runs = singular[comp]
                 if runs and t - runs[-1][1] <= 2.0 * spacing + 1e-9:
                     runs[-1][1] = t
@@ -769,7 +774,7 @@ def grid_check_control_maximizes(
                     runs.append([t, t])
                 continue
             target = bounds[comp] if th > 0.0 else 0.0
-            if abs(actual - target) > 1e-9 * max(1.0, bounds[comp]):
+            if abs(actual - target) > tol * bounds[comp]:
                 bad.append(
                     verify.CertViolation(t, f"argmax_{comp}", abs(actual - target))
                 )
@@ -792,16 +797,27 @@ def grid_multipliers_nonnegative(mults, T: float) -> bool:
     )
 
 
+def merged(policy: PiecewiseControl) -> PiecewiseControl:
+    """Canonical form of `policy` with adjacent equal control values merged."""
+    out: list[ControlSegment] = [policy.segments[0]]
+    for seg in policy.segments[1:]:
+        if seg.value == out[-1].value:
+            out[-1] = ControlSegment(out[-1].t_start, seg.t_end, seg.value)
+        else:
+            out.append(seg)
+    return PiecewiseControl(tuple(out))
+
+
 def candidate_policy(T: float, t_a: float, t_b: float, levels) -> PiecewiseControl:
     """A candidate's policy: its nonempty intervals cut at (t_a, t_b), with
-    per-component `levels`, merged by `PiecewiseControl.merged`."""
+    per-component `levels`, merged by `merged`."""
     bounds = (0.0, t_a, t_b, T)
     segs = tuple(
         ControlSegment(a, b, ControlValue(u, v, w))
         for a, b, u, v, w in zip(bounds, bounds[1:], *levels)
         if b > a
     )
-    return PiecewiseControl(segs).merged()
+    return merged(PiecewiseControl(segs))
 
 
 def candidate_key(policy: PiecewiseControl) -> tuple:
@@ -850,10 +866,8 @@ def grid_brute_force_best(
     slopes = p * W - V - K * U - B  # (M, 3)
     cin = A * U - V
     qin = U - W
-    # each state bound judged to 1e-9 times its own component's scale
-    n_tol = 1e-9 * max(1.0, abs(init.N))
-    d_tol = 1e-9 * max(1.0, abs(init.D))
-    s_tol = 1e-9 * max(1.0, params.S_max)
+    # each state bound judged to its component's tolerance
+    n_tol, d_tol, s_tol = dynamics.Tolerance.of(params, init).state
     s_hi = params.S_max + s_tol
 
     def within_bounds(N, D, S):
@@ -935,10 +949,8 @@ def prefix_brute_force_best(
     slopes = p * W - V - K * U - B
     cin = A * U - V
     qin = U - W
-    n_lo, d_lo, s_lo = (
-        -dynamics.ZERO_SNAP_RTOL * max(1.0, abs(x)) for x in (init.N, init.D, params.S_max)
-    )
-    s_hi = params.S_max - s_lo
+    n_tol, d_tol, s_tol = dynamics.Tolerance.of(params, init).state
+    s_hi = params.S_max + s_tol
 
     cut_times = np.array([k * T / grid.n_t for k in range(1, grid.n_t)])
     if cut_times.size == 0:
@@ -961,7 +973,7 @@ def prefix_brute_force_best(
         return N0 + slopes * dt, D0 * er + cin * em1r, S0 * ea - qin * em1a
 
     def feasible(N, D, S):
-        return (N >= n_lo) & (D >= d_lo) & (S >= s_lo) & (S <= s_hi)
+        return (N >= -n_tol) & (D >= -d_tol) & (S >= -s_tol) & (S <= s_hi)
 
     for i, t_a in enumerate(cut_times):
         N1, D1, S1 = propagate(init.N, init.D, init.S, step(t_a))

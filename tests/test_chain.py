@@ -19,7 +19,7 @@ from firmopt import (
     objective_value,
     synthesize_policy,
 )
-from firmopt.dynamics import ZERO_SNAP_RTOL
+from firmopt.dynamics import Tolerance
 
 from conftest import ALL_KINDS, BASELINE, draw_scenario_case
 from test_solver import J_A2, J_S3, T_S_BASE
@@ -117,17 +117,21 @@ class TestEvaluateChain:
         assert junction_jump.delta == -min(pre_N, pre_D)
         assert traj.feasible
 
-    def test_combined_trajectory_is_judged_by_the_first_intervals_tolerance(self):
-        # the CSV's feasible column reads tol: it must be the one the
-        # post-jump start state set (scale D = 300 - 20), not a later one
-        plan = chain_plan(BASELINE, State(20.0, 300.0, 10.0), [0.0, 0.2, 10.0], jump_mode=True)
+    def test_combined_trajectory_is_judged_by_the_chains_tolerance(self):
+        # the CSV's feasible column reads tol: it must be the one of the
+        # chain's start over the whole horizon, not an interval's own
+        init = State(20.0, 300.0, 10.0)
+        plan = chain_plan(BASELINE, init, [0.0, 0.2, 10.0], jump_mode=True)
         traj, _ = evaluate_chain(BASELINE, plan)
         first, second = (iv.synthesis.trajectory for iv in plan)
-        assert traj.tol == first.tol == ZERO_SNAP_RTOL * 280.0
-        assert second.tol != first.tol
+        assert traj.tol == Tolerance.of(BASELINE, init)
+        # debt 300 grown over T = 10 and the box's worst purchases set money
+        debt = 300.0 * math.exp(1.0) + (2.0 * 8.0 + 50.0) * (math.expm1(1.0) / 0.1)
+        assert traj.tol == (debt, 100.0)
+        assert traj.tol not in (first.tol, second.tol)
         # tol joins neither equality nor the repr
-        assert replace(traj, tol=0.0) == traj
-        assert repr(replace(traj, tol=0.0)) == repr(traj)
+        assert replace(traj, tol=None) == traj
+        assert repr(replace(traj, tol=None)) == repr(traj)
 
     def test_jump_chains_end_debt_free_when_clearance_fits(self):
         rng = random.Random(67)

@@ -639,9 +639,21 @@ def test_fuzzed_configs_exit_two_never_a_traceback(tmp_path_factory, text, comma
     assert err.getvalue().startswith("config error: ")
 
 
+# the README's S2 firm with time scaled by 2**-60 (T about 8.7e-18): t_S and
+# t_D lie 1e-19 apart, and each must be snapped at its own exact time
+TIME_SCALED_S2_DOC = {
+    "params": {
+        **BASE_DOC["params"], "T": 10 * 2.0**-60,
+        **{key: BASE_DOC["params"][key] * 2.0**60
+           for key in ("r", "alpha", "u_max", "v_max", "w_max", "B")},
+    },
+    "init": {"N0": 20, "D0": 10, "S0": 10},
+}
+
+
 # the README parameters, once with a search that finds nothing feasible
 # and once with exp(r*T) beyond the float range; then a t_D that only its
-# log1p form puts on the debt's zero
+# log1p form puts on the debt's zero; then the time-scaled S2 firm
 @example(
     doc={**BASE_DOC, "init": {"N0": 1, "D0": 0, "S0": 10},
          "options": {"brute_nt": 5, "brute_levels": {"w": [0]}}},
@@ -649,6 +661,8 @@ def test_fuzzed_configs_exit_two_never_a_traceback(tmp_path_factory, text, comma
 )
 @example(doc={**BASE_DOC, "params": {**BASE_DOC["params"], "r": 1, "T": 800}}, command="solve")
 @example(doc=ZERO_SNAP_DOC, command="solve")
+@example(doc=TIME_SCALED_S2_DOC, command="solve")
+@example(doc=TIME_SCALED_S2_DOC, command="verify")
 @given(doc=schema_valid_documents(), command=st.sampled_from(COMMANDS))
 def test_schema_valid_configs_never_end_in_a_traceback(tmp_path_factory, doc, command):
     base = tmp_path_factory.getbasetemp()

@@ -21,11 +21,10 @@ from firmopt import (
 )
 from firmopt.cli import _trajectory_csv
 from firmopt.dynamics import (
-    ZERO_SNAP_RTOL,
     ExpSegment,
     ExpTerm,
     PiecewiseExpFn,
-    _state_scale,
+    Tolerance,
     adjoint_backward,
     extrema,
     piecewise_from_spans,
@@ -154,8 +153,8 @@ class TestIntegrateExact:
             integrate_exact(BASELINE, State(1.0, 0.0, 0.0), policy)
 
     # selling 5 a year from S0 = 10 empties the stock at 2*ln(2); t1 lies
-    # 1e-11 past it, so S(t1) is about -5e-11, inside the snap tolerance
-    # 1e-9 * 200, and nonzero on any libm
+    # 1e-11 past it, so S(t1) is about -5e-11, inside the stock's snap
+    # tolerance 1e-9 * S_max = 1e-7, and nonzero on any libm
     T_EMPTY = 2.0 * math.log(2.0) + 1e-11
 
     @staticmethod
@@ -183,7 +182,7 @@ class TestIntegrateExact:
     def test_residual_within_tolerance_snaps_to_positive_zero(self):
         init, control = State(200.0, 10.0, 10.0), (0.0, 0.0, 5.0)
         raw = advance_state(BASELINE, init, ControlValue(*control), self.T_EMPTY)
-        assert 0.0 < -raw.S <= ZERO_SNAP_RTOL * _state_scale(init, BASELINE)
+        assert 0.0 < -raw.S <= Tolerance.of(BASELINE, init).state.S
         traj = integrate_exact(
             BASELINE, init, self.two_segments(self.T_EMPTY, control),
             expected_zeros=[(self.T_EMPTY, "S")],
@@ -350,13 +349,13 @@ def start_branch(params, seg, tol):
     dt = seg.t_end - seg.t_start
     (N0, D0, S0), (N1, D1, S1) = seg.entry, seg.exit
     out = []
-    for label, k, e0, e1 in (
-        ("N>=0", 0.0, -N0, -N1),
-        ("D>=0", params.r, -D0, -D1),
-        ("S>=0", -params.alpha, -S0, -S1),
-        ("S<=S_max", -params.alpha, S0 - params.S_max, S1 - params.S_max),
+    for label, k, e0, e1, bound_tol in (
+        ("N>=0", 0.0, -N0, -N1, tol.N),
+        ("D>=0", params.r, -D0, -D1, tol.D),
+        ("S>=0", -params.alpha, -S0, -S1, tol.S),
+        ("S<=S_max", -params.alpha, S0 - params.S_max, S1 - params.S_max, tol.S),
     ):
-        if max(e0, e1) <= tol:
+        if max(e0, e1) <= bound_tol:
             continue
         if e0 >= 0.0:
             branch = "entry"
@@ -409,7 +408,7 @@ def test_violation_report_matches_the_reference_bit_for_bit():
     def matches(case):
         params, init, policy = case
         traj = integrate_exact(params, init, policy)
-        tol = ZERO_SNAP_RTOL * _state_scale(init, params)
+        tol = Tolerance.of(params, init).state
         expected = sorted(
             (v for seg in traj.segments
              for v in segment_violations_reference(params, seg, tol)),
@@ -504,7 +503,7 @@ class TestAdjointBackward:
         # psi1' = -lambda1 has rate k = 0, so a constant forcing would need a
         # linear term, which the closed-form step does not carry
         T = BASELINE.T
-        zero = PiecewiseExpFn.zero(0.0, T)
+        zero = PiecewiseExpFn.constant(0.0, 0.0, T)
 
         class Mults:
             lambda1 = PiecewiseExpFn.constant(0.5, 0.0, T)
@@ -535,7 +534,7 @@ class TestAdjointBackward:
 
     def test_zero_multipliers_give_homogeneous_solution(self):
         T = BASELINE.T
-        zero = PiecewiseExpFn.zero(0.0, T)
+        zero = PiecewiseExpFn.constant(0.0, 0.0, T)
 
         class Mults:
             lambda1 = lambda2 = lambda3 = lambda4 = zero

@@ -21,6 +21,7 @@ from firmopt import (
 from firmopt.model import ControlSegment, ControlValue, PiecewiseControl
 
 from conftest import BASELINE, draw_profitable_params
+from oracles import merged
 
 
 class TestValidateParams:
@@ -235,7 +236,7 @@ class TestPiecewiseControl:
                 ControlSegment(2.0, 10.0, ControlValue(5.0, 10.0, 5.0)),
             )
         )
-        assert policy.merged().breakpoints == (2.0,)
+        assert merged(policy).breakpoints == (2.0,)
 
     def test_bounds_check(self):
         policy = PiecewiseControl(

@@ -334,7 +334,7 @@ class TestSynthesizePolicy:
     @example(case=(BASELINE, State(20.0, THETA_S2, 10.0), S2))
     @given(case=scenario_cases())
     def test_neighbouring_controls_differ(self, case):
-        # so the policy is already in PiecewiseControl.merged()'s canonical form
+        # so the policy is already in oracles.merged's canonical form
         policy = synthesize_policy(*case).policy
         for left, right in zip(policy.segments, policy.segments[1:]):
             assert left.value != right.value

@@ -345,8 +345,9 @@ class TestCertifyPolicy:
         assert len(calls) == certified
 
     def test_sign_verdict_is_against_zero_not_the_tolerance(self):
-        # a lambda at -tol/2 passes slackness; its least value still
-        # reaches the sign check, which compares it with 0
+        # a lambda at -CERT_TOL/2, inside slackness's tolerance for lambda4
+        # (CERT_TOL * money / (T * S_max), 1.31e-9 here), passes slackness;
+        # its least value still reaches the sign check, which compares it with 0
         kind = ScenarioKind.S2_DEBT_WITH_STOCK
         synth = synthesize_policy(BASELINE, State(20.0, 10.0, 10.0), kind)
         mults = multiplier_set_for_scenario(BASELINE, kind, synth.times)
@@ -414,13 +415,14 @@ def assert_argmax_agrees(params, adjoint, policy):
     assert len(exact.singular_segments) == len(grid.singular_segments)
     if exact.passed != grid.passed:
         assert grid.passed and not exact.passed
-        theta_tol = CERT_TOL * max(1.0, params.p)
+        # theta_u and theta_w are money per stock, theta_v has no unit
+        theta_tols = {"u": CERT_TOL * params.p, "v": CERT_TOL, "w": CERT_TOL * params.p}
         bounds = {"u": params.u_max, "v": params.v_max, "w": params.w_max}
         for v in exact.violations:
             comp = v.check[-1]
             theta = getattr(switching_values(params, adjoint, v.time), f"theta_{comp}")
             actual = getattr(policy.segment_at(v.time).value, comp)
-            assert abs(theta) > theta_tol
+            assert abs(theta) > theta_tols[comp]
             target = bounds[comp] if theta > 0.0 else 0.0
             assert v.magnitude == pytest.approx(abs(actual - target), rel=1e-12)
     return exact
