@@ -11,7 +11,7 @@ repay-min(N, D)-at-once rule as at t = 0).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import solver
 from .dynamics import Tolerance, Trajectory, TrajectorySegment
@@ -43,6 +43,12 @@ class ChainInterval(NamedTuple):
     synthesis: solver.SynthesisResult
 
 
+def _chain_tolerance(params: ModelParams, plan: Sequence[ChainInterval]) -> Tolerance:
+    """The chain's one tolerance: the whole horizon's, from its start after
+    any jump at t = 0, as integrate_exact takes a single solve's."""
+    return Tolerance.of(params, plan[0].synthesis.trajectory.segments[0].entry)
+
+
 def chain_plan(
     params: ModelParams,
     init: State,
@@ -52,18 +58,16 @@ def chain_plan(
     """Solve each subinterval myopically and chain the terminal states.
 
     `breakpoints` must run strictly increasing from 0 to T.  At each
-    junction, a component within the chain's tolerance of zero
-    (Tolerance.of(params, init).state, over the whole horizon) becomes
-    exactly zero before the next classification.  Any uncovered junction
-    state (cash exhausted while indebted, without jump mode) aborts with
-    the junction index.
+    junction, a component within the chain's tolerance of zero (see
+    _chain_tolerance) becomes exactly zero before the next classification.
+    Any uncovered junction state (cash exhausted while indebted, without
+    jump mode) aborts with the junction index.
     """
     if len(breakpoints) < 2 or breakpoints[0] != 0.0 or breakpoints[-1] != params.T:
         raise ValueError("breakpoints must run from 0 to T")
     if any(b >= c for b, c in zip(breakpoints, breakpoints[1:])):
         raise ValueError("breakpoints must be strictly increasing")
 
-    snap = Tolerance.of(params, init).state
     intervals: list[ChainInterval] = []
     entry = init
     for idx, (t0, t1) in enumerate(zip(breakpoints[:-1], breakpoints[1:])):
@@ -75,6 +79,8 @@ def chain_plan(
         except (ValueError, PolicyInfeasibleError) as exc:
             raise ChainJunctionError(idx, str(exc)) from exc
         intervals.append(ChainInterval(t0, t1, entry, synth))
+        if idx == 0:
+            snap = _chain_tolerance(params, intervals).state
         final = synth.trajectory.terminal_state()
         entry = State._make(0.0 if abs(x) < tol else x for x, tol in zip(final, snap))
     return tuple(intervals)
@@ -90,7 +96,7 @@ def evaluate_chain(
     exactly continuous because each interval starts from the previous
     terminal state.  The segments tile [0, T] exactly: each interval's
     last one ends at its t_end.  The combined trajectory is judged by the
-    chain's tolerance, Tolerance.of(params, init) over the whole horizon.
+    chain's tolerance, the one its junctions were snapped with.
     """
     segments: list[TrajectorySegment] = []
     jumps: list[JumpRecord] = []
@@ -101,13 +107,20 @@ def evaluate_chain(
         for seg in synth.trajectory.segments:
             # local T + t0 can miss t1 by an ulp: end the last one exactly
             t_end = t1 if seg is last else seg.t_end + t0
-            segments.append(TrajectorySegment(
-                seg.t_start + t0, t_end, seg.control, seg.entry, seg.exit, seg.rates
-            ))
+            segments.append(
+                TrajectorySegment(
+                    t_start=seg.t_start + t0,
+                    t_end=t_end,
+                    control=seg.control,
+                    entry=seg.entry,
+                    exit=seg.exit,
+                    rates=seg.rates,
+                )
+            )
     combined = Trajectory(
         params=params,
         segments=tuple(segments),
-        tol=Tolerance.of(params, plan[0].entry_state),
+        tol=_chain_tolerance(params, plan),
         jumps=tuple(jumps),
     )
     return combined, combined.objective()

@@ -234,7 +234,7 @@ def _trajectory_csv(traj: Trajectory) -> str:
     for b in reversed(traj.breakpoints):  # ahead of the grid times equal to it
         insort_left(times, b)
     jump_at = {j.t: j for j in traj.jumps}
-    tol, _, s_tol = traj.tol.state  # N and D share the money tolerance
+    n_tol, d_tol, s_tol = traj.tol.state
     s_top = traj.params.S_max + s_tol
     control_fmt = "," + ",".join([CSV_FMT] * 3)
     cells: list = []  # t, N, D, S and the formatted tail, per row
@@ -252,9 +252,9 @@ def _trajectory_csv(traj: Trajectory) -> str:
             j = jump_at[t]
             pre_N, pre_D, pre_S = j.post_state
             pre_N, pre_D = pre_N - j.delta, pre_D - j.delta
-            feasible = pre_N >= -tol and pre_D >= -tol and -s_tol <= pre_S <= s_top
+            feasible = pre_N >= -n_tol and pre_D >= -d_tol and -s_tol <= pre_S <= s_top
             cells += (t, pre_N, pre_D, pre_S, tails[feasible])
-        feasible = N >= -tol and D >= -tol and -s_tol <= S <= s_top
+        feasible = N >= -n_tol and D >= -d_tol and -s_tol <= S <= s_top
         cells += (t, N, D, S, tails[feasible])
     row_fmt = ",".join([CSV_FMT] * 4) + "%s\n"
     return "t,N,D,S,u,v,w,feasible\n" + row_fmt * (len(cells) // 5) % tuple(cells)

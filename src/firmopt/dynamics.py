@@ -33,41 +33,45 @@ from .model import (
     State,
 )
 
-#: A state within this fraction of its unit's scale (Tolerance) of a bound is
+#: A state within this fraction of its component's scale (Tolerance) of a bound is
 #: on it: some 1e7 ulps, room for the rounding t_S and t_D carry, which the
 #: states inherit at their rates, above the few ulps each closed-form sum adds.
 ZERO_SNAP_RTOL = 1e-9
 
 
 class Tolerance(NamedTuple):
-    """The one owner of "close enough": a scale for money (N and D) and one
-    for stock (S), built once per solve from the params and start state.
+    """The one owner of "close enough": a scale each for cash (N), debt (D)
+    and stock (S), built once per solve from the params and start state.
 
     Rounding moves a sum by a few ulps of its terms' magnitudes (Higham,
     Accuracy and Stability of Numerical Algorithms, 2002, ch. 2-3), so each
-    scale bounds what the closed form sums over [0, T] at the box's worst
-    rates: N sums |N0| + (p*w_max + v_max + K*u_max + B)*T, D sums
-    |D0|*exp(r*T) + (A*u_max + v_max)*expm1(r*T)/r, money is the larger,
-    and a feasible S and both its terms lie in [0, S_max].  No absolute
-    floor, and every term a product or quotient of model numbers: scaling
-    money, stock or time by a power of 2 scales both exactly.
+    scale bounds the terms its component's closed form sums, at the box's
+    worst rates.  N sums |N0| + (p*w_max + v_max + K*u_max + B)*T.  D sums
+    |D0|*exp(r*t) and |c|*expm1(r*t)/r, which cancel wherever D is zero; a
+    clearance taking n interest times 1/r moves by exp(n) ulps, so the
+    scale takes them over at most one (where expm1 reaches 1):
+    |D0| + (A*u_max + v_max)*min(expm1(r*T), 1)/r, finite for any r*T,
+    and ZERO_SNAP_RTOL's 1e7 ulps cover clearances up to r*t_D ~ 10.  A
+    feasible S and both its terms lie in [0, S_max].  No absolute floor,
+    and every term a product or quotient of model numbers: scaling money,
+    stock or time by a power of 2 scales each scale exactly.
     """
 
-    money: float
+    cash: float
+    debt: float
     stock: float
 
     @classmethod
     def of(cls, params: ModelParams, start: State) -> "Tolerance":
-        P, rT = params, params.r * params.T
+        P = params
         cash = abs(start.N) + (P.p * P.w_max + P.v_max + P.K * P.u_max + P.B) * P.T
-        debt = abs(start.D) * math.exp(rT) + (P.A * P.u_max + P.v_max) * (math.expm1(rT) / P.r)
-        return cls(max(cash, debt), P.S_max)
+        debt_time = min(math.expm1(P.r * P.T), 1.0) / P.r
+        return cls(cash, abs(start.D) + (P.A * P.u_max + P.v_max) * debt_time, P.S_max)
 
     @property
     def state(self) -> State:
         """The absolute tolerance of N, D and S: ZERO_SNAP_RTOL of their scales."""
-        money = ZERO_SNAP_RTOL * self.money
-        return State(money, money, ZERO_SNAP_RTOL * self.stock)
+        return State._make(ZERO_SNAP_RTOL * x for x in self)
 
 
 class Violation(NamedTuple):

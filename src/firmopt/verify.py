@@ -211,20 +211,22 @@ def multiplier_set_for_scenario(
 def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
     """Verify complementary slackness and multiplier nonnegativity.
 
-    lambda*g is money per time: its limit is CERT_TOL * traj.tol.money / T
-    (none at T = 0).  Per piece between multiplier and trajectory
-    breakpoints: each lambda's exact minimum times its g's scale (money
-    or stock) must be >= -limit, and as each g is monotone there,
+    lambda*g is the objective's money per time: its limit is CERT_TOL *
+    money / T (none at T = 0), money = tol.cash + tol.debt the scale of
+    N(T) - D(T).  Per piece between multiplier and trajectory
+    breakpoints: each lambda's exact minimum times its g's scale (cash,
+    debt or stock) must be >= -limit, and as each g is monotone there,
     sup|lambda| * sup|g| from the piece's ends soundly bounds |lambda*g|,
     which must stay within limit.  Every mu must be nonnegative and
-    mu_i * g_i(X(T)), money, within CERT_TOL * traj.tol.money of 0.  The
-    least lambda value over all pieces is reported as `lambda_min`.
+    mu_i * g_i(X(T)), money, within CERT_TOL * money of 0.  The least
+    lambda value over all pieces is reported as `lambda_min`.
     """
     T = traj.t_final
     params = traj.params
-    money, stock = traj.tol
+    cash, debt, stock = traj.tol
+    money = cash + debt
     limit = CERT_TOL * money / T if T > 0.0 else math.inf
-    g_scales = (money, money, stock, stock)
+    g_scales = (cash, debt, stock, stock)
     found = _Findings()
     lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
     lambda_min = math.inf
@@ -443,9 +445,9 @@ def brute_force_best(
     judged to its component's tolerance, Tolerance.of(params, init).state,
     as integrate_exact judges it.  Exact objective ties are broken by
     earliest first switch, then lexicographic levels, on plain (t, level)
-    tuples; only the winner's policy is built.  Raises NoFeasibleCandidateError when nothing
-    feasible exists, and ControlBoundsError for a level outside the
-    control box.
+    tuples; only the winner's policy is built.  Raises
+    NoFeasibleCandidateError when nothing feasible exists, and
+    ControlBoundsError for a level outside the control box.
     """
     import numpy as np  # only the search needs it; keeps `import firmopt` light
 

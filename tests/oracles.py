@@ -717,18 +717,20 @@ def check_grid(T: float, breakpoints: Sequence[float]) -> list[float]:
 def grid_check_slackness(mults, traj: Trajectory, tol: float = verify.CERT_TOL):
     """Slackness and multiplier signs sampled on `check_grid`, on the
     trajectory's own scales: lambda*g (money per time) within tol of the
-    money scale per unit of time, lambda within that per unit of its g,
-    and mu*g(T) (money) within tol of the money scale."""
+    objective's money scale (cash plus debt) per unit of time, lambda
+    within that per unit of its g, and mu*g(T) (money) within tol of the
+    money scale."""
     T = traj.t_final
     grid = check_grid(T, tuple(mults.breakpoints) + traj.breakpoints)
-    money, stock = traj.tol
+    cash, debt, stock = traj.tol
+    money = cash + debt
     limit = tol * money / T if T > 0.0 else math.inf
     bad = []
     lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
     for t in grid:
         st = traj.sample(t)
         gvals = (st.N, st.D, st.S, st.S - traj.params.S_max)
-        for i, (lam, g, unit) in enumerate(zip(lams, gvals, (money, money, stock, stock)), 1):
+        for i, (lam, g, unit) in enumerate(zip(lams, gvals, (cash, debt, stock, stock)), 1):
             lv = lam.value(t)
             if lv * unit < -limit:
                 bad.append(verify.CertViolation(t, f"lambda{i}>=0", -lv))

@@ -119,16 +119,19 @@ class TestEvaluateChain:
 
     def test_combined_trajectory_is_judged_by_the_chains_tolerance(self):
         # the CSV's feasible column reads tol: it must be the one of the
-        # chain's start over the whole horizon, not an interval's own
+        # chain's start after the jump, over the whole horizon, as a single
+        # solve takes it, not an interval's own
         init = State(20.0, 300.0, 10.0)
         plan = chain_plan(BASELINE, init, [0.0, 0.2, 10.0], jump_mode=True)
         traj, _ = evaluate_chain(BASELINE, plan)
         first, second = (iv.synthesis.trajectory for iv in plan)
-        assert traj.tol == Tolerance.of(BASELINE, init)
-        # debt 300 grown over T = 10 and the box's worst purchases set money
-        debt = 300.0 * math.exp(1.0) + (2.0 * 8.0 + 50.0) * (math.expm1(1.0) / 0.1)
-        assert traj.tol == (debt, 100.0)
+        assert traj.tol == Tolerance.of(BASELINE, State(0.0, 280.0, 10.0))
+        # the cash of 20 repays debt at once, leaving (0, 280, 10)
+        assert traj.tol == (129.0 * 10.0, 280.0 + (2.0 * 8.0 + 50.0) * 10.0, 100.0)
         assert traj.tol not in (first.tol, second.tol)
+        single = chain_plan(BASELINE, init, [0.0, 10.0], jump_mode=True)
+        solved = synthesize_policy(BASELINE, init, single[0].synthesis.kind)
+        assert evaluate_chain(BASELINE, single)[0].tol == solved.trajectory.tol
         # tol joins neither equality nor the repr
         assert replace(traj, tol=None) == traj
         assert repr(replace(traj, tol=None)) == repr(traj)

@@ -121,7 +121,7 @@ def test_unit_scalings_change_no_verdict(kind, unit, k, seed):
     )
     assert cert2.synthesis.objective == cert.synthesis.objective * money
     traj, traj2 = cert.synthesis.trajectory, cert2.synthesis.trajectory
-    assert traj2.tol == (traj.tol.money * money, traj.tol.stock * stock)
+    assert traj2.tol == (traj.tol.cash * money, traj.tol.debt * money, traj.tol.stock * stock)
     assert feasible_column(traj2) == feasible_column(traj)
 
     unit_of = {"N>=0": money, "D>=0": money, "S>=0": stock, "S<=S_max": stock}
@@ -143,10 +143,43 @@ def test_unit_scalings_change_no_verdict(kind, unit, k, seed):
 def test_the_owner_sums_the_closed_forms_magnitudes():
     init = State(20.0, 10.0, 10.0)
     cash = 20.0 + (10.0 * 5.0 + 50.0 + 3.0 * 8.0 + 5.0) * 10.0
-    debt = 10.0 * math.exp(1.0) + (2.0 * 8.0 + 50.0) * (math.expm1(1.0) / 0.1)
-    assert cash > debt
-    assert Tolerance.of(BASELINE, init) == (cash, 100.0)
-    assert Tolerance.of(BASELINE, init).state == (RTOL * cash, RTOL * cash, RTOL * 100.0)
+    # r*T = 1: past the one interest time (expm1 = 1) the debt's terms are
+    # taken over 1/r = 10
+    debt = 10.0 + (2.0 * 8.0 + 50.0) * 10.0
+    assert Tolerance.of(BASELINE, init) == (cash, debt, 100.0)
+    assert Tolerance.of(BASELINE, init).state == (RTOL * cash, RTOL * debt, RTOL * 100.0)
+    # r*T = 0.2: over the whole horizon
+    short = replace(BASELINE, T=2.0)
+    debt = 10.0 + (2.0 * 8.0 + 50.0) * (math.expm1(0.2) / 0.1)
+    assert Tolerance.of(short, init).debt == debt
+
+
+def test_a_long_horizon_widens_no_cash_tolerance_by_the_debts_growth():
+    # idling from N0 = 20 at -B = -5 a year dips the cash to -0.01 by
+    # t = 4.002; the debt's exp(r*T) = exp(10) must not excuse that
+    params = replace(BASELINE, T=100.0)
+    policy = PiecewiseControl((
+        ControlSegment(0.0, 4.002, ControlValue(0.0, 0.0, 0.0)),
+        ControlSegment(4.002, 100.0, ControlValue(5.0, 10.0, 5.0)),
+    ))
+    traj = integrate_exact(params, State(20.0, 10.0, 10.0), policy)
+    assert traj.tol.cash == 20.0 + 129.0 * 100.0
+    # from where N crosses 0 on the idle segment, and from the next one's start
+    assert [v[:2] for v in traj.feasibility_report] == [(4.0, "N>=0"), (4.002, "N>=0")]
+    assert traj.feasibility_report[0].magnitude == pytest.approx(0.01, rel=1e-9)
+    assert "false" in feasible_column(traj)
+
+
+def test_the_longest_valid_horizon_is_certified_on_finite_tolerances():
+    # r*T = 709 is below ln(sys.float_info.max), where validation stops;
+    # exp(709) = 8.2e307 would overflow any scale that grew with it
+    params = replace(BASELINE, r=1.0, T=709.0)
+    cert = certify_policy(params, State(20.0, 10.0, 10.0), S2)
+    tol = cert.synthesis.trajectory.tol
+    assert tol == (20.0 + 129.0 * 709.0, 10.0 + 66.0, 100.0)
+    assert verdicts(cert) == (True, True, True, True)
+    for report in (cert.slackness, cert.hamiltonian_argmax):
+        assert math.isfinite(report.worst_margin.margin)
 
 
 def test_a_large_cash_balance_excuses_no_missing_stock():
@@ -181,8 +214,8 @@ def test_repaying_nothing_while_indebted_fails_the_argmax_at_every_money_scale(k
 
 BREAKS = [
     # (bound, start state breaking it by x, a control leading away from it, unit)
-    ("N>=0", lambda x: State(-x, 0.0, 50.0), (0.0, 0.0, 5.0), "money"),
-    ("D>=0", lambda x: State(20.0, -x, 50.0), (5.0, 0.0, 5.0), "money"),
+    ("N>=0", lambda x: State(-x, 0.0, 50.0), (0.0, 0.0, 5.0), "cash"),
+    ("D>=0", lambda x: State(20.0, -x, 50.0), (5.0, 0.0, 5.0), "debt"),
     ("S>=0", lambda x: State(20.0, 0.0, -x), (8.0, 0.0, 0.0), "stock"),
     ("S<=S_max", lambda x: State(20.0, 0.0, 100.0 + x), (0.0, 0.0, 5.0), "stock"),
 ]
@@ -205,7 +238,7 @@ def test_a_junction_debt_snaps_within_the_chains_tolerance(factor):
     # S3 repays 40 a year net from D0 = 10; the junction falls just before
     # t_D, where factor times the tolerance of debt remains
     init = State(20.0, 10.0, 0.0)
-    left = factor * RTOL * Tolerance.of(BASELINE, init).money
+    left = factor * RTOL * Tolerance.of(BASELINE, init).debt
     c_over_r = (BASELINE.A * BASELINE.w_max - BASELINE.v_max) / BASELINE.r
     t1 = math.log((left + c_over_r) / (init.D + c_over_r)) / BASELINE.r
     plan = chain_plan(BASELINE, init, [0.0, t1, BASELINE.T])
@@ -236,7 +269,8 @@ def baseline_s1():
 def test_slackness_limits_are_money_per_time_and_money(factor):
     synth, mults = baseline_s1()
     traj = synth.trajectory
-    money, stock = traj.tol
+    cash, debt, stock = traj.tol
+    money = cash + debt  # the objective N(T) - D(T) sums both
     rate_limit = RTOL * money / BASELINE.T
     # |S - S_max| reaches S_max = 100 on every piece, so lambda4 = c gives
     # lambda4*g4 = 100*c, and lambda4 = -c gives that times stock's scale
