@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from bisect import insort_left
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -225,39 +225,45 @@ def _trajectory_csv(traj: Trajectory) -> str:
     """CSV rows at all breakpoints plus a uniform grid; a jump at time t
     is emitted as two rows sharing t (pre- and post-jump).
 
-    One pass over the sorted times (Trajectory.walk) collects every row's
-    cells, formatted at the end by one % over the repeated row format;
-    each segment's constant controls are formatted once."""
+    Trajectory.walk reads the ascending times a segment at a time; each
+    segment's rows take one % over its repeated row format, into which its
+    controls, held D and S (+0.0) and all-feasible tail are formatted once."""
     T = traj.t_final
     n = CSV_GRID_POINTS - 1  # the grid's last time n*T/n can round above T
     times = [k * T / n for k in range(n)] + [min(T, n * T / n)] if T > 0.0 else []
-    for b in reversed(traj.breakpoints):  # ahead of the grid times equal to it
-        insort_left(times, b)
+    if T / n < sys.float_info.min:  # only a subnormal step rounds grid times together
+        times = list(dict.fromkeys(times))
+    for b in reversed(traj.breakpoints):  # of equal times the first stands for all
+        i = bisect_left(times, b)
+        times[i:i + (times[i:i + 1] == [b])] = [b]
     jump_at = {j.t: j for j in traj.jumps}
     n_tol, d_tol, s_tol = traj.tol.state
     s_top = traj.params.S_max + s_tol
-    control_fmt = "," + ",".join([CSV_FMT] * 3)
-    cells: list = []  # t, N, D, S and the formatted tail, per row
-    shown = last = None
-    for t, (seg, N, D, S) in zip(times, traj.walk(times)):
-        if t == last:  # of equal times the first stands for all
-            continue
-        last = t
-        if seg is not shown:
-            shown = seg
-            c = seg.control
-            controls = control_fmt % (c.u, c.v, c.w)
-            tails = (controls + ",false", controls + ",true")
-        if t in jump_at:  # the pre-jump row comes first
-            j = jump_at[t]
-            pre_N, pre_D, pre_S = j.post_state
-            pre_N, pre_D = pre_N - j.delta, pre_D - j.delta
-            feasible = pre_N >= -n_tol and pre_D >= -d_tol and -s_tol <= pre_S <= s_top
-            cells += (t, pre_N, pre_D, pre_S, tails[feasible])
-        feasible = N >= -n_tol and D >= -d_tol and -s_tol <= S <= s_top
-        cells += (t, N, D, S, tails[feasible])
-    row_fmt = ",".join([CSV_FMT] * 4) + "%s\n"
-    return "t,N,D,S,u,v,w,feasible\n" + row_fmt * (len(cells) // 5) % tuple(cells)
+    rows = ["t,N,D,S,u,v,w,feasible\n"]
+    for seg, ts, Ns, Ds, Ss in traj.walk(times):
+        c = seg.control
+        tails = [",".join(["", CSV_FMT % c.u, CSV_FMT % c.v, CSV_FMT % c.w, ok]) + "\n"
+                 for ok in ("false", "true")]
+        if ts[0] in jump_at:  # a jump's time starts its segment: the pre-jump row first
+            j = jump_at[ts[0]]
+            N, D, S = j.post_state.N - j.delta, j.post_state.D - j.delta, j.post_state.S
+            feasible = N >= -n_tol and D >= -d_tol and -s_tol <= S <= s_top
+            rows.append(",".join([CSV_FMT % x for x in (ts[0], N, D, S)]) + tails[feasible])
+        ok = [N >= -n_tol for N in Ns]
+        for col, lo, hi in ((Ds, -d_tol, math.inf), (Ss, -s_tol, s_top)):
+            if col is not None:  # a held +0.0 is inside its bounds
+                ok = [o and lo <= x <= hi for o, x in zip(ok, col)]
+        cols = [col for col in (ts, Ns, Ds, Ss) if col is not None]
+        tail = tails[True]  # every row feasible: its tail is written into row_fmt once
+        if not all(ok):
+            tail = "%s"
+            cols.append([tails[o] for o in ok])
+        row_fmt = ",".join([CSV_FMT, CSV_FMT] + ["0" if x is None else CSV_FMT for x in (Ds, Ss)])
+        cells = [None] * (len(ts) * len(cols))
+        for k, col in enumerate(cols):
+            cells[k::len(cols)] = col
+        rows.append((row_fmt + tail) * len(ts) % tuple(cells))
+    return "".join(rows)
 
 
 def _write(out_dir: str, name: str, text: str) -> Path:

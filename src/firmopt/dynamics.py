@@ -20,7 +20,7 @@ at segment endpoints are exhaustive.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -30,6 +30,7 @@ from .model import (
     ModelParams,
     Piecewise,
     PiecewiseControl,
+    PolicyInfeasibleError,
     State,
 )
 
@@ -96,7 +97,7 @@ def _evolve(
 ) -> State:
     """The closed form: `state` advanced by dt at constant `rates`.  Every
     exact state of this module is evaluated here (built as State._make does),
-    or in Trajectory.walk's inlined copy, which must stay bit-identical."""
+    or by Trajectory.walk's columns of the same expressions, bit-identical."""
     N, D, S = state
     slope, c, q = rates
     return tuple.__new__(State, (
@@ -153,39 +154,32 @@ class Trajectory(Piecewise):
             return seg.exit
         return _evolve(seg.entry, seg.rates, self.params.r, self.params.alpha, t - seg.t_start)
 
-    def walk(
-        self, times: Sequence[float]
-    ) -> Iterator[tuple[TrajectorySegment, float, float, float]]:
-        """(segment_at(t), *sample(t)) for each of the ascending `times`, bit
-        for bit, in one forward pass with _evolve's closed form inlined (a
-        time at a segment's start goes through it at dt = 0).  The state
-        comes unboxed: building a State costs about as much as the closed form."""
+    def walk(self, times: Sequence[float]) -> Iterator[tuple]:
+        """(segment, its times, N, D, S) per segment the ascending `times`
+        reach: sample(t)'s values as columns, bit for bit, by _evolve's
+        closed form over t - t_start, the times at its end reading its
+        snapped exit.  A D or S entering at +0.0 with a zero rate of either
+        sign stays +0.0 (only -0.0 at a -0.0 rate gives -0.0): it comes as None."""
         segments = self.segments
         if times and not (0.0 <= times[0] and times[-1] <= segments[-1].t_end):
             raise ValueError(f"times outside [0, {segments[-1].t_end}]")
         r, alpha = self.params.r, self.params.alpha
         exp, expm1 = math.exp, math.expm1
-        switches = self._starts[1:] + (math.inf,)
-        k = 0
-        switch = -math.inf
-        for t in times:
-            if t >= switch:
-                while t >= switches[k]:
-                    k += 1
-                seg = segments[k]
-                switch = switches[k]
-                (N, D, S), (slope, c, q) = seg.entry, seg.rates
-                t_start, t_end = seg.t_start, seg.t_end
-            if t == t_end:
-                yield (seg, *seg.exit)
-                continue
-            dt = t - t_start
-            yield (
-                seg,
-                N + slope * dt,
-                D * exp(r * dt) + c * expm1(r * dt) / r,
-                S * exp(-alpha * dt) - q * expm1(-alpha * dt) / alpha,
-            )
+        i = 0
+        for seg, switch in zip(segments, self._starts[1:] + (math.inf,)):
+            j = bisect_left(times, switch, i)
+            if i < j:
+                (N, D, S), (slope, c, q), x = seg.entry, seg.rates, seg.exit
+                end = bisect_left(times, seg.t_end, i, j)  # the times from `end` read x
+                dts, k = [t - seg.t_start for t in times[i:end]], j - end
+                Ns, Ds, Ss = [N + slope * dt for dt in dts] + [x.N] * k, None, None
+                if not D == c == 0.0 < math.copysign(1.0, D):
+                    Ds = [D * exp(r * dt) + c * expm1(r * dt) / r for dt in dts] + [x.D] * k
+                if not S == q == 0.0 < math.copysign(1.0, S):
+                    Ss = [S * exp(-alpha * dt) - q * expm1(-alpha * dt) / alpha for dt in dts]
+                    Ss += [x.S] * k
+                yield seg, times[i:j], Ns, Ds, Ss
+            i = j
 
     def terminal_state(self) -> State:
         return self.segments[-1].exit
@@ -251,7 +245,10 @@ def integrate_exact(
     float for float, the residual left by floating-point evaluation is
     snapped to +0.0 provided it is within that component's tolerance,
     Tolerance.of(params, start).state with start the post-jump state; a
-    larger residual means the caller's construction was wrong and raises.
+    larger residual means the caller's construction was wrong and raises
+    AssertionError, unless a D residual is within 8 ulps of D1*exp(r*dt),
+    the terms that cancel at D's zero (1-2 seen at r*dt = 26..30): a
+    clearance too ill-conditioned to place raises PolicyInfeasibleError.
 
     Each bound broken by more than its component's tolerance is reported,
     never raised; the trajectory keeps the Tolerance as `tol`.
@@ -270,6 +267,11 @@ def integrate_exact(
         for comp, comp_tol in zip(("N", "D", "S"), state_tol):
             if comp in comps:
                 residual = getattr(state, comp)
+                if comp == "D" and comp_tol < abs(residual) <= 8.0 * math.ulp(
+                    entry.D * math.exp(params.r * (seg.t_end - seg.t_start))
+                ):
+                    raise PolicyInfeasibleError(f"debt clearance at t = {seg.t_end} is "
+                                                f"ill-conditioned: D = {residual} there")
                 if abs(residual) > comp_tol:
                     raise AssertionError(
                         f"{comp}({seg.t_end}) = {residual} expected zero"

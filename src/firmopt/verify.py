@@ -126,16 +126,17 @@ class CertReport:
 
 
 class _Findings:
-    """The least slack noted, kept until a strictly smaller one (as min() keeps
-    the first of equals, or a NaN), and a violation wherever one is negative."""
+    """The least slack * unit noted (`unit` puts each check's slack in one unit
+    per report), kept until a strictly smaller one (as min() keeps the first of
+    equals, or a NaN), and a violation wherever a slack is negative."""
 
     def __init__(self) -> None:
         self.worst: CertMargin | None = None
         self.bad: list[CertViolation] = []
 
-    def note(self, t: float, check: str, slack: float, magnitude: float) -> None:
-        if self.worst is None or slack < self.worst.margin:
-            self.worst = CertMargin(t, check, slack)
+    def note(self, t: float, check: str, slack: float, magnitude: float, unit: float = 1.0) -> None:
+        if self.worst is None or slack * unit < self.rank:
+            self.worst, self.rank = CertMargin(t, check, slack), slack * unit
         if slack < 0.0:
             self.bad.append(CertViolation(t, check, magnitude))
 
@@ -219,7 +220,8 @@ def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
     sup|lambda| * sup|g| from the piece's ends soundly bounds |lambda*g|,
     which must stay within limit.  Every mu must be nonnegative and
     mu_i * g_i(X(T)), money, within CERT_TOL * money of 0.  The least
-    lambda value over all pieces is reported as `lambda_min`.
+    lambda value over all pieces is reported as `lambda_min`.  The worst
+    margin is ranked in money: lambda slacks times T (1 at T = 0), mu_i's times g_i's scale.
     """
     T = traj.t_final
     params = traj.params
@@ -231,23 +233,23 @@ def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
     lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
     lambda_min = math.inf
     pieces = _pieces(T, mults.breakpoints, traj.breakpoints)
-    # |g| at the piece ends, in one walk: a segment start reads its entry at dt = 0
-    ends = traj.walk([0.0] + [b for _, b in pieces])
-    g_ends = [(abs(N), abs(D), abs(S), abs(S - params.S_max)) for _, N, D, S in ends]
+    # |g| at the piece ends: a segment start reads its entry at dt = 0
+    ends = map(traj.sample, [0.0] + [b for _, b in pieces])
+    g_ends = [(abs(N), abs(D), abs(S), abs(S - params.S_max)) for N, D, S in ends]
     for (a, b), g_a, g_b in zip(pieces, g_ends, g_ends[1:]):
         for i, lam in enumerate(lams):
             lo, t_lo, hi, t_hi = extrema(a, b, (1.0, lam.segment_at(a)))
             lambda_min = min(lambda_min, lo)
-            found.note(t_lo, _LAMBDA_SIGN[i], lo * g_scales[i] + limit, -lo)
+            found.note(t_lo, _LAMBDA_SIGN[i], lo * g_scales[i] + limit, -lo, T or 1.0)
             lam_sup, t_sup = (hi, t_hi) if hi >= -lo else (-lo, t_lo)
             if lam_sup == 0.0:  # lambda*g = 0: its slack exceeds the one just noted
                 continue
             bound = lam_sup * max(g_a[i], g_b[i])
-            found.note(t_sup, _LAMBDA_G[i], limit - bound, bound)
+            found.note(t_sup, _LAMBDA_G[i], limit - bound, bound, T or 1.0)
     final = traj.terminal_state()
     gfin = (final.N, final.D, final.S, final.S - params.S_max)
-    for mu, g, sign, product in zip(mults.mus, gfin, _MU_SIGN, _MU_G):
-        found.note(T, sign, mu, -mu)
+    for mu, g, g_scale, sign, product in zip(mults.mus, gfin, g_scales, _MU_SIGN, _MU_G):
+        found.note(T, sign, mu, -mu, g_scale)
         found.note(T, product, CERT_TOL * money - abs(mu * g), abs(mu * g))
     return found.report(lambda_min=lambda_min)
 
@@ -283,7 +285,7 @@ def check_control_maximizes(
     (any admissible value maximizes H); contiguous singular pieces merge, and
     where theta only touches the band at a breakpoint, that instant is a
     singular segment.  A violation is reported once per piece, at its
-    worst time.
+    worst time; the worst margin is ranked in units of theta_tol.
     """
     theta_tols = {"u": CERT_TOL * params.p, "v": CERT_TOL, "w": CERT_TOL * params.p}
     bounds = {"u": params.u_max, "v": params.v_max, "w": params.w_max}
@@ -317,9 +319,9 @@ def check_control_maximizes(
             ctol = CERT_TOL * bound
             # theta above theta_tol demands the bound, below -theta_tol zero
             if abs(actual - bound) > ctol:
-                found.note(t_hi, _ARGMAX[comp], theta_tol - hi, abs(actual - bound))
+                found.note(t_hi, _ARGMAX[comp], theta_tol - hi, abs(actual - bound), 1 / theta_tol)
             if abs(actual) > ctol:
-                found.note(t_lo, _ARGMAX[comp], lo + theta_tol, abs(actual))
+                found.note(t_lo, _ARGMAX[comp], lo + theta_tol, abs(actual), 1 / theta_tol)
     segs = tuple(
         SingularSegment(comp, run[0], run[1])
         for comp in ("u", "v", "w")

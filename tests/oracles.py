@@ -12,9 +12,9 @@ The closed form with its rates derived per call, the row-by-row CSV
 writer and the per-component violation check are the plain versions of
 `Trajectory.sample`, the CLI's CSV and `integrate_exact`'s feasibility
 report; those must agree with them bit for bit.  The CLI writes its CSV
-in one forward `Trajectory.walk` over the sorted times and formats each
-segment's controls once; the reference looks each row up on its own
-with `segment_at` and `sample` and formats every cell.
+from `Trajectory.walk`'s per-segment columns and formats each segment's
+constant cells once; the reference looks each row up on its own with
+`segment_at` and `sample` and formats every cell.
 The grid certificate samples the maximum-principle checks at about
 10 points per unit of time plus the breakpoints nudged to either side;
 the exact per-segment certificate is cross-checked against it.  The

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -483,12 +484,14 @@ class TestCommands:
         assert built == []
 
     def test_solve_does_not_import_numpy(self, tmp_path):
+        # nor do the commands that write a CSV
         doc = json.loads(json.dumps(BASE_DOC))
-        doc["options"] = {"out_dir": str(tmp_path / "out")}
+        doc["options"] = {"out_dir": str(tmp_path / "out"), "chain_breakpoints": [0, 5, 10]}
         config = make_config(tmp_path, doc)
         script = (
             "import sys, firmopt, firmopt.cli\n"
-            f"assert firmopt.cli.main(['solve', {str(config)!r}]) == 0\n"
+            "for command in ('solve', 'simulate', 'chain'):\n"
+            f"    assert firmopt.cli.main([command, {str(config)!r}]) == 0\n"
             "print('numpy' in sys.modules)\n"
         )
         proc = subprocess.run(
@@ -650,10 +653,19 @@ TIME_SCALED_S2_DOC = {
     "init": {"N0": 20, "D0": 10, "S0": 10},
 }
 
+# a debt within e^-28 of what repaying at v_max can ever clear: t_D = 280,
+# where the closed form's terms near 5.8e14 leave D = -0.25 of rounding
+ILL_CONDITIONED_CLEARANCE_DOC = {
+    "params": {**BASE_DOC["params"], "T": 285},
+    "init": {"N0": 20, "D0": 400 * -math.expm1(-28.0), "S0": 0},
+    "options": {"brute_nt": 3},
+}
+
 
 # the README parameters, once with a search that finds nothing feasible
 # and once with exp(r*T) beyond the float range; then a t_D that only its
-# log1p form puts on the debt's zero; then the time-scaled S2 firm
+# log1p form puts on the debt's zero; then the time-scaled S2 firm; then a
+# debt clearance too ill-conditioned to place, which exits 1
 @example(
     doc={**BASE_DOC, "init": {"N0": 1, "D0": 0, "S0": 10},
          "options": {"brute_nt": 5, "brute_levels": {"w": [0]}}},
@@ -663,6 +675,8 @@ TIME_SCALED_S2_DOC = {
 @example(doc=ZERO_SNAP_DOC, command="solve")
 @example(doc=TIME_SCALED_S2_DOC, command="solve")
 @example(doc=TIME_SCALED_S2_DOC, command="verify")
+@example(doc=ILL_CONDITIONED_CLEARANCE_DOC, command="solve")
+@example(doc=ILL_CONDITIONED_CLEARANCE_DOC, command="verify")
 @given(doc=schema_valid_documents(), command=st.sampled_from(COMMANDS))
 def test_schema_valid_configs_never_end_in_a_traceback(tmp_path_factory, doc, command):
     base = tmp_path_factory.getbasetemp()

@@ -11,10 +11,12 @@ from hypothesis import assume, given, settings, strategies as st
 from firmopt import (
     ChainJunctionError,
     ControlBoundsError,
+    PolicyInfeasibleError,
     ScenarioKind,
     State,
     chain_plan,
     classify_scenario,
+    debt_clearance_time,
     evaluate_chain,
     integrate_exact,
     synthesize_policy,
@@ -168,6 +170,8 @@ class TestIntegrateExact:
         ([(2.0, "S")], "S"),
         # N is checked before S at one instant
         ([(2.0, "S"), (2.0, "N")], "N"),
+        # a debt of 12 is no rounding of its terms: a wrong zero, not an ill-conditioned one
+        ([(2.0, "D")], "D"),
     ])
     def test_wrong_expected_zero_raises(self, zeros, named):
         init, control = State(200.0, 10.0, 90.0), (0.0, 0.0, 5.0)
@@ -178,6 +182,30 @@ class TestIntegrateExact:
                 BASELINE, init, self.two_segments(2.0, control), expected_zeros=zeros
             )
         assert str(err.value) == f"{named}({2.0}) = {residual} expected zero"
+
+    def test_an_ill_conditioned_debt_clearance_is_reported_with_its_time(self):
+        # a debt within e^-28 of what repaying at v_max can ever clear takes
+        # r*t_D = 28 interest times: the closed form's terms near 5.8e14
+        # leave D(t_D) = -0.25 of rounding, beyond any finite debt scale
+        params, init = replace(BASELINE, T=285.0), State(20.0, 400 * -math.expm1(-28.0), 0.0)
+        with pytest.raises(PolicyInfeasibleError) as err:
+            synthesize_policy(params, init, ScenarioKind.S3_DEBT_NO_STOCK)
+        t_d = debt_clearance_time(params, init.D, 0.0, ScenarioKind.S3_DEBT_NO_STOCK)
+        assert str(err.value) == f"debt clearance at t = {t_d} is ill-conditioned: D = -0.25 there"
+
+    @pytest.mark.parametrize("shift, error", [
+        (0.005, PolicyInfeasibleError),  # D = -0.375: 3 ulps of D0*exp(r*t) near 5.8e14
+        (0.05, AssertionError),  # D = -1.875: 15 ulps, more than rounding explains
+    ])
+    def test_a_debt_zero_is_ill_conditioned_within_8_ulps_of_the_grown_debt(self, shift, error):
+        params, D0 = replace(BASELINE, T=285.0), 400 * -math.expm1(-28.0)
+        t = debt_clearance_time(params, D0, 0.0, ScenarioKind.S3_DEBT_NO_STOCK) + shift
+        policy = PiecewiseControl((
+            ControlSegment(0.0, t, ControlValue(5.0, 50.0, 5.0)),
+            ControlSegment(t, 285.0, ControlValue(5.0, 10.0, 5.0)),
+        ))
+        with pytest.raises(error):
+            integrate_exact(params, State(1e4, D0, 0.0), policy, expected_zeros=[(t, "D")])
 
     def test_residual_within_tolerance_snaps_to_positive_zero(self):
         init, control = State(200.0, 10.0, 10.0), (0.0, 0.0, 5.0)
@@ -267,6 +295,10 @@ GRID_JUNCTION = 333 * 10.0 / 999
             10.0, (20.0, 120.0, 10.0), True, [0.0, 0.2, 10.0], 2, id="junction-jump"
         ),
         pytest.param(OVERSHOOT_T, (20.0, 10.0, 10.0), False, None, 0, id="overshoot"),
+        # T/999 below the least subnormal float: k*T/999 repeats grid times
+        pytest.param(1e-321, (20.0, 10.0, 10.0), False, None, 0, id="subnormal-horizon"),
+        # the jump clears the debt and no stock is kept: D = S = +0.0 after it
+        pytest.param(10.0, (20.0, 10.0, 0.0), True, None, 1, id="jump-into-held-zeros"),
         pytest.param(
             OVERSHOOT_T, (20.0, 10.0, 10.0), False, [0.0, 2.0, OVERSHOOT_T], 0,
             id="overshoot-chain",
@@ -276,8 +308,8 @@ GRID_JUNCTION = 333 * 10.0 / 999
 def test_csv_edge_cases_match_the_row_by_row_reference(
     T, init, jump_mode, breakpoints, jumps
 ):
-    """The one-pass CSV writer against the oracle that looks each row up on
-    its own, on the times where a forward walk could go wrong."""
+    """The segment-at-a-time CSV writer against the oracle that looks each
+    row up on its own, on the times where a forward walk could go wrong."""
     assert 999 * OVERSHOOT_T / 999 > OVERSHOOT_T
     assert GRID_JUNCTION in {k * 10.0 / 999 for k in range(1000)}
     params, init = replace(BASELINE, T=T), State(*init)
@@ -288,6 +320,52 @@ def test_csv_edge_cases_match_the_row_by_row_reference(
         traj, _ = evaluate_chain(params, chain_plan(params, init, breakpoints, jump_mode))
     assert len(traj.jumps) == jumps
     assert_sample_and_csv_are_the_closed_form(params, traj)
+
+
+def test_csv_keeps_a_negative_zero_entry_held_by_a_negative_zero_rate():
+    # only -0.0 at a -0.0 rate stays -0.0: c = A*(-0.0) - 0.0 and q = -0.0 - 0.0
+    traj = integrate_exact(BASELINE, State(20.0, -0.0, -0.0), constant_policy(-0.0, 0.0, 0.0))
+    [(_, _, _, D, S)] = traj.walk([0.0, 5.0, 10.0])
+    assert [math.copysign(1.0, x) for x in D + S] == [-1.0] * 6
+    csv = _trajectory_csv(traj)
+    assert csv == trajectory_csv_reference(traj)
+    assert all(row.split(",")[2:4] == ["-0", "-0"] for row in csv.splitlines()[1:])
+
+
+def test_csv_writes_the_full_pre_jump_state_before_held_zeros():
+    init = State(20.0, 10.0, 0.0)
+    traj = synthesize_policy(BASELINE, init, classify_scenario(BASELINE, init, True)).trajectory
+    [(_, _, _, D, S)] = traj.walk([0.0, 10.0])
+    assert D is None and S is None  # held at +0.0 from the jump on
+    csv = _trajectory_csv(traj)
+    assert csv == trajectory_csv_reference(traj)
+    assert csv.splitlines()[1:3] == ["0,20,10,0,5,10,5,true", "0,10,0,0,5,10,5,true"]
+
+
+@pytest.mark.parametrize("init, control", [
+    ((20.0, 10.0, 10.0), (0.0, 0.0, 0.0)),  # idling: N < 0 from t = 4
+    ((20.0, 10.0, 10.0), (0.0, 50.0, 5.0)),  # over-repaying: D < 0, then N < 0
+    ((20.0, 0.0, 90.0), (8.0, 0.0, 0.0)),  # stockpiling: S > S_max
+    ((20.0, 0.0, 0.0), (0.0, 0.0, 5.0)),  # selling from an empty store, D held
+], ids=["cash", "debt", "store", "stock"])
+def test_csv_marks_each_row_of_a_breaking_segment(init, control):
+    traj = integrate_exact(BASELINE, State(*init), constant_policy(*control))
+    csv = _trajectory_csv(traj)
+    assert csv == trajectory_csv_reference(traj)
+    column = [row.rsplit(",", 1)[1] for row in csv.splitlines()[1:]]
+    assert column[0] == "true" and column[-1] == "false"
+
+
+def test_csv_skips_zero_length_segments():
+    # zero-length copies at the first switch and at T: a time there reads
+    # the last segment starting at it, as sample and segment_at do
+    kind = ScenarioKind.S2_DEBT_WITH_STOCK
+    traj = synthesize_policy(BASELINE, State(20.0, 10.0, 10.0), kind).trajectory
+    first, last = traj.segments[0], traj.segments[-1]
+    pinned = [replace(s, t_start=s.t_end, entry=s.exit) for s in (first, last)]
+    spliced = replace(traj, segments=(first, pinned[0], *traj.segments[1:], pinned[1]))
+    csv = _trajectory_csv(spliced)
+    assert csv == trajectory_csv_reference(spliced) == _trajectory_csv(traj)
 
 
 class TestSampleDomain:
@@ -327,9 +405,11 @@ class TestSampleDomain:
 
     def test_walk_and_csv_end_on_the_snapped_exit(self):
         _, traj = self.emptied_at_horizon()
-        (_, *first), (_, *last) = traj.walk([0.0, self.T_EMPTY])
-        assert bits(State(*first)) == bits(traj.sample(0.0))
-        assert bits(State(*last)) == bits(traj.segments[-1].exit)
+        [(seg, ts, *columns)] = traj.walk([0.0, self.T_EMPTY])
+        first, last = (State(*row) for row in zip(*columns))
+        assert seg is traj.segments[-1] and ts == [0.0, self.T_EMPTY]
+        assert bits(first) == bits(traj.sample(0.0))
+        assert bits(last) == bits(traj.segments[-1].exit)
         csv = _trajectory_csv(traj)
         assert csv == trajectory_csv_reference(traj)
         assert csv.endswith(",0,0,0,5,true\n")

@@ -116,6 +116,10 @@ def test_unit_scalings_change_no_verdict(kind, unit, k, seed):
 
     cert, cert2 = certify_policy(params, init, kind), certify_policy(params2, init2, kind)
     assert verdicts(cert2) == verdicts(cert)
+    # each check's slack is ranked on its own unit's scale
+    for report, report2 in ((cert.slackness, cert2.slackness),
+                            (cert.hamiltonian_argmax, cert2.hamiltonian_argmax)):
+        assert report2.worst_margin.check == report.worst_margin.check
     assert cert2.hamiltonian_argmax.singular_segments == tuple(
         (c, a * time, b * time) for c, a, b in cert.hamiltonian_argmax.singular_segments
     )
