@@ -72,7 +72,7 @@ class Tolerance(NamedTuple):
     @property
     def state(self) -> State:
         """The absolute tolerance of N, D and S: ZERO_SNAP_RTOL of their scales."""
-        return State._make(ZERO_SNAP_RTOL * x for x in self)
+        return State(ZERO_SNAP_RTOL * self[0], ZERO_SNAP_RTOL * self[1], ZERO_SNAP_RTOL * self[2])
 
 
 class Violation(NamedTuple):
@@ -95,9 +95,9 @@ def _rates(params: ModelParams, control: ControlValue) -> tuple[float, float, fl
 def _evolve(
     state: State, rates: tuple[float, float, float], r: float, alpha: float, dt: float
 ) -> State:
-    """The closed form: `state` advanced by dt at constant `rates`.  Every
-    exact state of this module is evaluated here (built as State._make does),
-    or by Trajectory.walk's columns of the same expressions, bit-identical."""
+    """The closed form: `state` advanced by dt at constant `rates`, built as
+    State._make does, for integrate_exact's segment exits.  Trajectory.sample
+    and Trajectory.walk evaluate its expressions inline on their rows, bit-identical."""
     N, D, S = state
     slope, c, q = rates
     return tuple.__new__(State, (
@@ -130,6 +130,11 @@ class Trajectory(Piecewise):
     JumpRecord's post state less its delta in N and D.  At a chain
     junction that is the next interval's snapped entry, not the previous
     segment's exit: a residual such as N = -3.2e-15 there reads 0.
+
+    sample and walk read a row per segment, (t_start, t_end, exit, N, slope,
+    D, c, S, q), built here.  A D or S entering at +0.0 at a zero rate is held,
+    its rate None: the closed form adds it a zero, as exp(r*dt) is finite
+    (validate_params bounds r*T), and +0.0 plus any zero is +0.0.
     """
 
     params: ModelParams
@@ -139,43 +144,56 @@ class Trajectory(Piecewise):
     jumps: tuple[JumpRecord, ...] = ()
     feasibility_report: tuple[Violation, ...] = ()
 
+    def __post_init__(self) -> None:  # frozen: Piecewise's _starts and the rows go in __dict__
+        starts, rows = [], []
+        for seg in self.segments:
+            (N, D, S), (slope, c, q) = seg.entry, seg.rates
+            starts.append(seg.t_start)
+            rows.append((seg.t_start, seg.t_end, seg.exit, N, slope,
+                         D, None if D == c == 0.0 < math.copysign(1.0, D) else c,
+                         S, None if S == q == 0.0 < math.copysign(1.0, S) else q))
+        self.__dict__.update(_starts=tuple(starts), _rows=tuple(rows), _r=self.params.r,
+                             _alpha=self.params.alpha, _T=self.segments[-1].t_end)
+
     @property
     def feasible(self) -> bool:
         return not self.feasibility_report
 
     def sample(self, t: float) -> State:
-        """The state at t: the closed form from segment_at(t)'s entry, or that
-        segment's snapped exit at its end (t = T), with segment_at inlined."""
-        segments = self.segments
-        if not 0.0 <= t <= segments[-1].t_end:
-            raise ValueError(f"t = {t} outside [0, {segments[-1].t_end}]")
-        seg = segments[bisect_right(self._starts, t) - 1]
-        if t == seg.t_end:
-            return seg.exit
-        return _evolve(seg.entry, seg.rates, self.params.r, self.params.alpha, t - seg.t_start)
+        """The state at t: the closed form from its segment's row, or that
+        segment's snapped exit at its end (t = T); a held D or S is its entry."""
+        if not 0.0 <= t <= self._T:
+            raise ValueError(f"t = {t} outside [0, {self._T}]")
+        t0, t1, x, N, slope, D, c, S, q = self._rows[bisect_right(self._starts, t) - 1]
+        if t == t1:
+            return x
+        dt = t - t0
+        if c is not None:
+            r = self._r
+            D = D * math.exp(r * dt) + c * math.expm1(r * dt) / r
+        if q is not None:
+            alpha = self._alpha
+            S = S * math.exp(-alpha * dt) - q * math.expm1(-alpha * dt) / alpha
+        return tuple.__new__(State, (N + slope * dt, D, S))
 
     def walk(self, times: Sequence[float]) -> Iterator[tuple]:
         """(segment, its times, N, D, S) per segment the ascending `times`
-        reach: sample(t)'s values as columns, bit for bit, by _evolve's
-        closed form over t - t_start, the times at its end reading its
-        snapped exit.  A D or S entering at +0.0 with a zero rate of either
-        sign stays +0.0 (only -0.0 at a -0.0 rate gives -0.0): it comes as None."""
-        segments = self.segments
-        if times and not (0.0 <= times[0] and times[-1] <= segments[-1].t_end):
-            raise ValueError(f"times outside [0, {segments[-1].t_end}]")
-        r, alpha = self.params.r, self.params.alpha
-        exp, expm1 = math.exp, math.expm1
+        reach: sample(t)'s values as columns, bit for bit, from the segment's
+        row, the times at its end reading its snapped exit; a held D or S is None."""
+        if times and not (0.0 <= times[0] and times[-1] <= self._T):
+            raise ValueError(f"times outside [0, {self._T}]")
+        r, alpha, exp, expm1 = self._r, self._alpha, math.exp, math.expm1
         i = 0
-        for seg, switch in zip(segments, self._starts[1:] + (math.inf,)):
+        for seg, row, switch in zip(self.segments, self._rows, self._starts[1:] + (math.inf,)):
             j = bisect_left(times, switch, i)
             if i < j:
-                (N, D, S), (slope, c, q), x = seg.entry, seg.rates, seg.exit
-                end = bisect_left(times, seg.t_end, i, j)  # the times from `end` read x
-                dts, k = [t - seg.t_start for t in times[i:end]], j - end
+                t0, t1, x, N, slope, D, c, S, q = row
+                end = bisect_left(times, t1, i, j)  # the times from `end` read x
+                dts, k = [t - t0 for t in times[i:end]], j - end
                 Ns, Ds, Ss = [N + slope * dt for dt in dts] + [x.N] * k, None, None
-                if not D == c == 0.0 < math.copysign(1.0, D):
+                if c is not None:
                     Ds = [D * exp(r * dt) + c * expm1(r * dt) / r for dt in dts] + [x.D] * k
-                if not S == q == 0.0 < math.copysign(1.0, S):
+                if q is not None:
                     Ss = [S * exp(-alpha * dt) - q * expm1(-alpha * dt) / alpha for dt in dts]
                     Ss += [x.S] * k
                 yield seg, times[i:j], Ns, Ds, Ss
@@ -202,10 +220,14 @@ def _segment_violations(
     near g = -1 the equal form 1 + g = (e1 - e0*exp(k*dt))/(e1 - e0)
     avoids cancellation.  A breach already at entry starts at t_start.
     """
-    out: list[Violation] = []
-    dt = seg.t_end - seg.t_start
     N0, D0, S0 = seg.entry
     N1, D1, S1 = seg.exit
+    n_tol, d_tol, s_tol = tol
+    if (-n_tol <= N0 and -n_tol <= N1 and -d_tol <= D0 and -d_tol <= D1 and -s_tol <= S0
+            and -s_tol <= S1 and S0 - params.S_max <= s_tol and S1 - params.S_max <= s_tol):
+        return []  # both ends inside every bound (false for NaN, which takes the scan)
+    out: list[Violation] = []
+    dt = seg.t_end - seg.t_start
     rows = (
         (0.0, 0.0 - N0, 0.0 - N1, tol.N, "N>=0"),
         (params.r, 0.0 - D0, 0.0 - D1, tol.D, "D>=0"),
@@ -264,7 +286,7 @@ def integrate_exact(
         rates = _rates(params, seg.value)
         state = _evolve(state, rates, params.r, params.alpha, seg.t_end - seg.t_start)
         comps = [comp for t, comp in expected_zeros if t == seg.t_end]
-        for comp, comp_tol in zip(("N", "D", "S"), state_tol):
+        for comp, comp_tol in zip(("N", "D", "S"), state_tol) if comps else ():
             if comp in comps:
                 residual = getattr(state, comp)
                 if comp == "D" and comp_tol < abs(residual) <= 8.0 * math.ulp(
@@ -273,21 +295,18 @@ def integrate_exact(
                     raise PolicyInfeasibleError(f"debt clearance at t = {seg.t_end} is "
                                                 f"ill-conditioned: D = {residual} there")
                 if abs(residual) > comp_tol:
-                    raise AssertionError(
-                        f"{comp}({seg.t_end}) = {residual} expected zero"
-                    )
+                    raise AssertionError(f"{comp}({seg.t_end}) = {residual} expected zero")
                 state = state._replace(**{comp: 0.0})
         segments.append(
             TrajectorySegment(seg.t_start, seg.t_end, seg.value, entry, state, rates)
         )
-    traj_segments = tuple(segments)
-    for s in traj_segments:
-        violations.extend(_segment_violations(params, s, state_tol))
-    violations.sort(key=lambda v: (v.time, v.constraint))
+        violations += _segment_violations(params, segments[-1], state_tol)
+    if len(violations) > 1:
+        violations.sort(key=lambda v: (v.time, v.constraint))
     jumps = (jump,) if jump is not None else ()
     return Trajectory(
         params=params,
-        segments=traj_segments,
+        segments=tuple(segments),
         tol=tol,
         jumps=jumps,
         feasibility_report=tuple(violations),
@@ -354,6 +373,8 @@ def extrema(
     live = [(k, c) for k, c in amps.items() if c != 0.0]
     if len(live) > 2:
         raise NotImplementedError("extrema need at most two rates")
+    if not live:  # min and max over [(const, a), (const, b)] keep a unless b passes it
+        return const, b if b < a else a, const, b if b > a else a
     times = [a, b]
     if len(live) == 2:
         (k1, c1), (k2, c2) = live

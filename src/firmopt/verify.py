@@ -221,7 +221,8 @@ def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
     which must stay within limit.  Every mu must be nonnegative and
     mu_i * g_i(X(T)), money, within CERT_TOL * money of 0.  The least
     lambda value over all pieces is reported as `lambda_min`.  The worst
-    margin is ranked in money: lambda slacks times T (1 at T = 0), mu_i's times g_i's scale.
+    margin is ranked in money: lambda slacks times T (1 at T = 0), mu_i's times g_i's scale;
+    a mu of exactly 0 has an exact sign, not a margin, and is not ranked.
     """
     T = traj.t_final
     params = traj.params
@@ -249,7 +250,8 @@ def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
     final = traj.terminal_state()
     gfin = (final.N, final.D, final.S, final.S - params.S_max)
     for mu, g, g_scale, sign, product in zip(mults.mus, gfin, g_scales, _MU_SIGN, _MU_G):
-        found.note(T, sign, mu, -mu, g_scale)
+        if mu != 0.0:
+            found.note(T, sign, mu, -mu, g_scale)
         found.note(T, product, CERT_TOL * money - abs(mu * g), abs(mu * g))
     return found.report(lambda_min=lambda_min)
 

@@ -27,6 +27,8 @@ from firmopt.dynamics import (
     ExpTerm,
     PiecewiseExpFn,
     Tolerance,
+    _evolve,
+    _segment_violations,
     adjoint_backward,
     extrema,
     piecewise_from_spans,
@@ -237,6 +239,17 @@ def bits(state):
     return tuple(float(x).hex() for x in (state.N, state.D, state.S))
 
 
+def assert_same_csv(got, want):
+    """got == want as whole strings; on a mismatch, name the first differing
+    row rather than let pytest build a diff of two long strings."""
+    if got != want:
+        rows, ref = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        k = next((k for k, pair in enumerate(zip(rows, ref)) if pair[0] != pair[1]),
+                 min(len(rows), len(ref)))
+        raise AssertionError(f"CSV row {k} differs: {rows[k:k + 1]} != {ref[k:k + 1]} "
+                             f"({len(rows)} rows against {len(ref)})")
+
+
 def assert_sample_and_csv_are_the_closed_form(params, traj, fractions=()):
     grid = [k / 40 for k in range(41)]
     for t in [params.T * f for f in [*fractions, *grid]] + list(traj.breakpoints):
@@ -245,7 +258,7 @@ def assert_sample_and_csv_are_the_closed_form(params, traj, fractions=()):
         reference = advance_state_reference(params, seg.entry, seg.control, t - seg.t_start)
         assert bits(closed) == bits(reference)
         assert bits(traj.sample(t)) == bits(seg.exit if t == seg.t_end else closed)
-    assert _trajectory_csv(traj) == trajectory_csv_reference(traj)
+    assert_same_csv(_trajectory_csv(traj), trajectory_csv_reference(traj))
 
 
 @settings(max_examples=50)
@@ -328,8 +341,49 @@ def test_csv_keeps_a_negative_zero_entry_held_by_a_negative_zero_rate():
     [(_, _, _, D, S)] = traj.walk([0.0, 5.0, 10.0])
     assert [math.copysign(1.0, x) for x in D + S] == [-1.0] * 6
     csv = _trajectory_csv(traj)
-    assert csv == trajectory_csv_reference(traj)
+    assert_same_csv(csv, trajectory_csv_reference(traj))
     assert all(row.split(",")[2:4] == ["-0", "-0"] for row in csv.splitlines()[1:])
+
+
+#: (u, v, w) giving each sign pair of zero rates (c, q) = (A*u - v, u - w)
+ZERO_RATE_CONTROLS = {
+    "c=-0,q=-0": (-0.0, 0.0, 0.0), "c=-0,q=+0": (-0.0, 0.0, -0.0),
+    "c=+0,q=-0": (-0.0, -0.0, 0.0), "c=+0,q=+0": (0.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("rates", ZERO_RATE_CONTROLS)
+@pytest.mark.parametrize("D0, S0", [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)])
+def test_sample_and_walk_keep_the_closed_forms_signed_zeros(rates, D0, S0):
+    # held (+0.0 entry) or not, D and S read _evolve's bits at each segment
+    # end and just inside it: a zero rate of either sign keeps +0.0
+    u, v, w = ZERO_RATE_CONTROLS[rates]
+    c, q = BASELINE.A * u - v, u - w
+    assert [math.copysign(1.0, x) for x in (c, q)] == [
+        -1.0 if part.startswith(("c=-", "q=-")) else 1.0 for part in rates.split(",")
+    ]
+    control = ControlValue(u, v, w)
+    policy = PiecewiseControl(
+        (ControlSegment(0.0, 5.0, control), ControlSegment(5.0, 10.0, control))
+    )
+    traj = integrate_exact(BASELINE, State(20.0, D0, S0), policy)
+    times = [0.0, math.nextafter(0.0, 1.0), math.nextafter(5.0, 0.0), 5.0,
+             math.nextafter(5.0, 10.0), math.nextafter(10.0, 0.0), 10.0]
+    want = []
+    for t in times:
+        seg = [s for s in traj.segments if s.t_start <= t][-1]
+        want.append(bits(seg.exit if t == seg.t_end else _evolve(
+            seg.entry, seg.rates, BASELINE.r, BASELINE.alpha, t - seg.t_start)))
+    assert [bits(traj.sample(t)) for t in times] == want
+    walked = [  # None: held at +0.0
+        (N, 0.0 if D is None else D[k], 0.0 if S is None else S[k])
+        for _, ts, Ns, D, S in traj.walk(times) for k, N in enumerate(Ns)
+    ]
+    assert [bits(State(*x)) for x in walked] == want
+    # only a -0.0 entry at a -0.0 rate stays -0.0, at every time
+    for x0, rate, col in ((D0, c, 1), (S0, q, 2)):
+        negative = math.copysign(1.0, x0) < 0.0 and math.copysign(1.0, rate) < 0.0
+        assert {w[col] for w in want} == {(-0.0).hex() if negative else 0.0.hex()}
 
 
 def test_csv_writes_the_full_pre_jump_state_before_held_zeros():
@@ -338,7 +392,7 @@ def test_csv_writes_the_full_pre_jump_state_before_held_zeros():
     [(_, _, _, D, S)] = traj.walk([0.0, 10.0])
     assert D is None and S is None  # held at +0.0 from the jump on
     csv = _trajectory_csv(traj)
-    assert csv == trajectory_csv_reference(traj)
+    assert_same_csv(csv, trajectory_csv_reference(traj))
     assert csv.splitlines()[1:3] == ["0,20,10,0,5,10,5,true", "0,10,0,0,5,10,5,true"]
 
 
@@ -351,7 +405,7 @@ def test_csv_writes_the_full_pre_jump_state_before_held_zeros():
 def test_csv_marks_each_row_of_a_breaking_segment(init, control):
     traj = integrate_exact(BASELINE, State(*init), constant_policy(*control))
     csv = _trajectory_csv(traj)
-    assert csv == trajectory_csv_reference(traj)
+    assert_same_csv(csv, trajectory_csv_reference(traj))
     column = [row.rsplit(",", 1)[1] for row in csv.splitlines()[1:]]
     assert column[0] == "true" and column[-1] == "false"
 
@@ -365,7 +419,8 @@ def test_csv_skips_zero_length_segments():
     pinned = [replace(s, t_start=s.t_end, entry=s.exit) for s in (first, last)]
     spliced = replace(traj, segments=(first, pinned[0], *traj.segments[1:], pinned[1]))
     csv = _trajectory_csv(spliced)
-    assert csv == trajectory_csv_reference(spliced) == _trajectory_csv(traj)
+    assert_same_csv(csv, trajectory_csv_reference(spliced))
+    assert_same_csv(csv, _trajectory_csv(traj))
 
 
 class TestSampleDomain:
@@ -411,7 +466,7 @@ class TestSampleDomain:
         assert bits(first) == bits(traj.sample(0.0))
         assert bits(last) == bits(traj.segments[-1].exit)
         csv = _trajectory_csv(traj)
-        assert csv == trajectory_csv_reference(traj)
+        assert_same_csv(csv, trajectory_csv_reference(traj))
         assert csv.endswith(",0,0,0,5,true\n")
 
     @pytest.mark.parametrize("times", [
@@ -475,6 +530,20 @@ def violation_cases(draw):
 
 def violation_bits(report):
     return [(v.time.hex(), v.constraint, v.magnitude.hex()) for v in report]
+
+
+@pytest.mark.parametrize("end", ["entry", "exit"])
+@pytest.mark.parametrize("comp", ["N", "D", "S"])
+def test_a_nan_end_takes_the_full_violation_scan(comp, end):
+    # the inside-every-bound shortcut is false for NaN, so a NaN end is
+    # reported (or not) exactly as the reference's per-bound scan does
+    init = State(20.0, 10.0, 10.0)
+    seg = integrate_exact(BASELINE, init, constant_policy(5.0, 10.0, 5.0)).segments[0]
+    seg = replace(seg, **{end: getattr(seg, end)._replace(**{comp: math.nan})})
+    tol = Tolerance.of(BASELINE, init).state
+    got = _segment_violations(BASELINE, seg, tol)
+    assert violation_bits(got) == violation_bits(segment_violations_reference(BASELINE, seg, tol))
+    assert bool(got) == (end == "entry")
 
 
 def test_violation_report_matches_the_reference_bit_for_bit():
@@ -839,6 +908,16 @@ class TestExtrema:
         # an exact cancellation leaves a constant: min == max
         lo, _, hi, _ = extrema(0.0, 3.0, (1.0, s2), (-1.0, s2))
         assert lo == hi == 0.0
+
+    @pytest.mark.parametrize("a, b", [(0.0, 3.0), (2.0, 2.0), (0.0, -0.0), (-0.0, 0.0)])
+    def test_a_constant_ties_at_the_times_min_and_max_keep(self, a, b):
+        # no live rate (a zero amplitude is not one): every time ties, and
+        # the result keeps the times min and max pick from the two ends
+        seg = ExpSegment(0.0, 3.0, (ExpTerm(1.5, 0.0), ExpTerm(0.0, 0.5)))
+        (lo, t_lo), (hi, t_hi) = min([(3.0, a), (3.0, b)]), max([(3.0, a), (3.0, b)])
+        got = extrema(a, b, (2.0, seg))
+        assert [float(x).hex() for x in got] == [x.hex() for x in (lo, t_lo, hi, t_hi)]
+        assert (got[1], got[3]) == (a, b)
 
     def test_undecidable_shape_raises(self):
         seg = ExpSegment(0.0, 1.0, (ExpTerm(1.0, -0.1), ExpTerm(1.0, 0.5), ExpTerm(1.0, 2.0)))

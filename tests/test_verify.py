@@ -609,6 +609,15 @@ class TestWorstMargin:
             for v in cert.hamiltonian_argmax.violations
         )
 
+    def test_slackness_margin_names_a_lambda_or_a_mu_g_check(self):
+        # the solver's mu1 = mu2 = mu4 = 0 are exact, so no mu's sign is a
+        # margin; on S1 lambda1 = 0, whose sign slack is the whole limit
+        worst = self.baseline_s1().slackness.worst_margin
+        assert worst.check == "lambda1>=0" and worst.margin > 0.0
+        for init, _, kind in BASELINE_CASES:
+            check = certify_policy(BASELINE, init, kind).slackness.worst_margin.check
+            assert check.startswith("lambda") or check.startswith("mu") and "*g" in check
+
     def test_passing_slackness_margin_is_nonnegative(self):
         cert = self.baseline_s1()
         assert cert.slackness.worst_margin.margin >= 0.0
