@@ -72,7 +72,10 @@ class RunConfig:
 def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{path}: must be finite")
     return out
@@ -104,7 +107,7 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top level must be an object")
@@ -223,11 +226,12 @@ def _jump_lines(jump) -> list[str]:
 
 def _trajectory_csv(traj: Trajectory) -> str:
     """CSV rows at all breakpoints plus a uniform grid; a jump at time t
-    is emitted as two rows sharing t (pre- and post-jump).
+    is emitted as two rows sharing t (pre- and post-jump).  Every row's
+    `feasible` cell is the trajectory's verdict, `traj.feasible`.
 
     Trajectory.walk reads the ascending times a segment at a time; each
     segment's rows take one % over its repeated row format, into which its
-    controls, held D and S (+0.0) and all-feasible tail are formatted once."""
+    controls, held D and S (+0.0) and verdict are formatted once."""
     T = traj.t_final
     n = CSV_GRID_POINTS - 1  # the grid's last time n*T/n can round above T
     times = [k * T / n for k in range(n)] + [min(T, n * T / n)] if T > 0.0 else []
@@ -237,27 +241,16 @@ def _trajectory_csv(traj: Trajectory) -> str:
         i = bisect_left(times, b)
         times[i:i + (times[i:i + 1] == [b])] = [b]
     jump_at = {j.t: j for j in traj.jumps}
-    n_tol, d_tol, s_tol = traj.tol.state
-    s_top = traj.params.S_max + s_tol
+    verdict = "true" if traj.feasible else "false"
     rows = ["t,N,D,S,u,v,w,feasible\n"]
     for seg, ts, Ns, Ds, Ss in traj.walk(times):
         c = seg.control
-        tails = [",".join(["", CSV_FMT % c.u, CSV_FMT % c.v, CSV_FMT % c.w, ok]) + "\n"
-                 for ok in ("false", "true")]
+        tail = ",".join(["", CSV_FMT % c.u, CSV_FMT % c.v, CSV_FMT % c.w, verdict]) + "\n"
         if ts[0] in jump_at:  # a jump's time starts its segment: the pre-jump row first
             j = jump_at[ts[0]]
-            N, D, S = j.post_state.N - j.delta, j.post_state.D - j.delta, j.post_state.S
-            feasible = N >= -n_tol and D >= -d_tol and -s_tol <= S <= s_top
-            rows.append(",".join([CSV_FMT % x for x in (ts[0], N, D, S)]) + tails[feasible])
-        ok = [N >= -n_tol for N in Ns]
-        for col, lo, hi in ((Ds, -d_tol, math.inf), (Ss, -s_tol, s_top)):
-            if col is not None:  # a held +0.0 is inside its bounds
-                ok = [o and lo <= x <= hi for o, x in zip(ok, col)]
+            pre = (ts[0], j.post_state.N - j.delta, j.post_state.D - j.delta, j.post_state.S)
+            rows.append(",".join([CSV_FMT % x for x in pre]) + tail)
         cols = [col for col in (ts, Ns, Ds, Ss) if col is not None]
-        tail = tails[True]  # every row feasible: its tail is written into row_fmt once
-        if not all(ok):
-            tail = "%s"
-            cols.append([tails[o] for o in ok])
         row_fmt = ",".join([CSV_FMT, CSV_FMT] + ["0" if x is None else CSV_FMT for x in (Ds, Ss)])
         cells = [None] * (len(ts) * len(cols))
         for k, col in enumerate(cols):
@@ -395,11 +388,13 @@ def execute_command(config: RunConfig, command: str) -> int:
         raise ConfigError(f"params.T: {horizon_user} needs a positive horizon")
     try:
         code, text = handler(config)
+        _write(config.out_dir, report, text)
     except (PolicyInfeasibleError, UncoveredInitialConditionError,
             NoFeasibleCandidateError, chain_mod.ChainJunctionError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    _write(config.out_dir, report, text)
+    except OSError as exc:  # from _write, chain's CSV included
+        raise ConfigError(f"options.out_dir: {exc}") from exc
     sys.stdout.write(text)
     return code
 

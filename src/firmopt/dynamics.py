@@ -142,18 +142,24 @@ class Trajectory(Piecewise):
     #: the scales its states are judged on: within tol.state of a bound is feasible
     tol: Tolerance = field(repr=False, compare=False)
     jumps: tuple[JumpRecord, ...] = ()
-    feasibility_report: tuple[Violation, ...] = ()
+    #: each bound a segment breaks by more than tol.state, by (time, constraint)
+    feasibility_report: tuple[Violation, ...] = field(init=False)
 
-    def __post_init__(self) -> None:  # frozen: Piecewise's _starts and the rows go in __dict__
-        starts, rows = [], []
+    def __post_init__(self) -> None:  # frozen: the derived fields go in __dict__
+        starts, rows, violations = [], [], []
+        state_tol = self.tol.state
         for seg in self.segments:
             (N, D, S), (slope, c, q) = seg.entry, seg.rates
             starts.append(seg.t_start)
             rows.append((seg.t_start, seg.t_end, seg.exit, N, slope,
                          D, None if D == c == 0.0 < math.copysign(1.0, D) else c,
                          S, None if S == q == 0.0 < math.copysign(1.0, S) else q))
+            violations += _segment_violations(self.params, seg, state_tol)
+        if len(violations) > 1:
+            violations.sort(key=lambda v: (v.time, v.constraint))
         self.__dict__.update(_starts=tuple(starts), _rows=tuple(rows), _r=self.params.r,
-                             _alpha=self.params.alpha, _T=self.segments[-1].t_end)
+                             _alpha=self.params.alpha, _T=self.segments[-1].t_end,
+                             feasibility_report=tuple(violations))
 
     @property
     def feasible(self) -> bool:
@@ -272,14 +278,14 @@ def integrate_exact(
     the terms that cancel at D's zero (1-2 seen at r*dt = 26..30): a
     clearance too ill-conditioned to place raises PolicyInfeasibleError.
 
-    Each bound broken by more than its component's tolerance is reported,
-    never raised; the trajectory keeps the Tolerance as `tol`.
+    The trajectory keeps the Tolerance as `tol` and is judged by it: each
+    bound broken by more than its component's tolerance is reported, never
+    raised.
     """
     policy.check_bounds(params)
     state = jump.post_state if jump is not None else init
     tol = Tolerance.of(params, state)
     state_tol = tol.state
-    violations: list[Violation] = []
     segments: list[TrajectorySegment] = []
     for seg in policy.segments:
         entry = state
@@ -300,16 +306,12 @@ def integrate_exact(
         segments.append(
             TrajectorySegment(seg.t_start, seg.t_end, seg.value, entry, state, rates)
         )
-        violations += _segment_violations(params, segments[-1], state_tol)
-    if len(violations) > 1:
-        violations.sort(key=lambda v: (v.time, v.constraint))
     jumps = (jump,) if jump is not None else ()
     return Trajectory(
         params=params,
         segments=tuple(segments),
         tol=tol,
         jumps=jumps,
-        feasibility_report=tuple(violations),
     )
 
 

@@ -12,15 +12,18 @@ from hypothesis import settings, strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from firmopt import (
+    ChainJunctionError,
     ModelParams,
     PolicyInfeasibleError,
     ScenarioKind,
     State,
+    chain_plan,
     classify_scenario,
+    evaluate_chain,
     synthesize_policy,
     validate_params,
 )
-from firmopt.dynamics import _evolve
+from firmopt.dynamics import Trajectory, _evolve
 
 # derandomized and without an example database: property tests draw the
 # same examples on every run; hypothesis's own caches go to a directory
@@ -128,6 +131,22 @@ def draw_scenario_case(
             if not synth.times.t_d_within_horizon:
                 continue
         return params, init
+
+
+def solve_and_chain(kind: ScenarioKind, seed: int) -> tuple[Trajectory, Trajectory | None]:
+    """The single-solve trajectory of the draw_scenario_case firm of `kind`
+    drawn from `seed`, and the trajectory of its chain over three equal
+    intervals, None where a junction is uncovered."""
+    params, init = draw_scenario_case(random.Random(seed), kind)
+    single = synthesize_policy(params, init, kind).trajectory
+    T = params.T
+    jump_mode = kind in (ScenarioKind.A1_TOTAL_REPAYMENT_JUMP,
+                         ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP)
+    try:
+        plan = chain_plan(params, init, [0.0, T / 3.0, 2.0 * T / 3.0, T], jump_mode)
+    except ChainJunctionError:
+        return single, None
+    return single, evaluate_chain(params, plan)[0]
 
 
 def assert_segments_join(traj, expected_zeros) -> None:

@@ -10,11 +10,14 @@ The fixed-step RK4 integrator, the bisection event finder over an exact
 package-shaped oracles the tests compare the exact integrator against.
 The closed form with its rates derived per call, the row-by-row CSV
 writer and the per-component violation check are the plain versions of
-`Trajectory.sample`, the CLI's CSV and `integrate_exact`'s feasibility
+`Trajectory.sample`, the CLI's CSV and a trajectory's feasibility
 report; those must agree with them bit for bit.  The CLI writes its CSV
 from `Trajectory.walk`'s per-segment columns and formats each segment's
 constant cells once; the reference looks each row up on its own with
-`segment_at` and `sample` and formats every cell.
+`segment_at` and `sample` and formats every cell.  Both write the
+trajectory's one verdict in every row; the per-row box check judges each
+row's state on its own, and must agree with that verdict on every
+trajectory the CLI writes.
 The grid certificate samples the maximum-principle checks at about
 10 points per unit of time plus the breakpoints nudged to either side;
 the exact per-segment certificate is cross-checked against it.  The
@@ -393,7 +396,7 @@ def segment_violations_reference(
     params: ModelParams, seg: dynamics.TrajectorySegment, tol: State
 ) -> list[dynamics.Violation]:
     """The violation report of one exact segment, each bound and its
-    tolerance looked up by component name; `integrate_exact`'s report must
+    tolerance looked up by component name; a trajectory's report must
     equal it bit for bit.
 
     On the segment each component is x0 + (x1 - x0)*expm1(k*tau)/expm1(k*dt)
@@ -433,30 +436,17 @@ def segment_violations_reference(
     return out
 
 
-def trajectory_csv_reference(traj: Trajectory) -> str:
-    """The CLI's trajectory CSV written row by row: each row looks its
-    control up with `segment_at` and its state up with `sample`, and
-    formats every cell on its own."""
+def trajectory_rows_reference(traj: Trajectory) -> list[tuple[float, State]]:
+    """(t, state) of each row of the CLI's trajectory CSV, in order, each
+    state looked up on its own with `sample`; a jump's time gives the
+    pre-jump state's row first."""
     T = traj.t_final
     times = set(traj.breakpoints)
     if T > 0.0:
         for k in range(cli.CSV_GRID_POINTS):
             times.add(min(T, k * T / (cli.CSV_GRID_POINTS - 1)))
     jump_at = {j.t: j for j in traj.jumps}
-    tol = traj.tol.state
-    lines = ["t,N,D,S,u,v,w,feasible"]
-
-    def row(t: float, state: State) -> str:
-        c = traj.segment_at(t).control
-        feasible = (
-            state.N >= -tol.N
-            and state.D >= -tol.D
-            and -tol.S <= state.S <= traj.params.S_max + tol.S
-        )
-        cells = [cli.CSV_FMT % x for x in (t, state.N, state.D, state.S, c.u, c.v, c.w)]
-        cells.append("true" if feasible else "false")
-        return ",".join(cells)
-
+    rows = []
     for t in sorted(times):
         if t in jump_at:
             j = jump_at[t]
@@ -465,9 +455,34 @@ def trajectory_csv_reference(traj: Trajectory) -> str:
                 D=j.post_state.D - j.delta,
                 S=j.post_state.S,
             )
-            lines.append(row(t, pre))
-        lines.append(row(t, traj.sample(t)))
+            rows.append((t, pre))
+        rows.append((t, traj.sample(t)))
+    return rows
+
+
+def trajectory_csv_reference(traj: Trajectory) -> str:
+    """The CLI's trajectory CSV written row by row: each row looks its
+    control up with `segment_at`, formats every cell on its own and
+    writes the trajectory's verdict."""
+    feasible = "true" if traj.feasible else "false"
+    lines = ["t,N,D,S,u,v,w,feasible"]
+    for t, state in trajectory_rows_reference(traj):
+        c = traj.segment_at(t).control
+        cells = [cli.CSV_FMT % x for x in (t, state.N, state.D, state.S, c.u, c.v, c.w)]
+        lines.append(",".join([*cells, feasible]))
     return "\n".join(lines) + "\n"
+
+
+def rows_inside_the_box(traj: Trajectory) -> list[bool]:
+    """Per CSV row, whether its state lies within traj.tol.state of every
+    bound: N, D >= 0 and 0 <= S <= S_max, judged row by row."""
+    tol = traj.tol.state
+    return [
+        state.N >= -tol.N
+        and state.D >= -tol.D
+        and -tol.S <= state.S <= traj.params.S_max + tol.S
+        for _, state in trajectory_rows_reference(traj)
+    ]
 
 
 # ---------------------------------------------------------------------------

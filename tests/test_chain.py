@@ -16,10 +16,12 @@ from firmopt import (
     chain_plan,
     classify_scenario,
     evaluate_chain,
+    integrate_exact,
     objective_value,
     synthesize_policy,
 )
 from firmopt.dynamics import Tolerance
+from firmopt.model import ControlSegment, ControlValue, PiecewiseControl
 
 from conftest import ALL_KINDS, BASELINE, draw_scenario_case
 from test_solver import J_A2, J_S3, T_S_BASE
@@ -118,9 +120,10 @@ class TestEvaluateChain:
         assert traj.feasible
 
     def test_combined_trajectory_is_judged_by_the_chains_tolerance(self):
-        # the CSV's feasible column reads tol: it must be the one of the
-        # chain's start after the jump, over the whole horizon, as a single
-        # solve takes it, not an interval's own
+        # the chain's verdict, which the CSV's feasible column reads, is
+        # judged by tol: it must be the one of the chain's start after the
+        # jump, over the whole horizon, as a single solve takes it, not an
+        # interval's own
         init = State(20.0, 300.0, 10.0)
         plan = chain_plan(BASELINE, init, [0.0, 0.2, 10.0], jump_mode=True)
         traj, _ = evaluate_chain(BASELINE, plan)
@@ -133,8 +136,24 @@ class TestEvaluateChain:
         solved = synthesize_policy(BASELINE, init, single[0].synthesis.kind)
         assert evaluate_chain(BASELINE, single)[0].tol == solved.trajectory.tol
         # tol joins neither equality nor the repr
-        assert replace(traj, tol=None) == traj
-        assert repr(replace(traj, tol=None)) == repr(traj)
+        assert replace(traj, tol=first.tol) == traj
+        assert repr(replace(traj, tol=first.tol)) == repr(traj)
+
+    def test_a_breaking_interval_makes_the_chain_infeasible(self):
+        # after two years of the S2 policy the cash is 84.6; the hand-built
+        # second interval then idles, spending B = 5 a year, until T = 20
+        params = replace(BASELINE, T=20.0)
+        first, second = chain_plan(params, State(20.0, 10.0, 10.0), [0.0, 2.0, 20.0])
+        entry = first.synthesis.trajectory.terminal_state()
+        idle = PiecewiseControl((ControlSegment(0.0, 18.0, ControlValue(0.0, 0.0, 0.0)),))
+        local = integrate_exact(replace(params, T=18.0), entry, idle)
+        (breach,) = local.feasibility_report
+        assert breach.constraint == "N>=0" and breach.time == pytest.approx(entry.N / 5.0)
+        broken = second._replace(synthesis=replace(
+            second.synthesis, policy=idle, trajectory=local))
+        traj, _ = evaluate_chain(params, (first, broken))
+        assert not traj.feasible
+        assert traj.feasibility_report == ((2.0 + breach.time, "N>=0", breach.magnitude),)
 
     def test_jump_chains_end_debt_free_when_clearance_fits(self):
         rng = random.Random(67)

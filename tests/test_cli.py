@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,18 @@ BASE_DOC = {
     },
     "init": {"N0": 20, "D0": 0, "S0": 10},
 }
+
+
+#: JSON integers no float holds: one beyond float range, and one of more
+#: digits than json.loads converts to an int
+BEYOND_FLOAT_RANGE = "1" + "0" * 400
+TOO_MANY_DIGITS = "1" * 4301
+
+
+def config_text(doc):
+    """json.dumps(doc), each string "#<digits>" written as the bare number:
+    json.dumps of an int of over 4300 digits meets the same limit."""
+    return re.sub(r'"#(\d+)"', r"\1", json.dumps(doc))
 
 
 def make_config(tmp_path, doc, name="run.json"):
@@ -304,6 +317,40 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("digits, message", [
+        (BEYOND_FLOAT_RANGE, "{path}: must be finite"),
+        (TOO_MANY_DIGITS, "invalid JSON: Exceeds the limit (4300 digits)"),
+    ], ids=["beyond-float-range", "too-many-digits"])
+    @pytest.mark.parametrize("section, path", [
+        ("params", "params.p"),
+        ("init", "init.N0"),
+        ("brute_levels", "options.brute_levels.u"),
+        ("chain_breakpoints", "options.chain_breakpoints"),
+    ])
+    def test_an_integer_no_float_holds_exits_two(
+        self, tmp_path, capsys, section, path, digits, message
+    ):
+        doc = json.loads(json.dumps(BASE_DOC))
+        number = "#" + digits
+        if section in ("params", "init"):
+            doc[section][path.split(".")[1]] = number
+        else:
+            doc["options"] = {section: {"u": [number]} if section == "brute_levels"
+                              else [0, number]}
+        (tmp_path / "run.json").write_text(config_text(doc))
+        assert run_cli("chain", tmp_path / "run.json") == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: " + message.format(path=path))
+
+    @pytest.mark.parametrize("command", ["solve", "chain"])
+    def test_an_unwritable_out_dir_exits_two(self, tmp_path, capsys, command):
+        (tmp_path / "afile").write_text("")
+        doc = {**BASE_DOC, "options": {"out_dir": str(tmp_path / "afile" / "sub")}}
+        assert run_cli(command, make_config(tmp_path, doc)) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: options.out_dir: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -665,7 +712,8 @@ ILL_CONDITIONED_CLEARANCE_DOC = {
 # the README parameters, once with a search that finds nothing feasible
 # and once with exp(r*T) beyond the float range; then a t_D that only its
 # log1p form puts on the debt's zero; then the time-scaled S2 firm; then a
-# debt clearance too ill-conditioned to place, which exits 1
+# debt clearance too ill-conditioned to place, which exits 1; then a cash
+# integer beyond float range, and one of more digits than JSON converts
 @example(
     doc={**BASE_DOC, "init": {"N0": 1, "D0": 0, "S0": 10},
          "options": {"brute_nt": 5, "brute_levels": {"w": [0]}}},
@@ -677,12 +725,16 @@ ILL_CONDITIONED_CLEARANCE_DOC = {
 @example(doc=TIME_SCALED_S2_DOC, command="verify")
 @example(doc=ILL_CONDITIONED_CLEARANCE_DOC, command="solve")
 @example(doc=ILL_CONDITIONED_CLEARANCE_DOC, command="verify")
+@example(doc={**BASE_DOC, "init": {**BASE_DOC["init"], "N0": "#" + BEYOND_FLOAT_RANGE}},
+         command="solve")
+@example(doc={**BASE_DOC, "init": {**BASE_DOC["init"], "N0": "#" + TOO_MANY_DIGITS}},
+         command="solve")
 @given(doc=schema_valid_documents(), command=st.sampled_from(COMMANDS))
 def test_schema_valid_configs_never_end_in_a_traceback(tmp_path_factory, doc, command):
     base = tmp_path_factory.getbasetemp()
     doc = {**doc, "options": {**doc.get("options", {}), "out_dir": str(base / "valid")}}
     path = base / "valid.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(config_text(doc))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main([command, str(path)])

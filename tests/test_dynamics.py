@@ -42,6 +42,7 @@ from conftest import (
     assert_segments_join,
     draw_profitable_params,
     draw_scenario_case,
+    solve_and_chain,
 )
 from oracles import (
     AmbiguousRootError,
@@ -49,6 +50,7 @@ from oracles import (
     bisect_root,
     find_zero_crossing,
     integrate_rk4,
+    rows_inside_the_box,
     segment_violations_reference,
     trajectory_csv_reference,
 )
@@ -403,11 +405,25 @@ def test_csv_writes_the_full_pre_jump_state_before_held_zeros():
     ((20.0, 0.0, 0.0), (0.0, 0.0, 5.0)),  # selling from an empty store, D held
 ], ids=["cash", "debt", "store", "stock"])
 def test_csv_marks_each_row_of_a_breaking_segment(init, control):
+    # the row-by-row judge passes the start and fails the end; the column
+    # is the trajectory's one verdict in every row
     traj = integrate_exact(BASELINE, State(*init), constant_policy(*control))
     csv = _trajectory_csv(traj)
     assert_same_csv(csv, trajectory_csv_reference(traj))
-    column = [row.rsplit(",", 1)[1] for row in csv.splitlines()[1:]]
-    assert column[0] == "true" and column[-1] == "false"
+    inside = rows_inside_the_box(traj)
+    assert inside[0] and not inside[-1] and not traj.feasible
+    assert {row.rsplit(",", 1)[1] for row in csv.splitlines()[1:]} == {"false"}
+
+
+@settings(max_examples=50)
+@given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1))
+def test_every_csv_row_agrees_with_the_trajectorys_verdict(kind, seed):
+    """The CSV's feasible column is the trajectory's one verdict; judging
+    each row's state on its own says the same on every trajectory the CLI
+    writes, solved once or chained: every row lies inside the box."""
+    for traj in solve_and_chain(kind, seed):
+        if traj is not None:
+            assert traj.feasible and all(rows_inside_the_box(traj))
 
 
 def test_csv_skips_zero_length_segments():

@@ -5,7 +5,8 @@ code, stdout, stderr and every file written to the config's out_dir.
 Reports are pinned verbatim; CSVs (and the stdout of `simulate`, which
 is the CSV) by their sha256.  The data file was written once from these
 configs and is not regenerated: a refactor that changes a single byte
-of any output fails here.
+of any output fails here.  Beyond those configs, one sha256 pins the
+CSVs of 100 seeded random firms, each solved once and chained.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import io
 import json
 from pathlib import Path
 
-from firmopt.cli import COMMANDS, main
+from firmopt.cli import COMMANDS, _trajectory_csv, main
+
+from conftest import ALL_KINDS, solve_and_chain
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
@@ -112,3 +115,18 @@ def test_cli_outputs_match_the_golden_file(tmp_path):
     assert sorted(actual) == sorted(expected)
     for key in expected:
         assert actual[key] == expected[key], key
+
+
+#: sha256 of the CSVs of SEEDED_FIRMS, single solve then chain; the writer
+#: that judged each row's state on its own wrote these same bytes
+SEEDED_CSV_SHA256 = "074c4c1c2bf2576edde8efeefa121c4ace153a92a3692acc0088aa4c425ab3d9"
+SEEDED_FIRMS = 100
+
+
+def test_csvs_of_seeded_firms_match_their_pinned_hash():
+    digest = hashlib.sha256()
+    for seed in range(SEEDED_FIRMS):
+        for traj in solve_and_chain(ALL_KINDS[seed % len(ALL_KINDS)], seed):
+            if traj is not None:
+                digest.update(_trajectory_csv(traj).encode("utf-8"))
+    assert digest.hexdigest() == SEEDED_CSV_SHA256

@@ -37,6 +37,7 @@ from firmopt.model import ControlSegment, ControlValue, PiecewiseControl
 from firmopt.verify import check_control_maximizes, check_slackness, multiplier_set_for_scenario
 
 from conftest import ALL_KINDS, BASELINE, draw_scenario_case
+from oracles import rows_inside_the_box
 from test_dynamics import constant_policy
 
 S1 = ScenarioKind.S1_NO_DEBT_WITH_STOCK
@@ -234,7 +235,8 @@ def test_a_start_state_breaks_its_bound_beyond_the_tolerance(
     traj = integrate_exact(BASELINE, start_at(factor * RTOL * scale), constant_policy(*control))
     at_start = {v.constraint for v in traj.feasibility_report if v.time == 0.0}
     assert (label in at_start) is (factor > 1.0)
-    assert feasible_column(traj)[0] == ("false" if factor > 1.0 else "true")
+    assert rows_inside_the_box(traj)[0] is (factor < 1.0)
+    assert set(feasible_column(traj)) == {"true" if traj.feasible else "false"}
 
 
 @pytest.mark.parametrize("factor", [2.0, 0.5])
