@@ -14,7 +14,7 @@ from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 from . import solver
-from .dynamics import Tolerance, Trajectory, TrajectorySegment
+from .dynamics import Tolerance, Trajectory
 from .model import (
     JumpRecord,
     ModelParams,
@@ -46,7 +46,7 @@ class ChainInterval(NamedTuple):
 def _chain_tolerance(params: ModelParams, plan: Sequence[ChainInterval]) -> Tolerance:
     """The chain's one tolerance: the whole horizon's, from its start after
     any jump at t = 0, as integrate_exact takes a single solve's."""
-    return Tolerance.of(params, plan[0].synthesis.trajectory.segments[0].entry)
+    return Tolerance.of(params, plan[0].synthesis.trajectory.start)
 
 
 def chain_plan(
@@ -94,32 +94,23 @@ def evaluate_chain(
     Junction jumps, stamped with their interval's t_start, become interior
     discontinuities of the combined trajectory; all other junctions are
     exactly continuous because each interval starts from the previous
-    terminal state.  The segments tile [0, T] exactly: each interval's
-    last one ends at its t_end.  The combined trajectory is judged by the
-    chain's tolerance, the one its junctions were snapped with.
+    terminal state.  Its rows are the intervals' rows shifted by their
+    t_start, and tile [0, T] exactly: each interval's last one ends at its
+    t_end.  The combined trajectory is judged by the chain's tolerance,
+    the one its junctions were snapped with.
     """
-    segments: list[TrajectorySegment] = []
+    rows: list[tuple] = []
     jumps: list[JumpRecord] = []
     for t0, t1, _, synth in plan:
         if synth.jump is not None:
             jumps.append(replace(synth.jump, t=t0))
-        last = synth.trajectory.segments[-1]
-        for seg in synth.trajectory.segments:
-            # local T + t0 can miss t1 by an ulp: end the last one exactly
-            t_end = t1 if seg is last else seg.t_end + t0
-            segments.append(
-                TrajectorySegment(
-                    t_start=seg.t_start + t0,
-                    t_end=t_end,
-                    control=seg.control,
-                    entry=seg.entry,
-                    exit=seg.exit,
-                    rates=seg.rates,
-                )
-            )
+        *body, last = synth.trajectory.segments
+        rows += [(row[0] + t0, row[1] + t0, *row[2:]) for row in body]
+        # local T + t0 can miss t1 by an ulp: end the last one exactly
+        rows.append((last[0] + t0, t1, *last[2:]))
     combined = Trajectory(
         params=params,
-        segments=tuple(segments),
+        segments=tuple(rows),
         tol=_chain_tolerance(params, plan),
         jumps=tuple(jumps),
     )

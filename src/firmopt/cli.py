@@ -47,6 +47,10 @@ CSV_FMT = "%.9g"
 #: search may beat the closed form in `verify`: each evaluation rounds a few
 #: such sums (its segments' N and D updates, the final N - D) by half an ulp
 GAP_ULPS = 8
+#: the largest options.brute_nt: the search's time grows with n_t**2, at
+#: 4.5-11 us per n_t**2 with the default levels (README firms, n_t = 100-400,
+#: Python 3.11 on one core), so n_t = 2000 searches for 18-44 s, within a minute
+BRUTE_NT_MAX = 2000
 
 _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 _INIT_KEYS = ("N0", "D0", "S0")
@@ -107,7 +111,8 @@ def parse_config(text: str) -> RunConfig:
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
+    # JSONDecodeError, an integer of too many digits, or nesting deeper than the stack
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("top level must be an object")
@@ -134,6 +139,9 @@ def parse_config(text: str) -> RunConfig:
         nt = opt["brute_nt"]
         if isinstance(nt, bool) or not isinstance(nt, int) or nt < 1:
             raise ConfigError("options.brute_nt: expected a positive integer")
+        if nt > BRUTE_NT_MAX:
+            raise ConfigError(f"options.brute_nt: at most {BRUTE_NT_MAX}, the search's "
+                              "time growing with its square")
         grid["n_t"] = nt
     if "brute_levels" in opt:
         levels = opt["brute_levels"]
@@ -243,8 +251,8 @@ def _trajectory_csv(traj: Trajectory) -> str:
     jump_at = {j.t: j for j in traj.jumps}
     verdict = "true" if traj.feasible else "false"
     rows = ["t,N,D,S,u,v,w,feasible\n"]
-    for seg, ts, Ns, Ds, Ss in traj.walk(times):
-        c = seg.control
+    for row, ts, Ns, Ds, Ss in traj.walk(times):
+        c = row[-1]  # the segment's control
         tail = ",".join(["", CSV_FMT % c.u, CSV_FMT % c.v, CSV_FMT % c.w, verdict]) + "\n"
         if ts[0] in jump_at:  # a jump's time starts its segment: the pre-jump row first
             j = jump_at[ts[0]]
@@ -274,8 +282,7 @@ def _synthesize(config: RunConfig) -> solver.SynthesisResult:
 
 def _brute_force(config: RunConfig, synth: solver.SynthesisResult):
     """The exhaustive search from the synthesized policy's post-jump state."""
-    start = synth.trajectory.segments[0].entry
-    return verify.brute_force_best(config.params, start, config.grid)
+    return verify.brute_force_best(config.params, synth.trajectory.start, config.grid)
 
 
 def cmd_solve(config: RunConfig) -> tuple[int, str]:
@@ -299,7 +306,8 @@ def cmd_verify(config: RunConfig) -> tuple[int, str]:
     closed = synth.objective
     _, best = _brute_force(config, synth)
     # the magnitudes summed: cash and debt along the closed form, and the value
-    ends = [x for seg in synth.trajectory.segments for x in (seg.entry, seg.exit)]
+    traj = synth.trajectory
+    ends = [traj.start, *(row[2] for row in traj.segments)]
     scale = max(abs(best), *(abs(x) for state in ends for x in (state.N, state.D)))
     brute_ok = best - closed <= GAP_ULPS * math.ulp(scale)
 

@@ -108,20 +108,6 @@ def _evolve(
 
 
 @dataclass(frozen=True)
-class TrajectorySegment:
-    """One constant-control stretch with its exact entry and exit states;
-    `exit` is what the next segment enters with, snapped zeros included."""
-
-    t_start: float
-    t_end: float
-    control: ControlValue
-    entry: State
-    exit: State
-    #: `control`'s closed-form rates (see _rates), derived once by integrate_exact
-    rates: tuple[float, float, float] = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class Trajectory(Piecewise):
     """Piecewise closed-form evolution of (N, D, S) over [0, T].
 
@@ -131,14 +117,17 @@ class Trajectory(Piecewise):
     junction that is the next interval's snapped entry, not the previous
     segment's exit: a residual such as N = -3.2e-15 there reads 0.
 
-    sample and walk read a row per segment, (t_start, t_end, exit, N, slope,
-    D, c, S, q), built here.  A D or S entering at +0.0 at a zero rate is held,
-    its rate None: the closed form adds it a zero, as exp(r*dt) is finite
+    Each segment is one row, (t_start, t_end, exit, N, slope, D, c, S, q,
+    control): its span, its snapped exit, its entry state (N, D, S), each
+    component beside its closed-form rate (see _rates), and its control.
+    integrate_exact writes the rows and evaluate_chain shifts them; sample and
+    walk read them.  A D or S entering at +0.0 at a zero rate is held, its
+    rate None: the closed form adds it a zero, as exp(r*dt) is finite
     (validate_params bounds r*T), and +0.0 plus any zero is +0.0.
     """
 
     params: ModelParams
-    segments: tuple[TrajectorySegment, ...]
+    segments: tuple[tuple, ...]
     #: the scales its states are judged on: within tol.state of a bound is feasible
     tol: Tolerance = field(repr=False, compare=False)
     jumps: tuple[JumpRecord, ...] = ()
@@ -146,20 +135,24 @@ class Trajectory(Piecewise):
     feasibility_report: tuple[Violation, ...] = field(init=False)
 
     def __post_init__(self) -> None:  # frozen: the derived fields go in __dict__
-        starts, rows, violations = [], [], []
+        starts, violations = [], []
         state_tol = self.tol.state
-        for seg in self.segments:
-            (N, D, S), (slope, c, q) = seg.entry, seg.rates
-            starts.append(seg.t_start)
-            rows.append((seg.t_start, seg.t_end, seg.exit, N, slope,
-                         D, None if D == c == 0.0 < math.copysign(1.0, D) else c,
-                         S, None if S == q == 0.0 < math.copysign(1.0, S) else q))
-            violations += _segment_violations(self.params, seg, state_tol)
+        for row in self.segments:
+            starts.append(row[0])
+            violations += _segment_violations(self.params, row, state_tol)
         if len(violations) > 1:
             violations.sort(key=lambda v: (v.time, v.constraint))
-        self.__dict__.update(_starts=tuple(starts), _rows=tuple(rows), _r=self.params.r,
-                             _alpha=self.params.alpha, _T=self.segments[-1].t_end,
-                             feasibility_report=tuple(violations))
+        self.__dict__.update(_starts=tuple(starts), _r=self.params.r, _alpha=self.params.alpha,
+                             _T=self.segments[-1][1], feasibility_report=tuple(violations))
+
+    @property
+    def t_final(self) -> float:
+        return self._T
+
+    @property
+    def start(self) -> State:
+        """The first segment's entry: the initial state, after any jump at t = 0."""
+        return State._make(self.segments[0][3:8:2])
 
     @property
     def feasible(self) -> bool:
@@ -170,7 +163,7 @@ class Trajectory(Piecewise):
         segment's snapped exit at its end (t = T); a held D or S is its entry."""
         if not 0.0 <= t <= self._T:
             raise ValueError(f"t = {t} outside [0, {self._T}]")
-        t0, t1, x, N, slope, D, c, S, q = self._rows[bisect_right(self._starts, t) - 1]
+        t0, t1, x, N, slope, D, c, S, q, _ = self.segments[bisect_right(self._starts, t) - 1]
         if t == t1:
             return x
         dt = t - t0
@@ -183,17 +176,17 @@ class Trajectory(Piecewise):
         return tuple.__new__(State, (N + slope * dt, D, S))
 
     def walk(self, times: Sequence[float]) -> Iterator[tuple]:
-        """(segment, its times, N, D, S) per segment the ascending `times`
+        """(row, its times, N, D, S) per segment the ascending `times`
         reach: sample(t)'s values as columns, bit for bit, from the segment's
         row, the times at its end reading its snapped exit; a held D or S is None."""
         if times and not (0.0 <= times[0] and times[-1] <= self._T):
             raise ValueError(f"times outside [0, {self._T}]")
         r, alpha, exp, expm1 = self._r, self._alpha, math.exp, math.expm1
         i = 0
-        for seg, row, switch in zip(self.segments, self._rows, self._starts[1:] + (math.inf,)):
+        for row, switch in zip(self.segments, self._starts[1:] + (math.inf,)):
             j = bisect_left(times, switch, i)
             if i < j:
-                t0, t1, x, N, slope, D, c, S, q = row
+                t0, t1, x, N, slope, D, c, S, q, _ = row
                 end = bisect_left(times, t1, i, j)  # the times from `end` read x
                 dts, k = [t - t0 for t in times[i:end]], j - end
                 Ns, Ds, Ss = [N + slope * dt for dt in dts] + [x.N] * k, None, None
@@ -202,22 +195,20 @@ class Trajectory(Piecewise):
                 if q is not None:
                     Ss = [S * exp(-alpha * dt) - q * expm1(-alpha * dt) / alpha for dt in dts]
                     Ss += [x.S] * k
-                yield seg, times[i:j], Ns, Ds, Ss
+                yield row, times[i:j], Ns, Ds, Ss
             i = j
 
     def terminal_state(self) -> State:
-        return self.segments[-1].exit
+        return self.segments[-1][2]
 
     def objective(self) -> float:
         final = self.terminal_state()
         return final.N - final.D
 
 
-def _segment_violations(
-    params: ModelParams, seg: TrajectorySegment, tol: State
-) -> list[Violation]:
-    """Each bound the segment breaks by more than its component's tol, from
-    where it starts.
+def _segment_violations(params: ModelParams, row: tuple, tol: State) -> list[Violation]:
+    """Each bound the segment of `row` breaks by more than its component's
+    tol, from where it starts.
 
     On the segment each component is x0 + (x1 - x0)*expm1(k*tau)/expm1(k*dt)
     (x0 + (x1 - x0)*tau/dt when k = 0), with k = 0, r and -alpha for N, D
@@ -226,14 +217,13 @@ def _segment_violations(
     near g = -1 the equal form 1 + g = (e1 - e0*exp(k*dt))/(e1 - e0)
     avoids cancellation.  A breach already at entry starts at t_start.
     """
-    N0, D0, S0 = seg.entry
-    N1, D1, S1 = seg.exit
+    t_start, t_end, (N1, D1, S1), N0, _, D0, _, S0, _, _ = row
     n_tol, d_tol, s_tol = tol
     if (-n_tol <= N0 and -n_tol <= N1 and -d_tol <= D0 and -d_tol <= D1 and -s_tol <= S0
             and -s_tol <= S1 and S0 - params.S_max <= s_tol and S1 - params.S_max <= s_tol):
         return []  # both ends inside every bound (false for NaN, which takes the scan)
     out: list[Violation] = []
-    dt = seg.t_end - seg.t_start
+    dt = t_end - t_start
     rows = (
         (0.0, 0.0 - N0, 0.0 - N1, tol.N, "N>=0"),
         (params.r, 0.0 - D0, 0.0 - D1, tol.D, "D>=0"),
@@ -254,7 +244,7 @@ def _segment_violations(
                 tau = math.log1p(g) / k
             else:
                 tau = math.log((e1 - e0 * math.exp(k * dt)) / (e1 - e0)) / k
-        out.append(Violation(seg.t_start + min(tau, dt), label, worst))
+        out.append(Violation(t_start + min(tau, dt), label, worst))
     return out
 
 
@@ -286,33 +276,28 @@ def integrate_exact(
     state = jump.post_state if jump is not None else init
     tol = Tolerance.of(params, state)
     state_tol = tol.state
-    segments: list[TrajectorySegment] = []
+    rows = []
     for seg in policy.segments:
-        entry = state
         rates = _rates(params, seg.value)
+        (N, D, S), (slope, c, q) = state, rates  # the entry state and its rates
         state = _evolve(state, rates, params.r, params.alpha, seg.t_end - seg.t_start)
         comps = [comp for t, comp in expected_zeros if t == seg.t_end]
         for comp, comp_tol in zip(("N", "D", "S"), state_tol) if comps else ():
             if comp in comps:
                 residual = getattr(state, comp)
                 if comp == "D" and comp_tol < abs(residual) <= 8.0 * math.ulp(
-                    entry.D * math.exp(params.r * (seg.t_end - seg.t_start))
+                    D * math.exp(params.r * (seg.t_end - seg.t_start))
                 ):
                     raise PolicyInfeasibleError(f"debt clearance at t = {seg.t_end} is "
                                                 f"ill-conditioned: D = {residual} there")
                 if abs(residual) > comp_tol:
                     raise AssertionError(f"{comp}({seg.t_end}) = {residual} expected zero")
                 state = state._replace(**{comp: 0.0})
-        segments.append(
-            TrajectorySegment(seg.t_start, seg.t_end, seg.value, entry, state, rates)
-        )
+        rows.append((seg.t_start, seg.t_end, state, N, slope,
+                     D, None if D == c == 0.0 < math.copysign(1.0, D) else c,
+                     S, None if S == q == 0.0 < math.copysign(1.0, S) else q, seg.value))
     jumps = (jump,) if jump is not None else ()
-    return Trajectory(
-        params=params,
-        segments=tuple(segments),
-        tol=tol,
-        jumps=jumps,
-    )
+    return Trajectory(params=params, segments=tuple(rows), tol=tol, jumps=jumps)
 
 
 # ---------------------------------------------------------------------------

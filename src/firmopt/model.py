@@ -136,7 +136,7 @@ class Piecewise:
     _starts: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_starts", tuple(s.t_start for s in self.segments))
+        object.__setattr__(self, "_starts", tuple([s.t_start for s in self.segments]))
 
     @property
     def t_final(self) -> float:

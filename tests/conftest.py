@@ -23,7 +23,9 @@ from firmopt import (
     synthesize_policy,
     validate_params,
 )
-from firmopt.dynamics import Trajectory, _evolve
+from firmopt.dynamics import Trajectory, _evolve, _rates
+
+from oracles import segment_rows
 
 # derandomized and without an example database: property tests draw the
 # same examples on every run; hypothesis's own caches go to a directory
@@ -156,9 +158,10 @@ def assert_segments_join(traj, expected_zeros) -> None:
     snaps it to exactly zero, from a residual within its traj.tol.state."""
     params = traj.params
     snapped = set(expected_zeros)
-    for prev, nxt in zip(traj.segments, traj.segments[1:]):
+    segments = segment_rows(traj)
+    for prev, nxt in zip(segments, segments[1:]):
         dt = prev.t_end - prev.t_start
-        left = _evolve(prev.entry, prev.rates, params.r, params.alpha, dt)
+        left = _evolve(prev.entry, _rates(params, prev.control), params.r, params.alpha, dt)
         for comp, before, after, tol in zip("NDS", left, nxt.entry, traj.tol.state):
             if (prev.t_end, comp) in snapped:
                 assert after == 0.0 and abs(before) <= tol, (prev.t_end, comp)

@@ -41,7 +41,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import mpmath
 import numpy as np
@@ -58,6 +58,31 @@ from firmopt import (
 )
 from firmopt.dynamics import AdjointTrajectory, Trajectory
 from firmopt.model import ControlSegment, ControlValue, JumpRecord, PiecewiseControl
+
+
+class SegmentRow(NamedTuple):
+    """A `Trajectory.segments` row with its fields named, for tests to read;
+    the library reads the plain tuple by position."""
+
+    t_start: float
+    t_end: float
+    exit: State
+    N: float
+    slope: float
+    D: float
+    c: float | None
+    S: float
+    q: float | None
+    control: ControlValue
+
+    @property
+    def entry(self) -> State:
+        return State(self.N, self.D, self.S)
+
+
+def segment_rows(traj: Trajectory) -> tuple[SegmentRow, ...]:
+    """The trajectory's segment rows with their fields named."""
+    return tuple(map(SegmentRow._make, traj.segments))
 
 
 def reference_integrate(
@@ -278,7 +303,7 @@ def find_zero_crossing(
                 f"multiple zero crossings of {component} in {window}"
             )
 
-    for seg in traj.segments:
+    for seg in segment_rows(traj):
         lo = max(seg.t_start, t_a)
         hi = min(seg.t_end, t_b)
         if hi <= lo:
@@ -334,11 +359,11 @@ class ClosedFormTrajectory:
     initial_jump: JumpRecord | None
 
     @property
-    def segments(self) -> tuple[dynamics.TrajectorySegment, ...]:
-        return self.trajectory.segments
+    def segments(self) -> tuple[SegmentRow, ...]:
+        return segment_rows(self.trajectory)
 
     def coefficients(self, index: int, component: str) -> ComponentCoefficients:
-        seg = self.trajectory.segments[index]
+        seg = self.segments[index]
         p = self.trajectory.params
         c = seg.control
         if component == "N":
@@ -393,7 +418,7 @@ def advance_state_reference(
 
 
 def segment_violations_reference(
-    params: ModelParams, seg: dynamics.TrajectorySegment, tol: State
+    params: ModelParams, seg: SegmentRow, tol: State
 ) -> list[dynamics.Violation]:
     """The violation report of one exact segment, each bound and its
     tolerance looked up by component name; a trajectory's report must
@@ -467,7 +492,7 @@ def trajectory_csv_reference(traj: Trajectory) -> str:
     feasible = "true" if traj.feasible else "false"
     lines = ["t,N,D,S,u,v,w,feasible"]
     for t, state in trajectory_rows_reference(traj):
-        c = traj.segment_at(t).control
+        c = SegmentRow._make(traj.segment_at(t)).control
         cells = [cli.CSV_FMT % x for x in (t, state.N, state.D, state.S, c.u, c.v, c.w)]
         lines.append(",".join([*cells, feasible]))
     return "\n".join(lines) + "\n"

@@ -24,6 +24,7 @@ from firmopt.dynamics import Tolerance
 from firmopt.model import ControlSegment, ControlValue, PiecewiseControl
 
 from conftest import ALL_KINDS, BASELINE, draw_scenario_case
+from oracles import segment_rows
 from test_solver import J_A2, J_S3, T_S_BASE
 
 
@@ -187,7 +188,7 @@ class TestEvaluateChain:
         params = replace(BASELINE, T=breakpoints[-1])
         plan = chain_plan(params, State(20.0, 0.0, 10.0), breakpoints)
         traj, value = evaluate_chain(params, plan)
-        segs = traj.segments
+        segs = segment_rows(traj)
         assert segs[0].t_start == 0.0
         assert all(a.t_end == b.t_start for a, b in zip(segs, segs[1:]))
         assert traj.t_final == params.T
@@ -250,7 +251,7 @@ class TestEvaluateChain:
         # relative to those terms.  A debt error carried on to T compounds with
         # the debt, which exp(r*T) covers from the evaluation's start; a stock
         # error moves the re-derived t_S, and each unit missed costs A + K.
-        segments = synth.trajectory.segments
+        segments = segment_rows(synth.trajectory)
         n, m = len(segments), len(junctions)
         M = max(1.0, *(abs(x) for seg in segments for x in (*seg.entry, *seg.exit)))
         eps = sys.float_info.epsilon

@@ -18,6 +18,7 @@ from hypothesis import example, given, strategies as st
 import firmopt
 from firmopt import chain, cli, dynamics, solver, verify
 from firmopt.cli import (
+    BRUTE_NT_MAX,
     COMMANDS,
     CSV_FMT,
     EXIT_CONFIG,
@@ -44,12 +45,15 @@ BASE_DOC = {
 #: digits than json.loads converts to an int
 BEYOND_FLOAT_RANGE = "1" + "0" * 400
 TOO_MANY_DIGITS = "1" * 4301
+#: a JSON value nested deeper than json.loads can recurse
+DEEP_NESTING = "[" * 100000 + "]" * 100000
 
 
 def config_text(doc):
     """json.dumps(doc), each string "#<digits>" written as the bare number:
-    json.dumps of an int of over 4300 digits meets the same limit."""
-    return re.sub(r'"#(\d+)"', r"\1", json.dumps(doc))
+    json.dumps of an int of over 4300 digits meets the same limit.  A string
+    "#<brackets>" is written as the bare nested arrays alike."""
+    return re.sub(r'"#([\d\[\]]+)"', r"\1", json.dumps(doc))
 
 
 def make_config(tmp_path, doc, name="run.json"):
@@ -103,6 +107,22 @@ class TestParseConfig:
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config("{not json")
+
+    def test_nesting_deeper_than_the_parser_recurses_is_invalid_json(self):
+        with pytest.raises(ConfigError, match="^invalid JSON: maximum recursion depth"):
+            parse_config(DEEP_NESTING)
+
+    def test_brute_nt_is_bounded_by_the_searchs_cost(self):
+        # checked by parsing alone: no search runs at these sizes
+        assert BRUTE_NT_MAX >= 200  # the default grid and the benchmark's largest
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["options"] = {"brute_nt": BRUTE_NT_MAX}
+        assert parse_config(json.dumps(doc)).grid.n_t == BRUTE_NT_MAX
+        doc["options"] = {"brute_nt": BRUTE_NT_MAX + 1}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert str(err.value) == (f"options.brute_nt: at most {BRUTE_NT_MAX}, the "
+                                  "search's time growing with its square")
 
     def test_options_validation(self):
         doc = json.loads(json.dumps(BASE_DOC))
@@ -343,6 +363,13 @@ class TestCommands:
         assert run_cli("chain", tmp_path / "run.json") == EXIT_CONFIG
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("config error: " + message.format(path=path))
+
+    def test_a_file_of_open_brackets_exits_two(self, tmp_path, capsys):
+        (tmp_path / "run.json").write_text("[" * 100000)
+        assert run_cli("solve", tmp_path / "run.json") == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: invalid JSON: maximum recursion depth exceeded")
 
     @pytest.mark.parametrize("command", ["solve", "chain"])
     def test_an_unwritable_out_dir_exits_two(self, tmp_path, capsys, command):
@@ -713,7 +740,8 @@ ILL_CONDITIONED_CLEARANCE_DOC = {
 # and once with exp(r*T) beyond the float range; then a t_D that only its
 # log1p form puts on the debt's zero; then the time-scaled S2 firm; then a
 # debt clearance too ill-conditioned to place, which exits 1; then a cash
-# integer beyond float range, and one of more digits than JSON converts
+# integer beyond float range, one of more digits than JSON converts, and
+# arrays nested deeper than JSON parses
 @example(
     doc={**BASE_DOC, "init": {"N0": 1, "D0": 0, "S0": 10},
          "options": {"brute_nt": 5, "brute_levels": {"w": [0]}}},
@@ -728,6 +756,8 @@ ILL_CONDITIONED_CLEARANCE_DOC = {
 @example(doc={**BASE_DOC, "init": {**BASE_DOC["init"], "N0": "#" + BEYOND_FLOAT_RANGE}},
          command="solve")
 @example(doc={**BASE_DOC, "init": {**BASE_DOC["init"], "N0": "#" + TOO_MANY_DIGITS}},
+         command="solve")
+@example(doc={**BASE_DOC, "init": {**BASE_DOC["init"], "N0": "#" + DEEP_NESTING}},
          command="solve")
 @given(doc=schema_valid_documents(), command=st.sampled_from(COMMANDS))
 def test_schema_valid_configs_never_end_in_a_traceback(tmp_path_factory, doc, command):

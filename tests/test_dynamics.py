@@ -28,6 +28,7 @@ from firmopt.dynamics import (
     PiecewiseExpFn,
     Tolerance,
     _evolve,
+    _rates,
     _segment_violations,
     adjoint_backward,
     extrema,
@@ -51,6 +52,7 @@ from oracles import (
     find_zero_crossing,
     integrate_rk4,
     rows_inside_the_box,
+    segment_rows,
     segment_violations_reference,
     trajectory_csv_reference,
 )
@@ -111,7 +113,7 @@ class TestIntegrateExact:
         (violation,) = traj.feasibility_report
         assert violation.constraint == constraint
         comp = constraint[0]
-        seg = traj.segments[-1]
+        seg = segment_rows(traj)[-1]
         root = bisect_root(
             lambda t: getattr(traj.sample(t), comp) - bound, seg.t_start, seg.t_end, 1e-15
         )
@@ -219,9 +221,9 @@ class TestIntegrateExact:
             BASELINE, init, self.two_segments(self.T_EMPTY, control),
             expected_zeros=[(self.T_EMPTY, "S")],
         )
-        exit_state = traj.segments[0].exit
-        assert bits(exit_state) == bits(raw._replace(S=0.0))
-        assert traj.segments[1].entry is exit_state
+        first, second = segment_rows(traj)
+        assert bits(first.exit) == bits(raw._replace(S=0.0))
+        assert bits(second.entry) == bits(first.exit)
 
     def test_tied_stock_and_debt_zeros_both_snap(self):
         # D0 is the debt that repaying 5 a year clears at 2*ln(2), so D and
@@ -234,7 +236,7 @@ class TestIntegrateExact:
             BASELINE, init, self.two_segments(self.T_EMPTY, control),
             expected_zeros=[(self.T_EMPTY, "S"), (self.T_EMPTY, "D")],
         )
-        assert bits(traj.segments[0].exit) == bits(State(raw.N, 0.0, 0.0))
+        assert bits(segment_rows(traj)[0].exit) == bits(State(raw.N, 0.0, 0.0))
 
 
 def bits(state):
@@ -255,7 +257,7 @@ def assert_same_csv(got, want):
 def assert_sample_and_csv_are_the_closed_form(params, traj, fractions=()):
     grid = [k / 40 for k in range(41)]
     for t in [params.T * f for f in [*fractions, *grid]] + list(traj.breakpoints):
-        seg = [s for s in traj.segments if s.t_start <= t][-1]
+        seg = [s for s in segment_rows(traj) if s.t_start <= t][-1]
         closed = advance_state(params, seg.entry, seg.control, t - seg.t_start)
         reference = advance_state_reference(params, seg.entry, seg.control, t - seg.t_start)
         assert bits(closed) == bits(reference)
@@ -373,9 +375,10 @@ def test_sample_and_walk_keep_the_closed_forms_signed_zeros(rates, D0, S0):
              math.nextafter(5.0, 10.0), math.nextafter(10.0, 0.0), 10.0]
     want = []
     for t in times:
-        seg = [s for s in traj.segments if s.t_start <= t][-1]
+        seg = [s for s in segment_rows(traj) if s.t_start <= t][-1]
         want.append(bits(seg.exit if t == seg.t_end else _evolve(
-            seg.entry, seg.rates, BASELINE.r, BASELINE.alpha, t - seg.t_start)))
+            seg.entry, _rates(BASELINE, seg.control), BASELINE.r, BASELINE.alpha,
+            t - seg.t_start)))
     assert [bits(traj.sample(t)) for t in times] == want
     walked = [  # None: held at +0.0
         (N, 0.0 if D is None else D[k], 0.0 if S is None else S[k])
@@ -431,9 +434,9 @@ def test_csv_skips_zero_length_segments():
     # the last segment starting at it, as sample and segment_at do
     kind = ScenarioKind.S2_DEBT_WITH_STOCK
     traj = synthesize_policy(BASELINE, State(20.0, 10.0, 10.0), kind).trajectory
-    first, last = traj.segments[0], traj.segments[-1]
-    pinned = [replace(s, t_start=s.t_end, entry=s.exit) for s in (first, last)]
-    spliced = replace(traj, segments=(first, pinned[0], *traj.segments[1:], pinned[1]))
+    rows = segment_rows(traj)
+    pinned = [tuple(s._replace(t_start=s.t_end, **s.exit._asdict())) for s in (rows[0], rows[-1])]
+    spliced = replace(traj, segments=(traj.segments[0], pinned[0], *traj.segments[1:], pinned[1]))
     csv = _trajectory_csv(spliced)
     assert_same_csv(csv, trajectory_csv_reference(spliced))
     assert_same_csv(csv, _trajectory_csv(traj))
@@ -466,12 +469,12 @@ class TestSampleDomain:
         init, traj = self.emptied_at_horizon()
         raw = advance_state(BASELINE, init, ControlValue(0.0, 0.0, 5.0), self.T_EMPTY)
         assert raw.S != 0.0
-        assert traj.sample(self.T_EMPTY) is traj.segments[-1].exit
+        assert traj.sample(self.T_EMPTY) is segment_rows(traj)[-1].exit
         assert bits(traj.sample(self.T_EMPTY)) == bits(raw._replace(S=0.0))
 
     def test_negative_zero_gives_the_first_segments_state(self):
         init, traj = self.emptied_at_horizon()
-        assert traj.sample(-0.0) == traj.segments[0].entry == init
+        assert traj.sample(-0.0) == segment_rows(traj)[0].entry == init
         assert type(traj.sample(-0.0)) is State
 
     def test_walk_and_csv_end_on_the_snapped_exit(self):
@@ -480,7 +483,7 @@ class TestSampleDomain:
         first, last = (State(*row) for row in zip(*columns))
         assert seg is traj.segments[-1] and ts == [0.0, self.T_EMPTY]
         assert bits(first) == bits(traj.sample(0.0))
-        assert bits(last) == bits(traj.segments[-1].exit)
+        assert bits(last) == bits(segment_rows(traj)[-1].exit)
         csv = _trajectory_csv(traj)
         assert_same_csv(csv, trajectory_csv_reference(traj))
         assert csv.endswith(",0,0,0,5,true\n")
@@ -492,6 +495,35 @@ class TestSampleDomain:
         _, traj = self.emptied_at_horizon()
         with pytest.raises(ValueError, match=r"times outside \[0, "):
             list(traj.walk(times))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_start_is_the_post_jump_state_the_tolerance_is_built_from(kind):
+    """Trajectory.start, single solve and 3-interval chain alike: the state
+    after any jump at t = 0, bit for bit, and the one Tolerance reads."""
+    jump_mode = kind in (ScenarioKind.A1_TOTAL_REPAYMENT_JUMP,
+                         ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP)
+    chains = 0
+    for seed in range(8):
+        params, init = draw_scenario_case(random.Random(seed), kind)
+        synth = synthesize_policy(params, init, kind)
+        assert (synth.jump is not None) == jump_mode
+        start = synth.jump.post_state if jump_mode else init
+        trajs = [synth.trajectory]
+        T = params.T
+        try:
+            plan = chain_plan(params, init, [0.0, T / 3.0, 2.0 * T / 3.0, T], jump_mode)
+        except ChainJunctionError:
+            plan = None
+        if plan is not None:
+            first = plan[0].synthesis
+            assert bits(first.jump.post_state if jump_mode else init) == bits(start)
+            trajs.append(evaluate_chain(params, plan)[0])
+            chains += 1
+        for traj in trajs:
+            assert type(traj.start) is State and bits(traj.start) == bits(start)
+            assert Tolerance.of(params, traj.start) == traj.tol
+    assert chains > 0
 
 
 def start_branch(params, seg, tol):
@@ -554,8 +586,11 @@ def test_a_nan_end_takes_the_full_violation_scan(comp, end):
     # the inside-every-bound shortcut is false for NaN, so a NaN end is
     # reported (or not) exactly as the reference's per-bound scan does
     init = State(20.0, 10.0, 10.0)
-    seg = integrate_exact(BASELINE, init, constant_policy(5.0, 10.0, 5.0)).segments[0]
-    seg = replace(seg, **{end: getattr(seg, end)._replace(**{comp: math.nan})})
+    [seg] = segment_rows(integrate_exact(BASELINE, init, constant_policy(5.0, 10.0, 5.0)))
+    if end == "entry":  # the entry state is the row's N, D and S
+        seg = seg._replace(**{comp: math.nan})
+    else:
+        seg = seg._replace(exit=seg.exit._replace(**{comp: math.nan}))
     tol = Tolerance.of(BASELINE, init).state
     got = _segment_violations(BASELINE, seg, tol)
     assert violation_bits(got) == violation_bits(segment_violations_reference(BASELINE, seg, tol))
@@ -575,12 +610,12 @@ def test_violation_report_matches_the_reference_bit_for_bit():
         traj = integrate_exact(params, init, policy)
         tol = Tolerance.of(params, init).state
         expected = sorted(
-            (v for seg in traj.segments
+            (v for seg in segment_rows(traj)
              for v in segment_violations_reference(params, seg, tol)),
             key=lambda v: (v.time, v.constraint),
         )
         assert violation_bits(traj.feasibility_report) == violation_bits(expected)
-        for seg in traj.segments:
+        for seg in segment_rows(traj):
             for label, branch in start_branch(params, seg, tol):
                 reached.update((label, branch))
 

@@ -6,7 +6,9 @@ Reports are pinned verbatim; CSVs (and the stdout of `simulate`, which
 is the CSV) by their sha256.  The data file was written once from these
 configs and is not regenerated: a refactor that changes a single byte
 of any output fails here.  Beyond those configs, one sha256 pins the
-CSVs of 100 seeded random firms, each solved once and chained.
+CSVs of 100 seeded random firms, each solved once and chained, and a
+second their exact bits: each trajectory's objective, feasibility report
+and samples, as float.hex.
 """
 
 from __future__ import annotations
@@ -130,3 +132,29 @@ def test_csvs_of_seeded_firms_match_their_pinned_hash():
             if traj is not None:
                 digest.update(_trajectory_csv(traj).encode("utf-8"))
     assert digest.hexdigest() == SEEDED_CSV_SHA256
+
+
+#: sha256 of the exact bits of the same trajectories: the CSVs print 9
+#: digits, these every bit
+SEEDED_BITS_SHA256 = "9830f2fdbd395f2f8ddf1342e83271b6b15b015fc57e316d99b68ab875afe845"
+
+
+def _exact_bits(traj) -> bytes:
+    """The trajectory's objective, each reported violation, and its state at
+    every breakpoint and 101 uniform times, each float as float.hex."""
+    T = traj.t_final
+    times = [*traj.breakpoints, *(min(T, k * T / 100) for k in range(101))]
+    lines = [traj.objective().hex()]
+    lines += [f"{v.time.hex()} {v.constraint} {v.magnitude.hex()}"
+              for v in traj.feasibility_report]
+    lines += [" ".join([t.hex(), *(x.hex() for x in traj.sample(t))]) for t in times]
+    return "\n".join(lines).encode("ascii") + b"\n\n"
+
+
+def test_exact_bits_of_seeded_firms_match_their_pinned_hash():
+    digest = hashlib.sha256()
+    for seed in range(SEEDED_FIRMS):
+        for traj in solve_and_chain(ALL_KINDS[seed % len(ALL_KINDS)], seed):
+            if traj is not None:
+                digest.update(_exact_bits(traj))
+    assert digest.hexdigest() == SEEDED_BITS_SHA256

@@ -130,7 +130,7 @@ def test_unit_scalings_change_no_verdict(kind, unit, k, seed):
     assert feasible_column(traj2) == feasible_column(traj)
 
     unit_of = {"N>=0": money, "D>=0": money, "S>=0": stock, "S<=S_max": stock}
-    entry, entry2 = traj.segments[0].entry, traj2.segments[0].entry
+    entry, entry2 = traj.start, traj2.start
     broken = integrate_exact(params, entry, produce_then_sell(params))
     broken2 = integrate_exact(params2, entry2, produce_then_sell(params2))
     assert broken2.feasibility_report == tuple(

@@ -44,6 +44,7 @@ from oracles import (
     grid_multipliers_nonnegative,
     hamiltonian,
     prefix_brute_force_best,
+    segment_rows,
     switching_from_psi,
     switching_values,
 )
@@ -697,7 +698,7 @@ class TestBruteForce:
         init = State(1e10, 0.0, 0.0)
         policy, best = brute_force_best(BASELINE, init, BruteForceGrid(n_t=10))
         traj = integrate_exact(BASELINE, init, policy)
-        assert min(min(seg.entry.S, seg.exit.S) for seg in traj.segments) >= -1e-7
+        assert min(min(seg.entry.S, seg.exit.S) for seg in segment_rows(traj)) >= -1e-7
         assert best - objective_value(BASELINE, init, ScenarioKind.S1_NO_DEBT_WITH_STOCK) <= 1e-4
 
     @given(
@@ -723,7 +724,7 @@ class TestBruteForce:
             reject()  # scaling rounded the draw out of its scenario
         if not cert.passed or abs(cert.synthesis.objective) >= 1e10:
             reject()
-        start = cert.synthesis.trajectory.segments[0].entry
+        start = cert.synthesis.trajectory.start
         _, best = brute_force_best(params, start, BruteForceGrid(n_t=n_t))
         assert best - cert.synthesis.objective <= 1e-4
 
