@@ -11,12 +11,11 @@ repay-min(N, D)-at-once rule as at t = 0).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import solver
 from .dynamics import Tolerance, Trajectory
 from .model import (
-    JumpRecord,
     ModelParams,
     PolicyInfeasibleError,
     State,
@@ -43,12 +42,6 @@ class ChainInterval(NamedTuple):
     synthesis: solver.SynthesisResult
 
 
-def _chain_tolerance(params: ModelParams, plan: Sequence[ChainInterval]) -> Tolerance:
-    """The chain's one tolerance: the whole horizon's, from its start after
-    any jump at t = 0, as integrate_exact takes a single solve's."""
-    return Tolerance.of(params, plan[0].synthesis.trajectory.start)
-
-
 def chain_plan(
     params: ModelParams,
     init: State,
@@ -58,10 +51,11 @@ def chain_plan(
     """Solve each subinterval myopically and chain the terminal states.
 
     `breakpoints` must run strictly increasing from 0 to T.  At each
-    junction, a component within the chain's tolerance of zero (see
-    _chain_tolerance) becomes exactly zero before the next classification.
-    Any uncovered junction state (cash exhausted while indebted, without
-    jump mode) aborts with the junction index.
+    junction, a component within the chain's tolerance of zero (the whole
+    horizon's, from the first interval's post-jump start) becomes exactly
+    zero before the next classification.  Any uncovered junction state
+    (cash exhausted while indebted, without jump mode) aborts with the
+    junction index.
     """
     if len(breakpoints) < 2 or breakpoints[0] != 0.0 or breakpoints[-1] != params.T:
         raise ValueError("breakpoints must run from 0 to T")
@@ -80,7 +74,7 @@ def chain_plan(
             raise ChainJunctionError(idx, str(exc)) from exc
         intervals.append(ChainInterval(t0, t1, entry, synth))
         if idx == 0:
-            snap = _chain_tolerance(params, intervals).state
+            snap = Tolerance.of(params, synth.trajectory.start).state
         final = synth.trajectory.terminal_state()
         entry = State._make(0.0 if abs(x) < tol else x for x, tol in zip(final, snap))
     return tuple(intervals)
@@ -94,24 +88,9 @@ def evaluate_chain(
     Junction jumps, stamped with their interval's t_start, become interior
     discontinuities of the combined trajectory; all other junctions are
     exactly continuous because each interval starts from the previous
-    terminal state.  Its rows are the intervals' rows shifted by their
-    t_start, and tile [0, T] exactly: each interval's last one ends at its
-    t_end.  The combined trajectory is judged by the chain's tolerance,
-    the one its junctions were snapped with.
+    terminal state.  Trajectory.joined lays the intervals end to end, so
+    they tile [0, T] exactly, and judges the whole by the chain's
+    tolerance, the one its junctions were snapped with.
     """
-    rows: list[tuple] = []
-    jumps: list[JumpRecord] = []
-    for t0, t1, _, synth in plan:
-        if synth.jump is not None:
-            jumps.append(replace(synth.jump, t=t0))
-        *body, last = synth.trajectory.segments
-        rows += [(row[0] + t0, row[1] + t0, *row[2:]) for row in body]
-        # local T + t0 can miss t1 by an ulp: end the last one exactly
-        rows.append((last[0] + t0, t1, *last[2:]))
-    combined = Trajectory(
-        params=params,
-        segments=tuple(rows),
-        tol=_chain_tolerance(params, plan),
-        jumps=tuple(jumps),
-    )
-    return combined, combined.objective()
+    traj = Trajectory.joined(params, [(t0, t1, synth.trajectory) for t0, t1, _, synth in plan])
+    return traj, traj.objective()

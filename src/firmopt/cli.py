@@ -51,6 +51,13 @@ GAP_ULPS = 8
 #: 4.5-11 us per n_t**2 with the default levels (README firms, n_t = 100-400,
 #: Python 3.11 on one core), so n_t = 2000 searches for 18-44 s, within a minute
 BRUTE_NT_MAX = 2000
+#: the largest n_t * L**3, L the search's level-triple count: its time grows
+#: with n_t**2 * L**3 and its memory with n_t * L**3 (two baseline firms,
+#: n_t = 2-2000, L = 18-180, Python 3.11: at most 7.5e-10 s and 11.2
+#: tracemalloc bytes per unit, both at L = 18), so with n_t <= BRUTE_NT_MAX no
+#: search costs more than n_t = BRUTE_NT_MAX at the default 18 triples (S2:
+#: 14.7 s, 131 MB)
+BRUTE_COST_MAX = BRUTE_NT_MAX * 18**3
 
 _PARAM_KEYS = tuple(f.name for f in fields(ModelParams))
 _INIT_KEYS = ("N0", "D0", "S0")
@@ -179,10 +186,14 @@ def parse_config(text: str) -> RunConfig:
         check_initial_state(params, init)
     except ValueError as exc:
         raise ConfigError(f"init: {exc}") from exc
+    n_t = kwargs["grid"].n_t
     try:
-        kwargs["grid"].levels(params)
+        n_lv = math.prod(map(len, kwargs["grid"].levels(params)))
     except ControlBoundsError as exc:
         raise ConfigError(f"options.brute_levels.{exc}") from exc
+    if n_t * n_lv**3 > BRUTE_COST_MAX:
+        raise ConfigError(f"options.brute_levels: {n_lv} level triples at brute_nt = {n_t}, "
+                          f"but brute_nt * triples**3 is at most {BRUTE_COST_MAX}")
 
     return RunConfig(params, init, jump_mode, **kwargs)
 
@@ -251,8 +262,7 @@ def _trajectory_csv(traj: Trajectory) -> str:
     jump_at = {j.t: j for j in traj.jumps}
     verdict = "true" if traj.feasible else "false"
     rows = ["t,N,D,S,u,v,w,feasible\n"]
-    for row, ts, Ns, Ds, Ss in traj.walk(times):
-        c = row[-1]  # the segment's control
+    for c, ts, Ns, Ds, Ss in traj.walk(times):
         tail = ",".join(["", CSV_FMT % c.u, CSV_FMT % c.v, CSV_FMT % c.w, verdict]) + "\n"
         if ts[0] in jump_at:  # a jump's time starts its segment: the pre-jump row first
             j = jump_at[ts[0]]
@@ -305,9 +315,9 @@ def cmd_verify(config: RunConfig) -> tuple[int, str]:
     synth = cert.synthesis
     closed = synth.objective
     _, best = _brute_force(config, synth)
-    # the magnitudes summed: cash and debt along the closed form, and the value
-    traj = synth.trajectory
-    ends = [traj.start, *(row[2] for row in traj.segments)]
+    # the magnitudes summed: cash and debt at the closed form's segment ends
+    # (each start reads its entry), and the value
+    ends = map(synth.trajectory.sample, synth.trajectory.breakpoints)
     scale = max(abs(best), *(abs(x) for state in ends for x in (state.N, state.D)))
     brute_ok = best - closed <= GAP_ULPS * math.ulp(scale)
 

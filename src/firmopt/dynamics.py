@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, NamedTuple, Sequence
 
 from .model import (
@@ -92,21 +92,6 @@ def _rates(params: ModelParams, control: ControlValue) -> tuple[float, float, fl
     )
 
 
-def _evolve(
-    state: State, rates: tuple[float, float, float], r: float, alpha: float, dt: float
-) -> State:
-    """The closed form: `state` advanced by dt at constant `rates`, built as
-    State._make does, for integrate_exact's segment exits.  Trajectory.sample
-    and Trajectory.walk evaluate its expressions inline on their rows, bit-identical."""
-    N, D, S = state
-    slope, c, q = rates
-    return tuple.__new__(State, (
-        N + slope * dt,
-        D * math.exp(r * dt) + c * math.expm1(r * dt) / r,
-        S * math.exp(-alpha * dt) - q * math.expm1(-alpha * dt) / alpha,
-    ))
-
-
 @dataclass(frozen=True)
 class Trajectory(Piecewise):
     """Piecewise closed-form evolution of (N, D, S) over [0, T].
@@ -120,10 +105,11 @@ class Trajectory(Piecewise):
     Each segment is one row, (t_start, t_end, exit, N, slope, D, c, S, q,
     control): its span, its snapped exit, its entry state (N, D, S), each
     component beside its closed-form rate (see _rates), and its control.
-    integrate_exact writes the rows and evaluate_chain shifts them; sample and
-    walk read them.  A D or S entering at +0.0 at a zero rate is held, its
-    rate None: the closed form adds it a zero, as exp(r*dt) is finite
-    (validate_params bounds r*T), and +0.0 plus any zero is +0.0.
+    This module alone knows the layout: integrate_exact writes the rows,
+    joined shifts them, and sample and walk read them.  A D or S entering
+    at +0.0 at a zero rate is held, its rate None: the closed form adds it
+    a zero, as exp(r*dt) is finite (validate_params bounds r*T), and +0.0
+    plus any zero is +0.0.
     """
 
     params: ModelParams
@@ -145,6 +131,22 @@ class Trajectory(Piecewise):
         self.__dict__.update(_starts=tuple(starts), _r=self.params.r, _alpha=self.params.alpha,
                              _T=self.segments[-1][1], feasibility_report=tuple(violations))
 
+    @classmethod
+    def joined(cls, params: ModelParams,
+               parts: Sequence[tuple[float, float, "Trajectory"]]) -> "Trajectory":
+        """The (t_start, t_end, trajectory) parts, each on its own clock from 0,
+        laid end to end: rows and jumps shifted by t_start, each part's last
+        row ending exactly at t_end (t_start plus the local T can miss it by an
+        ulp).  Judged by the tolerance of the first part's start."""
+        rows, jumps = [], []
+        for t0, t1, traj in parts:
+            for j in traj.jumps:
+                jumps.append(replace(j, t=j.t + t0))
+            *body, last = traj.segments
+            rows += [(row[0] + t0, row[1] + t0) + row[2:] for row in body]
+            rows.append((last[0] + t0, t1) + last[2:])
+        return cls(params, tuple(rows), Tolerance.of(params, parts[0][2].start), tuple(jumps))
+
     @property
     def t_final(self) -> float:
         return self._T
@@ -152,7 +154,7 @@ class Trajectory(Piecewise):
     @property
     def start(self) -> State:
         """The first segment's entry: the initial state, after any jump at t = 0."""
-        return State._make(self.segments[0][3:8:2])
+        return tuple.__new__(State, self.segments[0][3:8:2])
 
     @property
     def feasible(self) -> bool:
@@ -176,7 +178,7 @@ class Trajectory(Piecewise):
         return tuple.__new__(State, (N + slope * dt, D, S))
 
     def walk(self, times: Sequence[float]) -> Iterator[tuple]:
-        """(row, its times, N, D, S) per segment the ascending `times`
+        """(control, its times, N, D, S) per segment the ascending `times`
         reach: sample(t)'s values as columns, bit for bit, from the segment's
         row, the times at its end reading its snapped exit; a held D or S is None."""
         if times and not (0.0 <= times[0] and times[-1] <= self._T):
@@ -186,7 +188,7 @@ class Trajectory(Piecewise):
         for row, switch in zip(self.segments, self._starts[1:] + (math.inf,)):
             j = bisect_left(times, switch, i)
             if i < j:
-                t0, t1, x, N, slope, D, c, S, q, _ = row
+                t0, t1, x, N, slope, D, c, S, q, control = row
                 end = bisect_left(times, t1, i, j)  # the times from `end` read x
                 dts, k = [t - t0 for t in times[i:end]], j - end
                 Ns, Ds, Ss = [N + slope * dt for dt in dts] + [x.N] * k, None, None
@@ -195,7 +197,7 @@ class Trajectory(Piecewise):
                 if q is not None:
                     Ss = [S * exp(-alpha * dt) - q * expm1(-alpha * dt) / alpha for dt in dts]
                     Ss += [x.S] * k
-                yield row, times[i:j], Ns, Ds, Ss
+                yield control, times[i:j], Ns, Ds, Ss
             i = j
 
     def terminal_state(self) -> State:
@@ -276,18 +278,22 @@ def integrate_exact(
     state = jump.post_state if jump is not None else init
     tol = Tolerance.of(params, state)
     state_tol = tol.state
+    r, alpha = params.r, params.alpha
     rows = []
     for seg in policy.segments:
-        rates = _rates(params, seg.value)
-        (N, D, S), (slope, c, q) = state, rates  # the entry state and its rates
-        state = _evolve(state, rates, params.r, params.alpha, seg.t_end - seg.t_start)
+        (N, D, S), (slope, c, q) = state, _rates(params, seg.value)  # entry and rates
+        dt = seg.t_end - seg.t_start
+        grown = D * math.exp(r * dt)  # the term that cancels c's where D clears
+        state = tuple.__new__(State, (  # the closed form, as sample evaluates it
+            N + slope * dt,
+            grown + c * math.expm1(r * dt) / r,
+            S * math.exp(-alpha * dt) - q * math.expm1(-alpha * dt) / alpha,
+        ))
         comps = [comp for t, comp in expected_zeros if t == seg.t_end]
         for comp, comp_tol in zip(("N", "D", "S"), state_tol) if comps else ():
             if comp in comps:
                 residual = getattr(state, comp)
-                if comp == "D" and comp_tol < abs(residual) <= 8.0 * math.ulp(
-                    D * math.exp(params.r * (seg.t_end - seg.t_start))
-                ):
+                if comp == "D" and comp_tol < abs(residual) <= 8.0 * math.ulp(grown):
                     raise PolicyInfeasibleError(f"debt clearance at t = {seg.t_end} is "
                                                 f"ill-conditioned: D = {residual} there")
                 if abs(residual) > comp_tol:

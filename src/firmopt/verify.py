@@ -257,18 +257,23 @@ def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
 
 
 def check_transversality(
-    mults: MultiplierSet, adjoint: AdjointTrajectory
+    params: ModelParams, mults: MultiplierSet, adjoint: AdjointTrajectory
 ) -> CertReport:
-    """psi1(T) = mu1 + 1, psi2(T) = mu2 - 1, psi3(T) = mu3 - mu4, exactly."""
+    """psi1(T) = mu1 + 1, psi2(T) = mu2 - 1, psi3(T) = mu3 - mu4, exactly.
+
+    Each psi_i(T)'s slack is 0 where it is exact and -|got - want| where
+    not, -inf where that is NaN.  The worst margin is ranked per unit of
+    psi1 and psi2, which have none: psi3, money per stock, in units of p.
+    """
     T = adjoint.psi1.t_final
     want = (mults.mu1 + 1.0, mults.mu2 - 1.0, mults.mu3 - mults.mu4)
-    got = adjoint.value_at(T)
-    bad = tuple(
-        CertViolation(T, f"psi{i}(T)", abs(g - w))
-        for i, (g, w) in enumerate(zip(got, want), start=1)
-        if g != w
-    )
-    return CertReport(passed=not bad, violations=bad)
+    found = _Findings()
+    checks, units = ("psi1(T)", "psi2(T)", "psi3(T)"), (1.0, 1.0, 1.0 / params.p)
+    for check, got, w, unit in zip(checks, adjoint.value_at(T), want, units):
+        gap = abs(got - w)
+        slack = 0.0 if got == w else -gap if gap > 0.0 else -math.inf
+        found.note(T, check, slack, gap, unit)
+    return found.report()
 
 
 def check_control_maximizes(
@@ -609,7 +614,7 @@ def certify_policy(params: ModelParams, init: State, kind: ScenarioKind) -> Cert
     nonneg = slackness.lambda_min >= 0.0 and all(mu >= 0.0 for mu in mults.mus)
     return Certification(
         slackness=slackness,
-        transversality=check_transversality(mults, adjoint),
+        transversality=check_transversality(params, mults, adjoint),
         hamiltonian_argmax=check_control_maximizes(params, adjoint, synth.policy),
         multipliers_nonnegative=nonneg,
         synthesis=synth,

@@ -23,9 +23,9 @@ from firmopt import (
     synthesize_policy,
     validate_params,
 )
-from firmopt.dynamics import Trajectory, _evolve, _rates
+from firmopt.dynamics import Trajectory
 
-from oracles import segment_rows
+from oracles import advance_state_reference, segment_rows
 
 # derandomized and without an example database: property tests draw the
 # same examples on every run; hypothesis's own caches go to a directory
@@ -156,12 +156,11 @@ def assert_segments_join(traj, expected_zeros) -> None:
     gives the next segment's entry bit for bit.  Only a component that
     `expected_zeros` lists at exactly that time may differ: the integrator
     snaps it to exactly zero, from a residual within its traj.tol.state."""
-    params = traj.params
     snapped = set(expected_zeros)
     segments = segment_rows(traj)
     for prev, nxt in zip(segments, segments[1:]):
         dt = prev.t_end - prev.t_start
-        left = _evolve(prev.entry, _rates(params, prev.control), params.r, params.alpha, dt)
+        left = advance_state_reference(traj.params, prev.entry, prev.control, dt)
         for comp, before, after, tol in zip("NDS", left, nxt.entry, traj.tol.state):
             if (prev.t_end, comp) in snapped:
                 assert after == 0.0 and abs(before) <= tol, (prev.t_end, comp)

@@ -18,6 +18,7 @@ from hypothesis import example, given, strategies as st
 import firmopt
 from firmopt import chain, cli, dynamics, solver, verify
 from firmopt.cli import (
+    BRUTE_COST_MAX,
     BRUTE_NT_MAX,
     COMMANDS,
     CSV_FMT,
@@ -123,6 +124,28 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         assert str(err.value) == (f"options.brute_nt: at most {BRUTE_NT_MAX}, the "
                                   "search's time growing with its square")
+
+    @pytest.mark.parametrize("levels, n_lv, n_t", [
+        # 19 u levels alone: L = 19, n_t * 19**3 within the bound up to 1700
+        ({"u": [8.0 * k / 18 for k in range(19)], "v": [0], "w": [0]}, 19, 1700),
+        # 17 u levels beside the default 3 v and 2 w: L = 102, up to n_t = 10
+        ({"u": [8.0 * k / 16 for k in range(17)]}, 102, 10),
+    ])
+    def test_brute_levels_are_bounded_by_the_searchs_cost(self, tmp_path, capsys, levels, n_lv,
+                                                          n_t):
+        # checked by parsing alone: no search runs at these sizes
+        assert BRUTE_COST_MAX == BRUTE_NT_MAX * 18**3  # the default levels at the cap
+        assert n_t * n_lv**3 <= BRUTE_COST_MAX < (n_t + 1) * n_lv**3
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["options"] = {"brute_nt": n_t, "brute_levels": levels}
+        assert parse_config(json.dumps(doc)).grid.n_t == n_t
+        doc["options"]["brute_nt"] = n_t + 1
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert str(err.value) == (f"options.brute_levels: {n_lv} level triples at brute_nt = "
+                                  f"{n_t + 1}, but brute_nt * triples**3 is at most 11664000")
+        assert run_cli("verify", make_config(tmp_path, doc)) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {err.value}\n"
 
     def test_options_validation(self):
         doc = json.loads(json.dumps(BASE_DOC))
@@ -512,6 +535,41 @@ class TestCommands:
         )
         assert run_cli("verify", config) == EXIT_INFEASIBLE
         assert "brute-force gap <= tol: FAIL\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("init, v_max, largest", [
+        # debt outlasting the horizon: N(T) = 140.8, a binade above D0 = 100
+        # and every other state the closed form sums, and above the value 75.98
+        ((20, 100, 10), 20, lambda traj: traj.terminal_state().N),
+        # S3 from N0 = D0 = 200: the start, a binade above every later state
+        # and the value 122.7
+        ((200, 200, 0), 50, lambda traj: traj.start.N),
+    ], ids=["final_exit", "start"])
+    @pytest.mark.parametrize("ulps, code, verdict", [
+        (cli.GAP_ULPS, EXIT_OK, "PASS"), (cli.GAP_ULPS + 1, EXIT_INFEASIBLE, "FAIL"),
+    ], ids=["within", "past"])
+    def test_verify_gap_scale_reaches_the_start_and_the_final_exit(
+        self, tmp_path, capsys, monkeypatch, init, v_max, largest, ulps, code, verdict
+    ):
+        # the search may beat the closed form by GAP_ULPS ulps of the largest
+        # magnitude the evaluations sum, here a segment end's, and no more
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["params"]["v_max"] = v_max
+        doc["init"] = dict(zip(("N0", "D0", "S0"), init))
+        doc["options"] = {"out_dir": str(tmp_path / "out"), "brute_nt": 10}
+        config = make_config(tmp_path, doc)
+        parsed = parse_config(config.read_text())
+        closed = solver.synthesize_policy(
+            parsed.params, parsed.init, firmopt.classify_scenario(parsed.params, parsed.init)
+        )
+        ulp = math.ulp(largest(closed.trajectory))
+        assert ulp == 2 * math.ulp(closed.objective)
+        search = verify.brute_force_best
+        monkeypatch.setattr(
+            verify, "brute_force_best",
+            lambda *args: (search(*args)[0], closed.objective + ulps * ulp),
+        )
+        assert run_cli("verify", config) == code
+        assert f"brute-force gap <= tol: {verdict}\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_debt_growth_beyond_float_range_rejected(self, tmp_path, capsys, command):

@@ -27,8 +27,6 @@ from firmopt.dynamics import (
     ExpTerm,
     PiecewiseExpFn,
     Tolerance,
-    _evolve,
-    _rates,
     _segment_violations,
     adjoint_backward,
     extrema,
@@ -359,8 +357,8 @@ ZERO_RATE_CONTROLS = {
 @pytest.mark.parametrize("rates", ZERO_RATE_CONTROLS)
 @pytest.mark.parametrize("D0, S0", [(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0)])
 def test_sample_and_walk_keep_the_closed_forms_signed_zeros(rates, D0, S0):
-    # held (+0.0 entry) or not, D and S read _evolve's bits at each segment
-    # end and just inside it: a zero rate of either sign keeps +0.0
+    # held (+0.0 entry) or not, D and S read the closed form's bits at each
+    # segment end and just inside it: a zero rate of either sign keeps +0.0
     u, v, w = ZERO_RATE_CONTROLS[rates]
     c, q = BASELINE.A * u - v, u - w
     assert [math.copysign(1.0, x) for x in (c, q)] == [
@@ -376,9 +374,8 @@ def test_sample_and_walk_keep_the_closed_forms_signed_zeros(rates, D0, S0):
     want = []
     for t in times:
         seg = [s for s in segment_rows(traj) if s.t_start <= t][-1]
-        want.append(bits(seg.exit if t == seg.t_end else _evolve(
-            seg.entry, _rates(BASELINE, seg.control), BASELINE.r, BASELINE.alpha,
-            t - seg.t_start)))
+        want.append(bits(seg.exit if t == seg.t_end else advance_state_reference(
+            BASELINE, seg.entry, seg.control, t - seg.t_start)))
     assert [bits(traj.sample(t)) for t in times] == want
     walked = [  # None: held at +0.0
         (N, 0.0 if D is None else D[k], 0.0 if S is None else S[k])
@@ -479,9 +476,9 @@ class TestSampleDomain:
 
     def test_walk_and_csv_end_on_the_snapped_exit(self):
         _, traj = self.emptied_at_horizon()
-        [(seg, ts, *columns)] = traj.walk([0.0, self.T_EMPTY])
+        [(control, ts, *columns)] = traj.walk([0.0, self.T_EMPTY])
         first, last = (State(*row) for row in zip(*columns))
-        assert seg is traj.segments[-1] and ts == [0.0, self.T_EMPTY]
+        assert control is segment_rows(traj)[-1].control and ts == [0.0, self.T_EMPTY]
         assert bits(first) == bits(traj.sample(0.0))
         assert bits(last) == bits(segment_rows(traj)[-1].exit)
         csv = _trajectory_csv(traj)

@@ -6,9 +6,9 @@ Reports are pinned verbatim; CSVs (and the stdout of `simulate`, which
 is the CSV) by their sha256.  The data file was written once from these
 configs and is not regenerated: a refactor that changes a single byte
 of any output fails here.  Beyond those configs, one sha256 pins the
-CSVs of 100 seeded random firms, each solved once and chained, and a
-second their exact bits: each trajectory's objective, feasibility report
-and samples, as float.hex.
+CSVs of 100 seeded random firms, each solved once and chained, a second
+their exact bits: each trajectory's objective, feasibility report and
+samples, as float.hex, and a third the `verify` reports of the same firms.
 """
 
 from __future__ import annotations
@@ -18,11 +18,14 @@ import copy
 import hashlib
 import io
 import json
+import random
 from pathlib import Path
 
-from firmopt.cli import COMMANDS, _trajectory_csv, main
+from firmopt import ScenarioKind
+from firmopt.cli import COMMANDS, RunConfig, _trajectory_csv, cmd_verify, main
+from firmopt.verify import BruteForceGrid
 
-from conftest import ALL_KINDS, solve_and_chain
+from conftest import ALL_KINDS, draw_scenario_case, solve_and_chain
 
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
 
@@ -158,3 +161,22 @@ def test_exact_bits_of_seeded_firms_match_their_pinned_hash():
             if traj is not None:
                 digest.update(_exact_bits(traj))
     assert digest.hexdigest() == SEEDED_BITS_SHA256
+
+
+#: sha256 of `verify`'s exit code and report for the same firms on the
+#: n_t = 10 search grid: certificate verdicts, singular counts, search values
+#: and the search's gap verdict; computed before the gap scale read the
+#: segment ends through Trajectory.sample
+SEEDED_VERIFY_SHA256 = "ab007864d99834ab5e60da39b6ae0c46e069615e9ffb3117b517671d197f67fe"
+JUMP_KINDS = (ScenarioKind.A1_TOTAL_REPAYMENT_JUMP, ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP)
+
+
+def test_verify_reports_of_seeded_firms_match_their_pinned_hash():
+    digest = hashlib.sha256()
+    for seed in range(SEEDED_FIRMS):
+        kind = ALL_KINDS[seed % len(ALL_KINDS)]
+        params, init = draw_scenario_case(random.Random(seed), kind)
+        config = RunConfig(params, init, kind in JUMP_KINDS, grid=BruteForceGrid(n_t=10))
+        code, report = cmd_verify(config)
+        digest.update(f"{code}\n{report}\n".encode("utf-8"))
+    assert digest.hexdigest() == SEEDED_VERIFY_SHA256

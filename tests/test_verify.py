@@ -1,12 +1,14 @@
 """Maximum-principle certification and the exhaustive search oracle."""
 
+import itertools
 import math
 import random
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, reject, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from firmopt import (
     BruteForceGrid,
@@ -32,6 +34,7 @@ from firmopt.verify import (
     _Findings,
     check_control_maximizes,
     check_slackness,
+    check_transversality,
     multiplier_set_for_scenario,
 )
 
@@ -622,7 +625,48 @@ class TestWorstMargin:
     def test_passing_slackness_margin_is_nonnegative(self):
         cert = self.baseline_s1()
         assert cert.slackness.worst_margin.margin >= 0.0
-        assert cert.transversality.worst_margin is None
+        assert cert.transversality.worst_margin == CertMargin(BASELINE.T, "psi1(T)", 0.0)
+
+    def s1_multipliers_and_adjoint(self):
+        synth = self.baseline_s1().synthesis
+        mults = multiplier_set_for_scenario(BASELINE, synth.kind, synth.times)
+        return mults, adjoint_backward(BASELINE, mults)
+
+    @pytest.mark.parametrize("init,jump,kind", BASELINE_CASES)
+    def test_exact_transversality_has_a_zero_margin(self, init, jump, kind):
+        # every psi_i(T) is exact, so each slack is 0 and the first noted is kept
+        report = certify_policy(BASELINE, init, kind).transversality
+        assert report.passed and report.violations == ()
+        assert report.worst_margin == CertMargin(BASELINE.T, "psi1(T)", 0.0)
+
+    @pytest.mark.parametrize("mu, psi", [
+        ("mu1", "psi1(T)"), ("mu2", "psi2(T)"), ("mu3", "psi3(T)"), ("mu4", "psi3(T)"),
+    ])
+    def test_a_perturbed_mu_names_its_psi_with_a_negative_margin(self, mu, psi):
+        mults, adjoint = self.s1_multipliers_and_adjoint()
+        report = check_transversality(
+            BASELINE, replace(mults, **{mu: getattr(mults, mu) + 0.25}), adjoint
+        )
+        assert not report.passed
+        assert report.worst_margin == CertMargin(BASELINE.T, psi, -0.25)
+        assert report.violations == (CertViolation(BASELINE.T, psi, 0.25),)
+
+    def test_psi3_is_ranked_in_units_of_the_price(self):
+        # psi3 is money per stock: 0.25 off is 0.025 of p = 10, less than psi1's 0.125
+        mults, adjoint = self.s1_multipliers_and_adjoint()
+        report = check_transversality(
+            BASELINE, replace(mults, mu1=mults.mu1 + 0.125, mu3=mults.mu3 + 0.25), adjoint
+        )
+        assert [v.check for v in report.violations] == ["psi1(T)", "psi3(T)"]
+        assert report.worst_margin == CertMargin(BASELINE.T, "psi1(T)", -0.125)
+
+    def test_a_nan_psi_fails_with_an_infinite_deficit(self):
+        mults, adjoint = self.s1_multipliers_and_adjoint()
+        report = check_transversality(BASELINE, replace(mults, mu2=math.nan), adjoint)
+        assert not report.passed
+        assert report.worst_margin == CertMargin(BASELINE.T, "psi2(T)", -math.inf)
+        [violation] = report.violations
+        assert violation.check == "psi2(T)" and math.isnan(violation.magnitude)
 
     def test_of_equal_slacks_the_first_noted_is_kept(self):
         found = _Findings()
@@ -875,3 +919,34 @@ class TestBlockedSearch:
         want = prefix_brute_force_best(BASELINE, start, grid)
         assert (built[verify], built[oracles]) == (1, 9)  # the S2 start ties 9 candidates
         assert repr(got) == repr(want)
+
+    @settings(max_examples=60)
+    @given(kind=st.sampled_from(ALL_KINDS), seed=st.integers(0, 2**32 - 1),
+           n_t=st.integers(1, 20))
+    def test_the_padded_bound_is_above_every_candidate_of_its_prefix(self, kind, seed, n_t):
+        # every candidate's value, in prefix_brute_force_best's per-t_a
+        # arithmetic, against its two-segment prefix's bound padded by
+        # _BOUND_SLACK as brute_force_best pads it: a prefix pruned below the
+        # best holds no candidate above it (the bound ignores feasibility)
+        params, init = draw_scenario_case(random.Random(seed), kind)
+        start = synthesize_policy(params, init, kind).trajectory.start
+        U, V, W = np.array(list(itertools.product(*BruteForceGrid(n_t).levels(params)))).T
+        p, r, A, al, K, B, T = (getattr(params, k) for k in ("p", "r", "A", "alpha", "K", "B", "T"))
+        slopes, cin = p * W - V - K * U - B, A * U - V
+        cuts = np.array([k * T / n_t for k in range(1, n_t)] or [0.0])
+        for i, t_a in enumerate(cuts):
+            # axes: (t_b, first triple, middle triple, last triple)
+            tb = cuts[i:, None, None, None]
+            dt1, dt2, dt3 = t_a, tb - t_a, T - tb
+            N1 = (start.N + slopes * dt1)[:, None, None]
+            D1 = (start.D * np.exp(r * dt1) + cin * (np.expm1(r * dt1) / r))[:, None, None]
+            N2 = N1 + slopes[:, None] * dt2
+            D2 = D1 * np.exp(r * dt2) + cin[:, None] * (np.expm1(r * dt2) / r)
+            n_gain3, d_gain3 = slopes * dt3, cin * (np.expm1(r * dt3) / r)
+            D2e = D2 * np.exp(r * dt3)
+            value = (N2 + n_gain3) - (D2e + d_gain3)
+            bound = N2 - D2e + (n_gain3 - d_gain3).max(axis=3, keepdims=True)
+            gain_mag = (abs(n_gain3) + abs(d_gain3)).max(axis=3, keepdims=True)
+            magnitude = abs(N2) + abs(D2e) + gain_mag
+            excess = value - (bound + verify._BOUND_SLACK * magnitude)
+            assert excess.max() <= 0.0, (t_a, excess.max())
