@@ -338,9 +338,10 @@ class ExpSegment(NamedTuple):
         return out
 
 
-def _pieces(T: float, *cut_lists: Sequence[float]) -> list[tuple[float, float]]:
-    """Consecutive [a, b] between 0, T and every cut strictly inside."""
-    cuts = sorted({0.0, T, *(c for cuts in cut_lists for c in cuts if 0.0 < c < T)})
+def _pieces(T: float, *fns: Piecewise) -> list[tuple[float, float]]:
+    """Consecutive [a, b] between 0, T and every breakpoint of `fns` strictly
+    inside: the common refinement on which each of them is one segment."""
+    cuts = sorted({0.0, T, *(c for fn in fns for c in fn.breakpoints if 0.0 < c < T)})
     return list(zip(cuts[:-1], cuts[1:])) or [(0.0, T)]
 
 
@@ -441,10 +442,6 @@ class AdjointTrajectory:
     def value_at(self, t: float) -> tuple[float, float, float]:
         return (self.psi1.value(t), self.psi2.value(t), self.psi3.value(t))
 
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        return self.psi3.breakpoints
-
 
 def _costate_step(
     k: float, a: float, b: float, psi_b: float, *forcing: tuple[float, ExpSegment]
@@ -498,7 +495,7 @@ def adjoint_backward(params: ModelParams, multipliers) -> AdjointTrajectory:
     psi = [m.mu1 + 1.0, m.mu2 - 1.0, m.mu3 - m.mu4]
     rates = (0.0, -params.r, params.alpha)
     segs: tuple[list[ExpSegment], ...] = ([], [], [])
-    for a, b in reversed(_pieces(m.lambda1.t_final, *(lam.breakpoints for lam in lams))):
+    for a, b in reversed(_pieces(m.lambda1.t_final, *lams)):
         lam1, lam2, lam3, lam4 = (lam.segment_at(a) for lam in lams)
         forcing = (((1.0, lam1),), ((1.0, lam2),), ((1.0, lam3), (-1.0, lam4)))
         for i, (k, parts) in enumerate(zip(rates, forcing)):

@@ -254,16 +254,18 @@ def synthesize_policy(
     if last and last[0] is params and last[1] is init and last[2].kind is kind:
         return last[2]
     _require_solvable(params)
-    expected = classify_scenario(params, init, jump_mode=kind.name.startswith("A"))
+    jump_mode = kind in (
+        ScenarioKind.A1_TOTAL_REPAYMENT_JUMP, ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP
+    )
+    expected = classify_scenario(params, init, jump_mode=jump_mode)
     if expected is not kind:
         raise ValueError(f"initial state {init} classifies as {expected}, not {kind}")
 
     jump: JumpRecord | None = None
     start = init
-    if kind in (ScenarioKind.A1_TOTAL_REPAYMENT_JUMP, ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP):
-        if init.D > 0.0:
-            jump = initial_jump(init)
-            start = jump.post_state
+    if jump_mode and init.D > 0.0:
+        jump = initial_jump(init)
+        start = jump.post_state
 
     # S3's production runs from t_S = 0 even on the zero horizon
     if kind is ScenarioKind.S3_DEBT_NO_STOCK:

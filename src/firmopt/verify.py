@@ -87,13 +87,6 @@ class MultiplierSet:
     def mus(self) -> tuple[float, float, float, float]:
         return (self.mu1, self.mu2, self.mu3, self.mu4)
 
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        cuts: set[float] = set()
-        for lam in (self.lambda1, self.lambda2, self.lambda3, self.lambda4):
-            cuts.update(lam.breakpoints)
-        return tuple(sorted(cuts))
-
 
 class CertViolation(NamedTuple):
     time: float
@@ -233,7 +226,7 @@ def check_slackness(mults: MultiplierSet, traj: Trajectory) -> CertReport:
     found = _Findings()
     lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
     lambda_min = math.inf
-    pieces = _pieces(T, mults.breakpoints, traj.breakpoints)
+    pieces = _pieces(T, *lams, traj)
     # |g| at the piece ends: a segment start reads its entry at dt = 0
     ends = map(traj.sample, [0.0] + [b for _, b in pieces])
     g_ends = [(abs(N), abs(D), abs(S), abs(S - params.S_max)) for N, D, S in ends]
@@ -285,9 +278,9 @@ def check_control_maximizes(
 
     theta_u and theta_w are money per stock, judged to theta_tol =
     CERT_TOL * p; theta_v has no unit: theta_tol = CERT_TOL.  Per piece
-    between costate and policy breakpoints, from each switching value's
-    exact extrema: a max above theta_tol demands the upper bound (within
-    CERT_TOL * bound), a min below -theta_tol demands zero, and
+    between the breakpoints of all three costates and the policy, from each
+    switching value's exact extrema: a max above theta_tol demands the upper
+    bound (within CERT_TOL * bound), a min below -theta_tol demands zero, and
     |theta| <= theta_tol on the whole piece leaves the component singular
     (any admissible value maximizes H); contiguous singular pieces merge, and
     where theta only touches the band at a breakpoint, that instant is a
@@ -308,8 +301,9 @@ def check_control_maximizes(
             runs.append([t0, t1])
 
     T = policy.t_final
-    for a, b in _pieces(T, adjoint.breakpoints, policy.breakpoints):
-        segs = [psi.segment_at(a) for psi in (adjoint.psi1, adjoint.psi2, adjoint.psi3)]
+    psis = (adjoint.psi1, adjoint.psi2, adjoint.psi3)
+    for a, b in _pieces(T, *psis, policy):
+        segs = [psi.segment_at(a) for psi in psis]
         control = policy.segment_at(a).value
         for comp, bound in bounds.items():
             theta_tol = theta_tols[comp]
@@ -398,15 +392,6 @@ def _candidate_key(T: float, t_a: float, t_b: float, levels: tuple) -> tuple:
             else:
                 rows.append((a, *value))
     return (rows[1][0] if len(rows) > 1 else math.inf, tuple(rows))
-
-
-def _policy_from_candidate(T: float, t_a: float, t_b: float, levels: tuple) -> PiecewiseControl:
-    """The candidate's policy: one segment per row of its tie-break key."""
-    rows = _candidate_key(T, t_a, t_b, levels)[1]
-    ends = [row[0] for row in rows[1:]] + [T]
-    return PiecewiseControl(
-        tuple(ControlSegment(a, b, ControlValue(u, v, w)) for (a, u, v, w), b in zip(rows, ends))
-    )
 
 
 def brute_force_best(
@@ -568,17 +553,15 @@ def brute_force_best(
             "no feasible piecewise-constant candidate on the search grid"
         )
     levels = (U.tolist(), V.tolist(), W.tolist())
-
-    def candidate(tie):
-        i, j, *seq = tie
-        return T, cuts[i], cuts[j], tuple([lv[s] for s in seq] for lv in levels)
-
     # min keeps the first of equal keys.  Such ties differ at most in the sign
     # of a zero level, and a first triple that differs only so ties at every
     # t_b alike, so this (t_a, first, t_b) order keeps the same one as
-    # (t_a, t_b, first) order would.
-    winner = min(ties, key=lambda tie: _candidate_key(*candidate(tie)))
-    return _policy_from_candidate(*candidate(winner)), best_value
+    # (t_a, t_b, first) order would.  The winner's policy is its key's rows.
+    _, rows = min(_candidate_key(T, cuts[i], cuts[j], tuple([lv[s] for s in seq] for lv in levels))
+                  for i, j, *seq in ties)
+    ends = [row[0] for row in rows[1:]] + [T]
+    segs = (ControlSegment(a, b, ControlValue(u, v, w)) for (a, u, v, w), b in zip(rows, ends))
+    return PiecewiseControl(tuple(segs)), best_value
 
 
 # ---------------------------------------------------------------------------

@@ -740,6 +740,11 @@ def hamiltonian(
     )
 
 
+def breakpoints_of(*fns) -> list[float]:
+    """Every breakpoint of the piecewise `fns`, sorted, each once."""
+    return sorted({t for fn in fns for t in fn.breakpoints})
+
+
 def check_grid(T: float, breakpoints: Sequence[float]) -> list[float]:
     """Uniform grid of 10 points per unit time plus breakpoints nudged
     by 1e-9 to either side."""
@@ -761,12 +766,12 @@ def grid_check_slackness(mults, traj: Trajectory, tol: float = verify.CERT_TOL):
     within that per unit of its g, and mu*g(T) (money) within tol of the
     money scale."""
     T = traj.t_final
-    grid = check_grid(T, tuple(mults.breakpoints) + traj.breakpoints)
+    lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
+    grid = check_grid(T, breakpoints_of(*lams, traj))
     cash, debt, stock = traj.tol
     money = cash + debt
     limit = tol * money / T if T > 0.0 else math.inf
     bad = []
-    lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
     for t in grid:
         st = traj.sample(t)
         gvals = (st.N, st.D, st.S, st.S - traj.params.S_max)
@@ -794,7 +799,7 @@ def grid_check_control_maximizes(
     stock) judged to tol * p and theta_v (no unit) to tol; singular grid
     times closer than two grid steps merge into one reported segment."""
     T = policy.t_final
-    grid = check_grid(T, tuple(adjoint.breakpoints) + tuple(policy.breakpoints))
+    grid = check_grid(T, breakpoints_of(adjoint.psi1, adjoint.psi2, adjoint.psi3, policy))
     theta_tols = {"u": tol * params.p, "v": tol, "w": tol * params.p}
     spacing = T / (10 * max(1, math.ceil(T))) if T > 0.0 else 1.0
     bounds = {"u": params.u_max, "v": params.v_max, "w": params.w_max}
@@ -832,8 +837,8 @@ def grid_check_control_maximizes(
 
 def grid_multipliers_nonnegative(mults, T: float) -> bool:
     """Every lambda >= 0 on `check_grid` and every mu >= 0."""
-    grid = check_grid(T, mults.breakpoints)
     lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
+    grid = check_grid(T, breakpoints_of(*lams))
     return all(lam.value(t) >= 0.0 for lam in lams for t in grid) and all(
         mu >= 0.0 for mu in mults.mus
     )

@@ -314,6 +314,28 @@ class TestCommands:
         assert code == EXIT_CONFIG
         assert "params.r" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"params": []}, "params: expected an object"),
+            ({"params": {**BASE_DOC["params"], "T": -1}}, "params.T: must be nonnegative"),
+            ({"options": []}, "options: expected an object"),
+            ({"options": {"brute_levels": []}}, "options.brute_levels: expected an object"),
+            ({"options": {"chain_breakpoints": [5]}},
+             "options.chain_breakpoints: expected an array of at least two times"),
+        ],
+        ids=["params", "T", "options", "brute_levels", "chain_breakpoints"],
+    )
+    def test_a_malformed_section_exits_two(self, tmp_path, capsys, override, message):
+        assert run_cli("solve", make_config(tmp_path, {**BASE_DOC, **override})) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+    def test_an_unknown_command_is_a_config_error(self):
+        # main's parser admits COMMANDS only; execute_command checks on its own
+        with pytest.raises(ConfigError) as err:
+            execute_command(parse_config(json.dumps(BASE_DOC)), "nope")
+        assert str(err.value) == "unknown command 'nope'"
+
     def test_missing_config_file_exit_two(self, tmp_path, capsys):
         assert run_cli("solve", tmp_path / "absent.json") == EXIT_CONFIG
 

@@ -47,6 +47,7 @@ from oracles import (
     AmbiguousRootError,
     advance_state_reference,
     bisect_root,
+    breakpoints_of,
     find_zero_crossing,
     integrate_rk4,
     rows_inside_the_box,
@@ -782,7 +783,8 @@ class TestAdjointBackward:
 
         # integrate from T down to 0, stepping within multiplier segments
         psi = [mults.mu1 + 1.0, mults.mu2 - 1.0, mults.mu3 - mults.mu4]
-        cuts = sorted(set(mults.breakpoints) | {0.0, BASELINE.T})
+        lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
+        cuts = breakpoints_of(*lams)  # 0 and T included
         for b, a in zip(cuts[::-1], cuts[-2::-1]):
             rhs = make_rhs(a, b)
             n = 2000

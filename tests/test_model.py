@@ -216,6 +216,18 @@ class TestPiecewiseControl:
         with pytest.raises(ValueError):
             PiecewiseControl((ControlSegment(1.0, 10.0, ControlValue(0, 0, 5)),))
 
+    @pytest.mark.parametrize("segments, message", [
+        ((), "policy needs at least one segment"),
+        ((ControlSegment(0.0, 0.0, ControlValue(0, 0, 5)),
+          ControlSegment(0.0, 10.0, ControlValue(5, 10, 5))),
+         "segment breakpoints must be strictly increasing"),
+    ])
+    def test_an_empty_or_zero_length_segment_is_refused(self, segments, message):
+        # a lone zero-length segment is the zero horizon; among several it is not
+        with pytest.raises(ValueError) as err:
+            PiecewiseControl(segments)
+        assert str(err.value) == message
+
     def test_segment_at_is_right_continuous(self):
         policy = PiecewiseControl(
             (

@@ -204,6 +204,16 @@ class TestDebtClearanceTime:
         with pytest.raises(ValueError):
             debt_clearance_time(BASELINE, 0.0, T_S_BASE, ScenarioKind.S2_DEBT_WITH_STOCK)
 
+    @pytest.mark.parametrize("regime, t_s, message", [
+        (ScenarioKind.S3_DEBT_NO_STOCK, T_S_BASE, "S3 regime requires t_s = 0"),
+        (ScenarioKind.S1_NO_DEBT_WITH_STOCK, 0.0,
+         "no debt-clearance regime for ScenarioKind.S1_NO_DEBT_WITH_STOCK"),
+    ])
+    def test_a_regime_without_its_clearance_is_refused(self, regime, t_s, message):
+        with pytest.raises(ValueError) as err:
+            debt_clearance_time(BASELINE, 10.0, t_s, regime)
+        assert str(err.value) == message
+
 
 class TestInitialJump:
     def test_total_repayment(self):

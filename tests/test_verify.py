@@ -24,7 +24,14 @@ from firmopt import (
     synthesize_policy,
     verify,
 )
-from firmopt.dynamics import PiecewiseExpFn, adjoint_backward, extrema
+from firmopt.dynamics import (
+    AdjointTrajectory,
+    ExpTerm,
+    PiecewiseExpFn,
+    adjoint_backward,
+    extrema,
+    piecewise_from_spans,
+)
 from firmopt.model import ControlBoundsError, ControlSegment, ControlValue, PiecewiseControl
 from firmopt.verify import (
     CERT_TOL,
@@ -41,6 +48,7 @@ from firmopt.verify import (
 import oracles
 from conftest import ALL_KINDS, BASELINE, draw_profitable_params, draw_scenario_case
 from oracles import (
+    breakpoints_of,
     grid_brute_force_best,
     grid_check_control_maximizes,
     grid_check_slackness,
@@ -131,7 +139,8 @@ class TestMultiplierSets:
         mults = multiplier_set_for_scenario(BASELINE, kind, synth.times)
         assert len(mults.lambda1.segments) == len(mults.lambda2.segments) == 1
         assert len(mults.lambda3.segments) == 2
-        assert mults.breakpoints == (0.0, T_S_BASE, BASELINE.T)
+        lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
+        assert breakpoints_of(*lams) == [0.0, T_S_BASE, BASELINE.T]
 
     def test_partial_repayment_cash_multiplier(self):
         synth = synthesize_policy(
@@ -202,7 +211,8 @@ class TestMultiplierSets:
         params = replace(params, T=frac * min(at or params.T, params.T))
         synth = synthesize_policy(params, init, kind)
         mults = multiplier_set_for_scenario(params, kind, synth.times)
-        assert set(mults.breakpoints) <= {0.0, params.T, *synth.policy.breakpoints}
+        lams = (mults.lambda1, mults.lambda2, mults.lambda3, mults.lambda4)
+        assert set(breakpoints_of(*lams)) <= {0.0, params.T, *synth.policy.breakpoints}
 
 
 class TestSlackness:
@@ -298,12 +308,33 @@ class TestControlMaximizes:
         report = check_control_maximizes(BASELINE, adjoint, no_sales)
         assert not report.passed
         w_times = [v.time for v in report.violations if v.check == "argmax_w"]
-        cuts = sorted(
-            {0.0, BASELINE.T}
-            | {t for t in adjoint.breakpoints + no_sales.breakpoints if 0 < t < BASELINE.T}
-        )
+        cuts = breakpoints_of(adjoint.psi1, adjoint.psi2, adjoint.psi3, no_sales)  # 0 and T too
         for a, b in zip(cuts, cuts[1:]):
             assert any(a <= t <= b for t in w_times)
+
+    @pytest.mark.parametrize("switching", ["psi1", "psi2"])
+    def test_a_cut_in_any_costate_splits_the_pieces(self, switching):
+        # theta_v = -psi1 - psi2 turns from +0.5 to -1 at t = 5 through either
+        # psi1 (0.5 -> 2) or psi2 (-1 -> 0), so the baseline's v = v_max
+        # breaks argmax_v on [5, 10]; u = 0 and w = w_max stay at their argmax
+        T = BASELINE.T
+        step = {"psi1": (0.5, 2.0), "psi2": (-1.0, 0.0)}[switching]
+        switched = piecewise_from_spans(
+            [(0.0, 5.0, (ExpTerm(step[0], 0.0),)), (5.0, T, (ExpTerm(step[1], 0.0),))]
+        )
+        psi = {"psi1": PiecewiseExpFn.constant(0.5, 0.0, T),
+               "psi2": PiecewiseExpFn.constant(-1.0, 0.0, T),
+               "psi3": PiecewiseExpFn.constant(0.0, 0.0, T)}
+        adjoint = AdjointTrajectory(**{**psi, switching: switched})
+        policy = PiecewiseControl(
+            (ControlSegment(0.0, T, ControlValue(0.0, BASELINE.v_max, BASELINE.w_max)),)
+        )
+        grid = grid_check_control_maximizes(BASELINE, adjoint, policy).violations
+        assert {v.check for v in grid} == {"argmax_v"}
+        assert min(v.time for v in grid) == 5.0 and max(v.time for v in grid) == T
+        report = check_control_maximizes(BASELINE, adjoint, policy)
+        assert not report.passed
+        assert report.violations == (CertViolation(5.0, "argmax_v", BASELINE.v_max),)
 
 
 BASELINE_CASES = [
@@ -728,6 +759,15 @@ class TestBruteForce:
             20.0 + (BASELINE.p * BASELINE.w_max - BASELINE.B) * 1e-6, rel=1e-9
         )
 
+    @pytest.mark.parametrize("T, n_t, message", [
+        (BASELINE.T, 0, "n_t must be at least 1"),
+        (0.0, 10, "brute force needs a positive horizon"),
+    ])
+    def test_an_empty_search_grid_is_refused(self, T, n_t, message):
+        with pytest.raises(ValueError) as err:
+            brute_force_best(replace(BASELINE, T=T), State(20.0, 0.0, 10.0), BruteForceGrid(n_t))
+        assert str(err.value) == message
+
     def test_deterministic_across_runs(self):
         grid = BruteForceGrid(n_t=60)
         p1, b1 = brute_force_best(BASELINE, State(20.0, 10.0, 10.0), grid)
@@ -912,7 +952,7 @@ class TestBlockedSearch:
 
             monkeypatch.setattr(module, name, counting)
 
-        count_calls(verify, "_policy_from_candidate")
+        count_calls(verify, "PiecewiseControl")
         count_calls(oracles, "candidate_policy")
         start, grid = State(20.0, 10.0, 10.0), BruteForceGrid(n_t=10)
         got = brute_force_best(BASELINE, start, grid)
