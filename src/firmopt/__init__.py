@@ -24,7 +24,6 @@ from .model import (
     validate_params,
 )
 from .solver import (
-    debt_clearance_time,
     objective_value,
     stock_depletion_time,
     synthesize_policy,
@@ -47,7 +46,6 @@ __all__ = [
     "certify_policy",
     "chain_plan",
     "classify_scenario",
-    "debt_clearance_time",
     "evaluate_chain",
     "integrate_exact",
     "objective_value",

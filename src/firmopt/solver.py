@@ -10,16 +10,12 @@ Stock depletion is policy-independent while no production runs:
 
     t_S = (1/alpha) * ln((alpha*S0 + w_max) / w_max)
 
-Debt clearance follows one threshold/log rule in the repayment rate R,
-the purchase rate c paid from t_S on and the net gain R - c (see
-debt_clearance_time).  S3 is S2 at t_S = 0, and A2 uses the same rule
-with the sales surplus p*w_max - B as its rate.  A threshold splits the
-two branches and the tie lands exactly on t_D = t_S.
-
-The five scenarios differ only in data: t_S (0 for S3), t_D (none for
-the debt-free S1/A1) and the repayment rate before clearance (v_max, or
-the sales surplus less production cost for A2).  From t_S on u = w_max,
-and from t_D on v = A*u.
+Every policy applies one state-feedback law from the post-jump state:
+w = w_max throughout, u = w_max once S = 0, and while D > 0 the debt is
+repaid at v = v_max, or at the sales surplus p*w_max - K*u - B where the
+cash is 0 (A2), which keeps N at 0; once D = 0, v = A*u.  The five
+scenarios differ only in the state the law starts from, and
+synthesize_policy finds t_D by stepping the law forward phase by phase.
 
 The objective N(T) - D(T) is read from the policy's exact trajectory,
 which the synthesis builds anyway to check the state constraints.  The
@@ -128,65 +124,6 @@ def stock_depletion_time(params: ModelParams, S0: float) -> float:
     return math.log1p(params.alpha * S0 / params.w_max) / params.alpha
 
 
-def debt_clearance_time(
-    params: ModelParams, debt0: float, t_s: float, regime: ScenarioKind
-) -> float:
-    """Time of full debt repayment for the given repayment regime.
-
-    Every regime repays at a rate R while idle and at R - c once
-    production starts at t_S, where c is the purchase rate:
-
-        threshold  Theta = R*(1 - exp(-r*t_S))/r
-        d < Theta: t_D = (1/r)*ln(R/(R - r*d))                      (< t_S)
-        d > Theta: t_D = (1/r)*ln((R - c)/(R - r*d - c*exp(-r*t_S)))  (> t_S)
-        d = Theta: t_D = t_S exactly (single switching point).
-
-    with d = debt0 and, per regime:
-
-    S2 (repay at v_max, production from t_S): R = v_max, c = A*w_max.
-
-    S3 (no stock, production from 0): S2 at t_S = 0, so requires t_s == 0;
-        t_D = (1/r)*ln((v_max - A*w_max)/(v_max - r*d - A*w_max)).
-
-    A2 (all sales profit to debt, so the repayment rate is
-        p*w_max - K*u - B): d is the post-jump debt D0 - N0,
-        R = p*w_max - B, c = (A + K)*w_max, and R - c is the profit
-        rate (p - A - K)*w_max - B.
-
-    Both logs are evaluated as -log1p(-x)/r, with x = r*d/R and
-    x = (r*d + c*expm1(-r*t_S))/(R - c): taking the log of a ratio near 1
-    would lose about half the digits of a short t_D (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 2002).  A net gain
-    R - c <= 0, or x >= 1, means the repayment rate can never outpace
-    interest plus purchases, and t_D = inf; that and t_D >= T both leave
-    debt outstanding at the horizon.
-    """
-    if debt0 <= 0.0:
-        raise ValueError(f"debt0 must be positive, got {debt0}")
-    r = params.r
-    if regime is ScenarioKind.S3_DEBT_NO_STOCK and t_s != 0.0:
-        raise ValueError("S3 regime requires t_s = 0")
-    if regime in (ScenarioKind.S2_DEBT_WITH_STOCK, ScenarioKind.S3_DEBT_NO_STOCK):
-        repay = params.v_max
-        purchase = params.A * params.w_max
-        gain = params.v_max - purchase
-    elif regime is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
-        repay = params.p * params.w_max - params.B
-        purchase = (params.A + params.K) * params.w_max
-        gain = params.profit_rate()
-    else:
-        raise ValueError(f"no debt-clearance regime for {regime}")
-    theta = repay * (-math.expm1(-r * t_s)) / r
-    if debt0 == theta:
-        return t_s
-    if debt0 < theta:
-        return -math.log1p(-r * debt0 / repay) / r
-    if gain <= 0.0:
-        return math.inf
-    x = (r * debt0 + purchase * math.expm1(-r * t_s)) / gain
-    return math.inf if x >= 1.0 else -math.log1p(-x) / r
-
-
 def initial_jump(init: State) -> JumpRecord:
     """Instantaneous repayment of min(N0, D0) at t = 0.
 
@@ -231,8 +168,17 @@ def synthesize_policy(
     A2:  jump, then u* as S1 and v* = p*w_max - K*u*(t) - B until t_D
          (all sales profit goes to the debt, N stays at 0), then A*u*(t).
 
-    One rule builds all five: u* = w_max from t_S and v* = A*u* from t_D,
-    with S3 taking t_S = 0 and the debt-free S1/A1 t_D = 0.
+    All five step the feedback law (module docstring) forward from the
+    post-jump state, one phase at a time: u = 0 until t_S, the stock's
+    depletion, and w_max from then on.  A phase of length b - a repays at
+    net = v - A*u, the rate integrate_exact integrates, and so repays a
+    debt of at most net*(1 - exp(-r*(b - a)))/r by b.  The debt clears in
+    the first phase where that covers its entry debt D and net > r*D: at
+    b on an exact tie, so t_D = t_S stays exact, and otherwise at
+    a - log1p(-r*D/net)/r, evaluated so as not to lose a short t_D's digits
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002).  Any other phase leaves (D - repayable)*exp(r*(b - a)) at b,
+    and a debt that no phase clears has t_D = inf.
 
     When t_S >= T production never starts; when t_D >= T repayment
     continues through the horizon at its pre-clearance rate.  Breakpoints
@@ -267,33 +213,33 @@ def synthesize_policy(
         jump = initial_jump(init)
         start = jump.post_state
 
-    # S3's production runs from t_S = 0 even on the zero horizon
-    if kind is ScenarioKind.S3_DEBT_NO_STOCK:
-        t_s, ts_in = 0.0, True
-    else:
-        t_s = stock_depletion_time(params, start.S)
-        ts_in = t_s < params.T
-    t_d = None
-    if kind not in (ScenarioKind.S1_NO_DEBT_WITH_STOCK, ScenarioKind.A1_TOTAL_REPAYMENT_JUMP):
-        if kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP and (
-            params.p * params.w_max - params.B > params.v_max
-        ):
-            raise PolicyInfeasibleError(
-                "required repayment rate p*w_max - B exceeds v_max"
-            )
-        t_d = debt_clearance_time(params, start.D, t_s, kind)
-    times = SwitchingTimes(t_s, ts_in, t_d, t_d is None or t_d < params.T)
+    P, w = params, params.w_max
 
-    w = params.w_max
+    def repayment(u: float) -> float:
+        """The law's v while debt remains."""
+        return P.p * w - P.K * u - P.B if start.N == 0.0 else P.v_max
+
+    t_s = stock_depletion_time(params, start.S)
+    t_d = None
+    if start.D > 0.0:
+        if repayment(0.0) > P.v_max:
+            raise PolicyInfeasibleError("required repayment rate p*w_max - B exceeds v_max")
+        r, D, t_d = P.r, start.D, math.inf
+        for a, b, u in ((0.0, t_s, 0.0), (t_s, math.inf, w)):
+            net = repayment(u) - P.A * u
+            repayable = net * (-math.expm1(-r * (b - a))) / r
+            if r * D < net and D <= repayable:
+                t_d = b if D == repayable else a - math.log1p(-r * D / net) / r
+                break
+            D = (D - repayable) * math.exp(r * (b - a))  # the debt left at b
+    # S3's production runs from t_S = 0 even on the zero horizon
+    ts_in = t_s < P.T or kind is ScenarioKind.S3_DEBT_NO_STOCK
+    times = SwitchingTimes(t_s, ts_in, t_d, t_d is None or t_d < P.T)
+
     segs = []
-    for a, b, producing, cleared in times.phases(params.T):
+    for a, b, producing, cleared in times.phases(P.T):
         u = w if producing else 0.0
-        if cleared:
-            v = params.A * u
-        elif kind is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
-            v = params.p * w - params.K * u - params.B
-        else:
-            v = params.v_max
+        v = P.A * u if cleared else repayment(u)
         segs.append(ControlSegment(a, b, ControlValue(u, v, w)))
     if params.T == 0.0:  # T = -0.0 passes validation; the segment ends at +0.0
         segs = [ControlSegment(0.0, 0.0, segs[-1].value)]

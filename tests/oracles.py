@@ -30,9 +30,15 @@ blocks; both build every tied candidate's policy with
 tie-break key read off the built policy (`candidate_key`), so all three
 must agree bit for bit.
 The paper's closed-form objective values cross-check the value the
-library reads from the exact trajectory, and the 50-digit reference
-restates the phase rule in mpmath to check t_S, t_D and the objective
-to rounding.
+library reads from the exact trajectory, its two-branch clearance time
+(`debt_clearance_time`) the time the synthesizer's phase walk finds,
+and the 50-digit reference restates the phase rule in mpmath to check
+t_S, t_D and the objective to rounding.
+The one-step Bellman witness (`bellman_gain`) and the LP over
+piecewise-constant controls (`lp_best`) judge the synthesized value from
+outside the bang-bang class: the first re-solves the synthesizer from
+the successors of constant controls, the second is HiGHS's optimum on a
+uniform grid of the horizon.
 """
 
 from __future__ import annotations
@@ -40,20 +46,25 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import mpmath
 import numpy as np
+from scipy import sparse
 from scipy.integrate import solve_ivp
+from scipy.optimize import linprog
 
 from firmopt import (
     ModelParams,
     NoFeasibleCandidateError,
+    PolicyInfeasibleError,
     ScenarioKind,
     State,
+    classify_scenario,
     cli,
     dynamics,
+    synthesize_policy,
     verify,
 )
 from firmopt.dynamics import AdjointTrajectory, Trajectory
@@ -511,7 +522,7 @@ def rows_inside_the_box(traj: Trajectory) -> list[bool]:
 
 
 # ---------------------------------------------------------------------------
-# The paper's closed-form objective values
+# The paper's closed-form clearance time and objective values
 # ---------------------------------------------------------------------------
 
 
@@ -575,6 +586,65 @@ def objective_partial_repayment(params: ModelParams, t_d: float, t_s: float) -> 
     if t_d <= t_s:
         return (params.p * w - params.B) * (t_s - t_d) + surplus * (params.T - t_s)
     return surplus * (params.T - t_d)
+
+
+def debt_clearance_time(
+    params: ModelParams, debt0: float, t_s: float, regime: ScenarioKind
+) -> float:
+    """Time of full debt repayment for the given repayment regime.
+
+    Every regime repays at a rate R while idle and at R - c once
+    production starts at t_S, where c is the purchase rate:
+
+        threshold  Theta = R*(1 - exp(-r*t_S))/r
+        d < Theta: t_D = (1/r)*ln(R/(R - r*d))                      (< t_S)
+        d > Theta: t_D = (1/r)*ln((R - c)/(R - r*d - c*exp(-r*t_S)))  (> t_S)
+        d = Theta: t_D = t_S exactly (single switching point).
+
+    with d = debt0 and, per regime:
+
+    S2 (repay at v_max, production from t_S): R = v_max, c = A*w_max.
+
+    S3 (no stock, production from 0): S2 at t_S = 0, so requires t_s == 0;
+        t_D = (1/r)*ln((v_max - A*w_max)/(v_max - r*d - A*w_max)).
+
+    A2 (all sales profit to debt, so the repayment rate is
+        p*w_max - K*u - B): d is the post-jump debt D0 - N0,
+        R = p*w_max - B, c = (A + K)*w_max, and R - c is the profit
+        rate (p - A - K)*w_max - B.
+
+    Both logs are evaluated as -log1p(-x)/r, with x = r*d/R and
+    x = (r*d + c*expm1(-r*t_S))/(R - c): taking the log of a ratio near 1
+    would lose about half the digits of a short t_D (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002).  A net gain
+    R - c <= 0, or x >= 1, means the repayment rate can never outpace
+    interest plus purchases, and t_D = inf; that and t_D >= T both leave
+    debt outstanding at the horizon.
+    """
+    if debt0 <= 0.0:
+        raise ValueError(f"debt0 must be positive, got {debt0}")
+    r = params.r
+    if regime is ScenarioKind.S3_DEBT_NO_STOCK and t_s != 0.0:
+        raise ValueError("S3 regime requires t_s = 0")
+    if regime in (ScenarioKind.S2_DEBT_WITH_STOCK, ScenarioKind.S3_DEBT_NO_STOCK):
+        repay = params.v_max
+        purchase = params.A * params.w_max
+        gain = params.v_max - purchase
+    elif regime is ScenarioKind.A2_PARTIAL_REPAYMENT_JUMP:
+        repay = params.p * params.w_max - params.B
+        purchase = (params.A + params.K) * params.w_max
+        gain = params.profit_rate()
+    else:
+        raise ValueError(f"no debt-clearance regime for {regime}")
+    theta = repay * (-math.expm1(-r * t_s)) / r
+    if debt0 == theta:
+        return t_s
+    if debt0 < theta:
+        return -math.log1p(-r * debt0 / repay) / r
+    if gain <= 0.0:
+        return math.inf
+    x = (r * debt0 + purchase * math.expm1(-r * t_s)) / gain
+    return math.inf if x >= 1.0 else -math.log1p(-x) / r
 
 
 def closed_form_objective(
@@ -689,6 +759,137 @@ def precision_reference(
             S = mpmath.mpf(0) if b == t_s else S
             a = b
         return PrecisionReference(t_s=t_s, t_d=t_d, objective=N - D)
+
+
+# ---------------------------------------------------------------------------
+# Judges beyond the bang-bang class: the one-step Bellman witness and the LP
+# ---------------------------------------------------------------------------
+
+
+def box_grid(params: ModelParams) -> list[ControlValue]:
+    """The 27 controls of the control box's 3x3x3 grid: each component at
+    0, half and all of its bound."""
+    ticks = (0.0, 0.5, 1.0)
+    return [
+        ControlValue(a * params.u_max, b * params.v_max, c * params.w_max)
+        for a in ticks for b in ticks for c in ticks
+    ]
+
+
+def value_from(params: ModelParams, x: State, T: float, jump_mode: bool = False) -> float:
+    """V(T, x): the synthesizer's objective re-solved from x over the horizon T."""
+    local = replace(params, T=T)
+    return synthesize_policy(local, x, classify_scenario(local, x, jump_mode)).objective
+
+
+class BellmanGain(NamedTuple):
+    """The largest one-step gain found and its control, and each control
+    whose successor could not be solved, with that successor and the error
+    it raised."""
+
+    gain: float
+    control: ControlValue | None
+    unsolved: tuple[tuple[ControlValue, State, str], ...]
+
+
+def bellman_gain(
+    params: ModelParams,
+    x: State,
+    T: float,
+    h: float,
+    controls: Sequence[ControlValue],
+    jump_mode: bool = False,
+) -> BellmanGain:
+    """The largest V(T - h, flow(x, c, h)) - V(T, x) over `controls`.
+
+    Bellman's principle: holding any admissible control c for a step h and
+    then acting optimally cannot beat acting optimally from the start, so
+    no gain is positive if V, the synthesizer's objective (value_from), is
+    the value function.  flow is the segment closed form
+    (advance_state_reference); in jump mode every successor is re-solved
+    in jump mode too, as A1 or A2.  A successor that cannot be solved (it
+    leaves the state box, or the synthesizer refuses it) is reported in
+    `unsolved`, never skipped silently.
+    """
+    base = value_from(params, x, T, jump_mode)
+    best, arg, unsolved = -math.inf, None, []
+    for c in controls:
+        successor = advance_state_reference(params, x, c, h)
+        try:
+            gain = value_from(params, successor, T - h, jump_mode) - base
+        except (ValueError, PolicyInfeasibleError) as err:
+            unsolved.append((c, successor, f"{type(err).__name__}: {err}"))
+            continue
+        if gain > best:
+            best, arg = gain, c
+    return BellmanGain(best, arg, tuple(unsolved))
+
+
+class LPBest(NamedTuple):
+    """linprog's status, and where it is 0 (optimal) the LP's controls
+    clipped to the box, the value N(T) - D(T) of their exact path, and the
+    worst bound that path breaks, in units of the bound's Tolerance scale
+    (0 when it breaks none); otherwise None, () and None."""
+
+    value: float | None
+    status: int
+    controls: tuple[ControlValue, ...]
+    breach: float | None
+
+
+def lp_best(params: ModelParams, init: State, M: int) -> LPBest:
+    """The best control held constant on each of M equal steps of [0, T],
+    from `init` (no jump), by `linprog(method="highs")`.
+
+    The model is linear in the controls: over a step dt the state moves by
+    the exact per-step factors integrate_exact uses,
+
+        N' = N + dt*(p*w - v - K*u - B)
+        D' = exp(r*dt)*D + expm1(r*dt)/r*(A*u - v)
+        S' = exp(-alpha*dt)*S - expm1(-alpha*dt)/alpha*(u - w)
+
+    which are the LP's equality rows, with the states after each step as
+    variables in units of their Tolerance scales.  A component is monotone
+    under a constant control, so the bounds N, D >= 0 and 0 <= S <= S_max
+    held at the step ends hold on the whole path.  Nothing reads t_S, t_D
+    or the scenario.  The value is not the LP's own: the controls are
+    re-integrated step by step (advance_state_reference), so it is the
+    value of an admissible control, and `breach` says how far its path
+    leaves the state box.
+    """
+    P, dt = params, params.T / M
+    scales = dynamics.Tolerance.of(params, init)
+    cash, debt, stock = scales
+    one, prev = sparse.identity(M, format="csr"), sparse.eye(M, k=-1, format="csr")
+    grow, decay = math.expm1(P.r * dt) / P.r, -math.expm1(-P.alpha * dt) / P.alpha
+    # columns u, v, w, then N, D, S after each step; one row block per state
+    A_eq = sparse.bmat([
+        [P.K * dt / cash * one, dt / cash * one, -P.p * dt / cash * one, one - prev, None, None],
+        [-P.A * grow / debt * one, grow / debt * one, None, None,
+         one - math.exp(P.r * dt) * prev, None],
+        [-decay / stock * one, None, decay / stock * one, None, None,
+         one - math.exp(-P.alpha * dt) * prev],
+    ], format="csr")
+    b_eq = np.zeros(3 * M)
+    b_eq[:M] = -P.B * dt / cash
+    b_eq[[0, M, 2 * M]] += (init.N / cash, init.D * math.exp(P.r * dt) / debt,
+                            init.S * math.exp(-P.alpha * dt) / stock)
+    cost = np.zeros(6 * M)
+    cost[[4 * M - 1, 5 * M - 1]] = (-cash, debt)  # maximize N(T) - D(T)
+    boxes = [(0.0, P.u_max), (0.0, P.v_max), (0.0, P.w_max), (0.0, None), (0.0, None),
+             (0.0, P.S_max / stock)]
+    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=[b for b in boxes for _ in range(M)],
+                  method="highs")
+    if res.status != 0:
+        return LPBest(None, res.status, (), None)
+    u, v, w = np.clip(res.x[:3 * M].reshape(3, M).T, 0.0, (P.u_max, P.v_max, P.w_max)).T
+    controls = tuple(map(ControlValue, u.tolist(), v.tolist(), w.tolist()))
+    state, breach = init, 0.0
+    for c in controls:
+        state = advance_state_reference(params, state, c, dt)
+        breach = max(breach, -state.N / cash, -state.D / debt, -state.S / stock,
+                     (state.S - P.S_max) / stock)
+    return LPBest(state.N - state.D, 0, controls, breach)
 
 
 # ---------------------------------------------------------------------------

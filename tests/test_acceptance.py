@@ -48,11 +48,11 @@ from firmopt import (
     synthesize_policy,
 )
 from firmopt.chain import chain_plan, evaluate_chain
-from firmopt import debt_clearance_time
 
 from conftest import ALL_KINDS, BASELINE, draw_scenario_case
 from oracles import (
     closed_form_objective,
+    debt_clearance_time,
     find_zero_crossing,
     integrate_rk4,
     objective_debt_with_stock,

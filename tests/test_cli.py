@@ -566,8 +566,13 @@ class TestCommands:
         # and the value 122.7
         ((200, 200, 0), 50, lambda traj: traj.start.N),
     ], ids=["final_exit", "start"])
+    # 8 ulps, derived and not read from cli.GAP_ULPS, so that a changed
+    # constant fails here: the closed form and the search each round at
+    # most three segment updates and the final N - D, each by at most an
+    # ulp of the largest magnitude summed (a product and a sum, half an ulp
+    # each): 2 evaluations * 4 roundings = 8
     @pytest.mark.parametrize("ulps, code, verdict", [
-        (cli.GAP_ULPS, EXIT_OK, "PASS"), (cli.GAP_ULPS + 1, EXIT_INFEASIBLE, "FAIL"),
+        (8, EXIT_OK, "PASS"), (9, EXIT_INFEASIBLE, "FAIL"),
     ], ids=["within", "past"])
     def test_verify_gap_scale_reaches_the_start_and_the_final_exit(
         self, tmp_path, capsys, monkeypatch, init, v_max, largest, ulps, code, verdict

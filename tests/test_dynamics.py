@@ -16,7 +16,6 @@ from firmopt import (
     State,
     chain_plan,
     classify_scenario,
-    debt_clearance_time,
     evaluate_chain,
     integrate_exact,
     synthesize_policy,
@@ -48,6 +47,7 @@ from oracles import (
     advance_state_reference,
     bisect_root,
     breakpoints_of,
+    debt_clearance_time,
     find_zero_crossing,
     integrate_rk4,
     rows_inside_the_box,

@@ -1,7 +1,9 @@
 """Switching times, jumps, policy synthesis and closed-form objectives."""
 
+import collections
 import math
 import random
+import sys
 from dataclasses import replace
 
 import mpmath
@@ -16,7 +18,6 @@ from firmopt import (
     certify_policy,
     chain_plan,
     classify_scenario,
-    debt_clearance_time,
     dynamics,
     integrate_exact,
     objective_value,
@@ -39,6 +40,7 @@ from oracles import (
     bisect_root,
     closed_form_objective,
     closed_form_trajectory,
+    debt_clearance_time,
     objective_debt_with_stock,
     objective_no_debt,
     precision_reference,
@@ -647,6 +649,71 @@ class TestClearanceProperties:
         except PolicyInfeasibleError:
             reject()  # the extra repayment exhausts the cash before t_D
         assert indebted < value
+
+
+class TestClearanceWalk:
+    """synthesize_policy steps the feedback law phase by phase to find t_D;
+    the paper's two-branch closed form (oracles.debt_clearance_time) is
+    its reference."""
+
+    def test_walk_matches_the_closed_form(self):
+        # A clearance by t_S, ties included, and every S3 clearance (S2's
+        # second branch at t_S = 0) take the closed form's own operations,
+        # so they agree bit for bit.  After t_S the walk carries the debt
+        # left at t_S and the closed form folds it into one quotient: each
+        # rounds a few times (within 3.1 eps of the 50-digit t_D on 1200
+        # draws), and the rounding of the net rate R - c is amplified by
+        # its condition number, so they may differ by 4 eps times that.
+        seen = collections.Counter()
+        for seed in range(240):
+            kind = (S2, ScenarioKind.S3_DEBT_NO_STOCK, A2)[seed % 3]
+            params, init = draw_scenario_case(random.Random(seed), kind)
+            if seed % 4 == 0 and kind is not ScenarioKind.S3_DEBT_NO_STOCK:
+                # the debt repaid exactly by t_S, as in test_tie_branch_is_continuous
+                t_s = stock_depletion_time(params, init.S)
+                rate = params.v_max if kind is S2 else params.p * params.w_max - params.B
+                theta = rate * (-math.expm1(-params.r * t_s)) / params.r
+                cash = init.N + params.v_max * t_s if kind is S2 else 0.0
+                init = State(cash, theta, init.S)
+            times = synthesize_policy(params, init, kind).times
+            start_debt = init.D - (init.N if kind is A2 else 0.0)
+            ref = debt_clearance_time(params, start_debt, times.t_s, kind)
+            if times.t_d <= times.t_s or kind is ScenarioKind.S3_DEBT_NO_STOCK:
+                seen["tie" if times.t_d == times.t_s else kind.name[:2]] += 1
+                assert times.t_d.hex() == ref.hex(), (seed, kind)
+            else:
+                seen["after t_S"] += 1
+                bound = 4 * sys.float_info.epsilon * rate_condition(params, kind) * ref
+                assert abs(times.t_d - ref) <= bound, (seed, kind)
+        assert all(seen[key] >= 10 for key in ("S2", "S3", "A2", "tie", "after t_S")), seen
+
+    def test_a_tie_clears_at_t_s_where_production_repays_nothing_net(self):
+        # v_max = A*w_max: from t_S on the repayment only pays for purchases,
+        # so the debt repaid exactly by t_S clears there and any more never does
+        params = replace(BASELINE, v_max=BASELINE.A * BASELINE.w_max)
+        theta = params.v_max * (-math.expm1(-params.r * T_S_BASE)) / params.r
+        times = synthesize_policy(params, State(20.0, theta, 10.0), S2).times
+        assert times.t_d == times.t_s == T_S_BASE
+        assert times.zeros == [(T_S_BASE, "S"), (T_S_BASE, "D")]
+        more = synthesize_policy(params, State(20.0, theta * (1.0 + 1e-9), 10.0), S2)
+        assert more.times.t_d == math.inf
+
+    @pytest.mark.parametrize("v_max, D0", [
+        (20.0, 120.0),  # r*D = 12 >= net = v_max - A*w_max = 10: interest outruns repayment
+        (10.0, 10.0),  # net = v_max - A*w_max = 0: repayment only pays for purchases
+        # an ulp below net/r = 100, where r*D rounds to net: log1p(-r*D/net)
+        # would be log1p(-1), which raises
+        (20.0, math.nextafter(100.0, 0.0)),
+    ], ids=["interest_outruns_repayment", "no_net_repayment", "r_times_debt_rounds_to_net"])
+    def test_unpayable_debt_is_never_cleared_by_the_synthesis(self, v_max, D0):
+        # no phase of the walk clears the debt: t_D = inf, and the policy
+        # repays at v_max through the horizon, leaving debt at T
+        params = replace(BASELINE, v_max=v_max)
+        synth = synthesize_policy(params, State(20.0, D0, 0.0), ScenarioKind.S3_DEBT_NO_STOCK)
+        assert synth.times.t_d == math.inf and not synth.times.t_d_within_horizon
+        assert synth.times.zeros == []
+        assert [seg.value.v for seg in synth.policy.segments] == [v_max]
+        assert synth.trajectory.terminal_state().D > 0.0
 
 
 def rate_condition(params: ModelParams, kind: ScenarioKind) -> float:
