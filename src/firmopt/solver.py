@@ -39,6 +39,7 @@ from typing import Iterator
 
 from . import dynamics
 from .model import (
+    MAX_RATE_TIMES_HORIZON,
     ControlSegment,
     ControlValue,
     JumpRecord,
@@ -178,7 +179,9 @@ def synthesize_policy(
     a - log1p(-r*D/net)/r, evaluated so as not to lose a short t_D's digits
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     2002).  Any other phase leaves (D - repayable)*exp(r*(b - a)) at b,
-    and a debt that no phase clears has t_D = inf.
+    and a debt that no phase clears has t_D = inf, as has one left after
+    a phase with r*(b - a) > MAX_RATE_TIMES_HORIZON, whose growth factor
+    overflows.
 
     When t_S >= T production never starts; when t_D >= T repayment
     continues through the horizon at its pre-clearance rate.  Breakpoints
@@ -213,33 +216,35 @@ def synthesize_policy(
         jump = initial_jump(init)
         start = jump.post_state
 
-    P, w = params, params.w_max
+    w = params.w_max
 
     def repayment(u: float) -> float:
         """The law's v while debt remains."""
-        return P.p * w - P.K * u - P.B if start.N == 0.0 else P.v_max
+        return params.p * w - params.K * u - params.B if start.N == 0.0 else params.v_max
 
     t_s = stock_depletion_time(params, start.S)
     t_d = None
     if start.D > 0.0:
-        if repayment(0.0) > P.v_max:
+        if repayment(0.0) > params.v_max:
             raise PolicyInfeasibleError("required repayment rate p*w_max - B exceeds v_max")
-        r, D, t_d = P.r, start.D, math.inf
+        r, D, t_d = params.r, start.D, math.inf
         for a, b, u in ((0.0, t_s, 0.0), (t_s, math.inf, w)):
-            net = repayment(u) - P.A * u
+            net = repayment(u) - params.A * u
             repayable = net * (-math.expm1(-r * (b - a))) / r
             if r * D < net and D <= repayable:
                 t_d = b if D == repayable else a - math.log1p(-r * D / net) / r
                 break
+            if r * (b - a) > MAX_RATE_TIMES_HORIZON:
+                break  # exp overflows: what is left at b outgrows net/r, never cleared
             D = (D - repayable) * math.exp(r * (b - a))  # the debt left at b
     # S3's production runs from t_S = 0 even on the zero horizon
-    ts_in = t_s < P.T or kind is ScenarioKind.S3_DEBT_NO_STOCK
-    times = SwitchingTimes(t_s, ts_in, t_d, t_d is None or t_d < P.T)
+    ts_in = t_s < params.T or kind is ScenarioKind.S3_DEBT_NO_STOCK
+    times = SwitchingTimes(t_s, ts_in, t_d, t_d is None or t_d < params.T)
 
     segs = []
-    for a, b, producing, cleared in times.phases(P.T):
+    for a, b, producing, cleared in times.phases(params.T):
         u = w if producing else 0.0
-        v = P.A * u if cleared else repayment(u)
+        v = params.A * u if cleared else repayment(u)
         segs.append(ControlSegment(a, b, ControlValue(u, v, w)))
     if params.T == 0.0:  # T = -0.0 passes validation; the segment ends at +0.0
         segs = [ControlSegment(0.0, 0.0, segs[-1].value)]

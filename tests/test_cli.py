@@ -607,6 +607,17 @@ class TestCommands:
         assert run_cli(command, make_config(tmp_path, doc)) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: params.r: r*T <= 709.783")
 
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_debt_growth_beyond_float_range_to_t_s_is_never_cleared(
+        self, tmp_path, capsys, command
+    ):
+        # r*T is small but r*t_S = 2307 is not: the debt is never cleared
+        doc = {**SLOW_DEPLETION_A2_DOC, "options": {"out_dir": str(tmp_path / "out"),
+                                                   "brute_nt": 3}}
+        assert run_cli(command, make_config(tmp_path, doc)) == EXIT_OK
+        if command == "solve":
+            assert "t_S = never\nt_D = never\n" in capsys.readouterr().out
+
     @staticmethod
     def child_env():
         """The environment of a child interpreter that imports this same firmopt."""
@@ -820,11 +831,22 @@ ILL_CONDITIONED_CLEARANCE_DOC = {
     "options": {"brute_nt": 3},
 }
 
+# a stock that lasts until t_S = 46151, far past T = 1, so that the debt
+# left at t_S would grow by exp(r*t_S) = exp(2307), beyond float range
+SLOW_DEPLETION_A2_DOC = {
+    "params": {**BASE_DOC["params"], "r": 0.05, "alpha": 1e-4, "B": 1e-3,
+               "w_max": 1e-3, "S_max": 1e3, "T": 1},
+    "init": {"N0": 1, "D0": 10, "S0": 1e3},
+    "jump_mode": True,
+    "options": {"brute_nt": 3},
+}
+
 
 # the README parameters, once with a search that finds nothing feasible
 # and once with exp(r*T) beyond the float range; then a t_D that only its
 # log1p form puts on the debt's zero; then the time-scaled S2 firm; then a
-# debt clearance too ill-conditioned to place, which exits 1; then a cash
+# debt clearance too ill-conditioned to place, which exits 1; then a debt
+# whose growth to t_S overflows, which is never cleared; then a cash
 # integer beyond float range, one of more digits than JSON converts, and
 # arrays nested deeper than JSON parses
 @example(
@@ -838,6 +860,7 @@ ILL_CONDITIONED_CLEARANCE_DOC = {
 @example(doc=TIME_SCALED_S2_DOC, command="verify")
 @example(doc=ILL_CONDITIONED_CLEARANCE_DOC, command="solve")
 @example(doc=ILL_CONDITIONED_CLEARANCE_DOC, command="verify")
+@example(doc=SLOW_DEPLETION_A2_DOC, command="chain")
 @example(doc={**BASE_DOC, "init": {**BASE_DOC["init"], "N0": "#" + BEYOND_FLOAT_RANGE}},
          command="solve")
 @example(doc={**BASE_DOC, "init": {**BASE_DOC["init"], "N0": "#" + TOO_MANY_DIGITS}},

@@ -24,7 +24,7 @@ from firmopt import (
     stock_depletion_time,
     synthesize_policy,
 )
-from firmopt.model import ControlSegment, ControlValue, PiecewiseControl
+from firmopt.model import MAX_RATE_TIMES_HORIZON, ControlSegment, ControlValue, PiecewiseControl
 from firmopt.solver import initial_jump
 
 from conftest import (
@@ -714,6 +714,17 @@ class TestClearanceWalk:
         assert synth.times.zeros == []
         assert [seg.value.v for seg in synth.policy.segments] == [v_max]
         assert synth.trajectory.terminal_state().D > 0.0
+
+    def test_a_debt_whose_growth_to_t_s_overflows_is_never_cleared(self):
+        # the stock lasts until t_S = 46151 and exp(r*t_S) = exp(2307) is
+        # beyond float range: the post-jump debt 9 > (p*w_max - B)/r = 0.18
+        # is not repaid by t_S, and what is left only grows from there
+        params = replace(BASELINE, r=0.05, alpha=1e-4, B=1e-3, w_max=1e-3, S_max=1e3, T=1.0)
+        synth = synthesize_policy(params, State(1.0, 10.0, 1e3), A2)
+        assert params.r * synth.times.t_s > MAX_RATE_TIMES_HORIZON
+        assert synth.times.t_d == math.inf
+        assert debt_clearance_time(params, 9.0, synth.times.t_s, A2) == math.inf
+        assert synth.trajectory.terminal_state().D > 9.0
 
 
 def rate_condition(params: ModelParams, kind: ScenarioKind) -> float:
